@@ -7,12 +7,12 @@ from .decompose import (DecompositionConfig, DecompositionMode,
                         build_atomic_dataset, discover_keyframes,
                         segment_interactions)
 from .executor import (ExecutorConfig, EpisodeResult, MonitorVerdict,
-                       build_library, monitor, predict_start_pose, run_episode,
-                       run_suite, scene_summary, write_suite_csv)
+                       build_library, monitor, run_episode, run_suite,
+                       scene_summary, write_suite_csv)
 from .geometry import Pose, is_goal_reached, pose_distance, quat_slerp
 from .planning import (ItemLocation, Plan, PlanSource, SceneSummary, plan_mock,
                        repair_preconditions, validate_plan)
-from .registry import TaskRegistry, TaskSpec, load_registry, load_registry_from
+from .registry import TaskRegistry, TaskSpec, load_registry
 from .trajectory import (AtomicTask, Demonstration, GripperState,
                          InstructionLibrary, InteractionSegment, SegmentKind,
                          TimeStep, load_atomic_tasks, load_demos,

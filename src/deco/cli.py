@@ -37,18 +37,15 @@ def _parse_seed_list(text: str) -> list[int]:
               help="Comma-separated random seeds.  [default: 0,1,2]")
 @click.option("--out-dir", default=".", show_default=True, type=click.Path(),
               help="Directory for output files.")
-@click.option("--workers", default=1, show_default=True, type=int,
-              help="Parallel episode workers.")
 @click.option("--audit-log", default=None, type=click.Path(),
               help="JSONL audit log for external planner requests.")
 @click.pass_context
-def main(ctx, seed_list, out_dir, workers, audit_log):
+def main(ctx, seed_list, out_dir, audit_log):
     """Demonstration decomposition, skill chaining and benchmark evaluation."""
     ctx.ensure_object(dict)
     ctx.obj["seeds"] = _parse_seed_list(seed_list) if seed_list else [0, 1, 2]
     ctx.obj["seeds_given"] = seed_list is not None
     ctx.obj["out_dir"] = Path(out_dir)
-    ctx.obj["workers"] = workers
     ctx.obj["audit_log"] = audit_log
 
 
@@ -158,19 +155,16 @@ def plan(ctx, instruction, planner, library_path, task_id):
     click.echo(json.dumps(list(result.steps)))
 
 
-def _load_config(ctx, config_path, chaining_m, planner, noise_sigma, episodes):
+def _load_config(ctx, config_path, chaining_m=None, noise_sigma=None, episodes=None):
     config = ExperimentConfig.from_yaml(config_path) if config_path else ExperimentConfig()
     if chaining_m is not None:
         config.chaining_m = chaining_m
-    if planner is not None:
-        config.planner = planner
     if noise_sigma is not None:
         config.noise_sigma = noise_sigma
     if episodes is not None:
         config.episodes = episodes
     if ctx.obj.get("seeds_given"):
         config.seeds = ctx.obj["seeds"]
-    config.workers = max(config.workers, ctx.obj["workers"])
     return config
 
 
@@ -186,7 +180,7 @@ def _run_eval(ctx, config: ExperimentConfig, csv_name: str) -> tuple[list, float
     exec_config = ExecutorConfig(chaining_m=config.chaining_m,
                                  noise_sigma=config.noise_sigma)
     rows = run_suite(tasks, config.seeds, exec_config, library, registry,
-                     episodes=config.episodes, workers=config.workers)
+                     episodes=config.episodes)
     out = _out_dir(ctx)
     write_suite_csv(rows, out / csv_name)
     mean_rate = float(np.mean([r.rate for r in rows])) if rows else 0.0
@@ -213,7 +207,6 @@ def _summary_lines(config: ExperimentConfig, rows, mean_rate: float) -> list[str
 @click.option("--print-defaults", is_flag=True,
               help="Print the default config YAML and exit.")
 @click.option("--chaining-m", type=int, default=None)
-@click.option("--planner", type=click.Choice(["mock", "vlm"]), default=None)
 @click.option("--noise-sigma", type=float, default=None)
 @click.option("--episodes", type=int, default=None)
 @click.pass_context
@@ -222,9 +215,7 @@ def cmd_eval(ctx, config_path, **overrides):
     if overrides.pop("print_defaults"):
         click.echo(print_defaults(), nl=False)
         return
-    config = _load_config(ctx, config_path, overrides["chaining_m"],
-                          overrides["planner"], overrides["noise_sigma"],
-                          overrides["episodes"])
+    config = _load_config(ctx, config_path, **overrides)
     rows, mean_rate = _run_eval(ctx, config, "results.csv")
     lines = _summary_lines(config, rows, mean_rate)
     out = _out_dir(ctx)
@@ -257,10 +248,8 @@ def ablate(ctx, axis, values, config_path):
         raise click.ClickException(f"invalid value for axis {axis}: {values!r}")
     comparison = []
     for value in casted:
-        config = (ExperimentConfig.from_yaml(config_path) if config_path
-                  else ExperimentConfig())
+        config = _load_config(ctx, config_path)
         setattr(config, field_name, value)
-        config.workers = max(config.workers, ctx.obj["workers"])
         rows, mean_rate = _run_eval(ctx, config, f"results_{axis}_{value}.csv")
         comparison.append((value, mean_rate, sum(r.collisions for r in rows)))
     out = _out_dir(ctx)

@@ -19,14 +19,11 @@ SELECTORS = ("atomic", "compositional", "all")
 @dataclass
 class ExperimentConfig:
     tasks: list[str] = field(default_factory=lambda: ["compositional"])
-    planner: str = "mock"
     mode: str = "full"
     chaining_m: int = 6
     noise_sigma: float = 0.0
     episodes: int = 20
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
-    out_dir: str = "results"
-    workers: int = 1
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(asdict(self), sort_keys=False)
@@ -48,8 +45,6 @@ class ExperimentConfig:
         for name in self.tasks:
             if name not in SELECTORS and name not in registry.tasks:
                 errors.append(f"unknown task id: {name!r}")
-        if self.planner not in ("mock", "vlm"):
-            errors.append(f"planner must be 'mock' or 'vlm', got {self.planner!r}")
         if self.mode not in ("full", "half"):
             errors.append(f"mode must be 'full' or 'half', got {self.mode!r}")
         if self.chaining_m < 0:
@@ -60,8 +55,6 @@ class ExperimentConfig:
             errors.append("episodes must be at least 1")
         if not self.seeds:
             errors.append("seeds must not be empty")
-        if self.workers < 1:
-            errors.append("workers must be at least 1")
         return errors
 
     def resolve_tasks(self, registry: TaskRegistry) -> list[TaskSpec]:

@@ -7,23 +7,26 @@ voxels are exactly 1.0 and cost decays monotonically with clearance.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateBounds
+from .errors import DecoError, DegenerateBounds
 
 
 @dataclass(frozen=True)
 class Bounds:
+    """Axis-aligned box: cost-map extents and the simulator's geometry."""
+
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
+        if np.any(hi <= lo):
+            raise ValueError(f"degenerate box: {lo} .. {hi}")
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
@@ -32,6 +35,9 @@ class Bounds:
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
         return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
+
+    def intersects_samples(self, samples: np.ndarray) -> bool:
+        return bool(np.any(np.all((samples >= self.lower) & (samples <= self.upper), axis=1)))
 
 
 class CostMap:
@@ -54,10 +60,6 @@ class CostMap:
 
     def voxel_center(self, index) -> np.ndarray:
         return self.origin + (np.asarray(index, dtype=float) + 0.5) * self.voxel_size
-
-    def in_bounds(self, point) -> bool:
-        idx = self.voxel_index(point)
-        return all(0 <= i < d for i, d in zip(idx, self.dims))
 
     def cost_at(self, point) -> float:
         """Cost of the voxel containing the point; outside the map counts as occupied."""
@@ -99,9 +101,12 @@ class CostMap:
         with open(header_path) as fh:
             header = json.load(fh)
         dims = header["dims"]
-        count = dims[0] * dims[1] * dims[2]
-        with open(grid_path, "rb") as fh:
-            flat = np.array(struct.unpack(f"<{count}f", fh.read(4 * count)))
+        expected = 4 * dims[0] * dims[1] * dims[2]
+        raw = np.fromfile(grid_path, dtype=np.uint8)
+        if raw.size != expected:
+            raise DecoError(f"cost-map grid {grid_path} has {raw.size} bytes, "
+                            f"header dims {dims} need {expected}")
+        flat = raw.view("<f4").astype(float)
         cost = np.transpose(flat.reshape(dims[2], dims[1], dims[0]), (2, 1, 0))
         return cls(header["origin"], header["voxel_size"], cost,
                    header["collision_threshold"], header["inflation_radius"])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -19,14 +18,14 @@ import numpy as np
 from .chaining import RrtParams, chain_skills
 from .costmap import build_cost_map
 from .decompose import DecompositionConfig, build_atomic_dataset
-from .errors import (NoFreeChain, PlanningFailure, PreconditionUnmet,
+from .errors import (DecoError, NoFreeChain, PlanningFailure, PreconditionUnmet,
                      UnknownInstruction)
 from .geometry import Pose, is_goal_reached
 from .planning import ItemLocation, Plan, SceneSummary, plan_mock
 from .registry import TaskRegistry, TaskSpec, load_registry
 from .sim.oracle import OraclePolicy, record_demo
-from .sim.scene import (WORKSPACE, Action, GripperCommand, Scene, point_cloud,
-                        step)
+from .sim.scene import (CUPBOARD_INTERIOR, DUSTPAN_VOLUME, WORKSPACE, Action,
+                        GripperCommand, Scene, point_cloud, step)
 from .sim.tasks import reset, success
 from .trajectory import InstructionLibrary
 
@@ -90,22 +89,11 @@ def monitor(scene: Scene, goal: Pose, actions_used: int,
     return MonitorVerdict.CONTINUE
 
 
-def predict_start_pose(policy, instruction: str, scene: Scene,
-                       library: InstructionLibrary | None = None) -> tuple[Pose, bool]:
-    """Start pose from a noiseless dry run, else the library goal centroid."""
-    try:
-        return policy.dry_run(instruction, scene)[0].target, False
-    except (PreconditionUnmet, UnknownInstruction):
-        if library is not None and instruction in library:
-            return library.goal_centroid(instruction), True
-        raise
-
-
 def scene_summary(scene: Scene) -> SceneSummary:
     locations = {}
     drawer = scene.drawer_interior() if scene.drawer_present else None
-    cupboard = scene.cupboard_interior() if scene.cupboard_present else None
-    dustpan = scene.dustpan_volume() if scene.dustpan_present else None
+    cupboard = CUPBOARD_INTERIOR if scene.cupboard_present else None
+    dustpan = DUSTPAN_VOLUME if scene.dustpan_present else None
     for name, obj in sorted(scene.objects.items()):
         if drawer is not None and drawer.contains(obj.position):
             locations[name] = ItemLocation.IN_DRAWER
@@ -213,7 +201,7 @@ def run_task_episode(task: TaskSpec, seed: int, config: ExecutorConfig,
     policy = OraclePolicy(noise_sigma=config.noise_sigma)
     try:
         plan = plan_mock(task.instruction, scene_summary(initial), library, registry)
-    except Exception as exc:
+    except DecoError as exc:
         result = EpisodeResult(task_id=task.id, seed=seed, success=False)
         result.skills.append(SkillOutcome("<planning>", False, 0, str(exc)))
         return result
@@ -233,24 +221,14 @@ class SuiteRow:
 
 def run_suite(tasks: list[TaskSpec], seeds: list[int], config: ExecutorConfig,
               library: InstructionLibrary, registry: TaskRegistry | None = None,
-              episodes: int = 1, workers: int = 1) -> list[SuiteRow]:
+              episodes: int = 1) -> list[SuiteRow]:
     registry = registry or load_registry()
-    jobs = [(task, seed, e) for task in tasks for seed in seeds
-            for e in range(episodes)]
-
-    def run_one(job):
-        task, seed, e = job
-        return run_task_episode(task, seed + 7919 * e, config, library, registry)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(job) for job in jobs]
-
     by_cell: dict[tuple[str, int], list[EpisodeResult]] = {}
-    for job, res in zip(jobs, results):
-        by_cell.setdefault((job[0].id, job[1]), []).append(res)
+    for task in tasks:
+        for seed in seeds:
+            for e in range(episodes):
+                by_cell.setdefault((task.id, seed), []).append(
+                    run_task_episode(task, seed + 7919 * e, config, library, registry))
 
     rates: dict[str, list[float]] = {}
     for (task_id, _seed), cell in by_cell.items():

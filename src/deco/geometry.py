@@ -42,9 +42,6 @@ class Pose:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", quat)
 
-    def with_position(self, position) -> "Pose":
-        return Pose(position, self.orientation)
-
     def to_dict(self) -> dict:
         return {"pos": [round(float(v), 12) for v in self.position],
                 "quat": [round(float(v), 12) for v in self.orientation]}

@@ -83,8 +83,3 @@ def _parse(data: dict) -> TaskRegistry:
 def load_registry() -> TaskRegistry:
     text = resources.files("deco.assets").joinpath("tasks.json").read_text()
     return _parse(json.loads(text))
-
-
-def load_registry_from(path) -> TaskRegistry:
-    with open(path) as fh:
-        return _parse(json.load(fh))

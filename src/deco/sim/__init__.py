@@ -1,10 +1,10 @@
-from .scene import (Action, Box, GripperCommand, Scene, SimObject, WORKSPACE,
+from .scene import (Action, GripperCommand, Scene, SimObject, WORKSPACE,
                     point_cloud, step)
 from .oracle import ATOMIC_SKILLS, OraclePolicy, oracle_policy, record_demo
-from .tasks import (INITIALIZERS, PREDICATES, drawer_front_obstacle_task,
-                    get_registry, reset, success)
+from .tasks import (INITIALIZERS, PREDICATES, drawer_front_obstacle_task, reset,
+                    success)
 
-__all__ = ["Action", "Box", "GripperCommand", "Scene", "SimObject", "WORKSPACE",
+__all__ = ["Action", "GripperCommand", "Scene", "SimObject", "WORKSPACE",
            "point_cloud", "step", "ATOMIC_SKILLS", "OraclePolicy", "oracle_policy",
            "record_demo", "INITIALIZERS", "PREDICATES", "drawer_front_obstacle_task",
-           "get_registry", "reset", "success"]
+           "reset", "success"]

@@ -15,8 +15,8 @@ from ..errors import PreconditionUnmet, UnknownInstruction
 from ..geometry import Pose
 from ..registry import DRAWER_OPEN_THRESHOLD, TaskSpec
 from ..trajectory import Demonstration, GripperState, TimeStep
-from .scene import (DRAWER_TRAVEL, HOME, WORKSPACE, Action, GripperCommand,
-                    Scene, step)
+from .scene import (CUPBOARD_INTERIOR, DRAWER_TRAVEL, DUSTPAN_VOLUME, HOME, WORKSPACE,
+                    Action, GripperCommand, Scene, step)
 
 SAFE_Z = 0.30
 SPEED_SCALE = 10.0
@@ -70,8 +70,8 @@ def _free_spot(scene: Scene, base: np.ndarray) -> np.ndarray:
 def _drawer_put_target(scene: Scene) -> np.ndarray:
     interior = scene.drawer_interior()
     # center of the part of the tray sticking out from under the cabinet
-    hi_x = min(interior.hi[0], 0.54)
-    base = np.array([(interior.lo[0] + hi_x) / 2.0, -0.25, 0.06])
+    hi_x = min(interior.upper[0], 0.54)
+    base = np.array([(interior.lower[0] + hi_x) / 2.0, -0.25, 0.06])
     occupied = sum(1 for o in scene.objects.values()
                    if not o.held and np.linalg.norm(o.position[:2] - base[:2]) < 0.04)
     base[1] += 0.05 * occupied
@@ -150,11 +150,10 @@ def _take_out_of_drawer(scene: Scene, prefix: str, drop_base: np.ndarray) -> lis
 def _put_box_in_cupboard(scene: Scene) -> list[Action]:
     _require(scene.cupboard_present, "no cupboard in the scene")
     _require_empty(scene)
-    interior = scene.cupboard_interior()
     candidates = [n for n in _items(scene, "box")
-                  if not interior.contains(scene.objects[n].position)]
+                  if not CUPBOARD_INTERIOR.contains(scene.objects[n].position)]
     _require(bool(candidates), "no box outside the cupboard")
-    center = (interior.lo + interior.hi) / 2.0
+    center = (CUPBOARD_INTERIOR.lower + CUPBOARD_INTERIOR.upper) / 2.0
     name = min(candidates,
                key=lambda n: (float(np.linalg.norm(scene.objects[n].position - center)), n))
     pos = scene.objects[name].position
@@ -172,9 +171,8 @@ def _take_out_of_cupboard(scene: Scene, prefix: str, drop_base: np.ndarray,
                           retreat_z: float = 0.12) -> list[Action]:
     _require(scene.cupboard_present, "no cupboard in the scene")
     _require_empty(scene)
-    interior = scene.cupboard_interior()
     candidates = [n for n in _items(scene, prefix)
-                  if interior.contains(scene.objects[n].position)]
+                  if CUPBOARD_INTERIOR.contains(scene.objects[n].position)]
     _require(bool(candidates), f"no {prefix} inside the cupboard")
     name = candidates[0]
     pos = scene.objects[name].position
@@ -188,9 +186,8 @@ def _take_out_of_cupboard(scene: Scene, prefix: str, drop_base: np.ndarray,
 
 
 def _rubbish_cluster(scene: Scene) -> list[str]:
-    pan = scene.dustpan_volume()
     eligible = [n for n in scene.rubbish_names()
-                if not pan.contains(scene.objects[n].position)]
+                if not DUSTPAN_VOLUME.contains(scene.objects[n].position)]
     if not eligible:
         return []
     positions = {n: scene.objects[n].position for n in eligible}
@@ -210,7 +207,7 @@ def _sweep_to_dustpan(scene: Scene) -> list[Action]:
     cluster = _rubbish_cluster(scene)
     _require(bool(cluster), "no rubbish left to sweep")
     centroid = np.mean([scene.objects[n].position for n in cluster], axis=0)
-    pan_center = (scene.dustpan_volume().lo + scene.dustpan_volume().hi) / 2.0
+    pan_center = (DUSTPAN_VOLUME.lower + DUSTPAN_VOLUME.upper) / 2.0
     direction = pan_center[:2] - centroid[:2]
     direction = direction / max(float(np.linalg.norm(direction)), 1e-9)
     sweep_start = np.array([*(centroid[:2] - 0.08 * direction), 0.02])
@@ -232,9 +229,8 @@ def _sweep_to_dustpan(scene: Scene) -> list[Action]:
 def _put_rubbish_in_dustpan(scene: Scene) -> list[Action]:
     _require(scene.dustpan_present, "no dustpan in the scene")
     _require_empty(scene)
-    pan = scene.dustpan_volume()
     eligible = [n for n in scene.rubbish_names()
-                if not pan.contains(scene.objects[n].position)]
+                if not DUSTPAN_VOLUME.contains(scene.objects[n].position)]
     _require(bool(eligible), "all rubbish is already in the dustpan")
     pos = scene.objects[eligible[0]].position
     return [_hold([pos[0], pos[1], 0.13]),

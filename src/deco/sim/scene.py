@@ -45,6 +45,23 @@ CUPBOARD_WALL = 0.02
 DUSTPAN_LO = np.array([0.29, 0.24, 0.0])
 DUSTPAN_HI = np.array([0.41, 0.36, 0.05])
 
+
+def _cupboard_walls(lo, hi, w) -> tuple[Bounds, ...]:
+    return (Bounds((lo[0], lo[1], lo[2]), (hi[0], hi[1], lo[2] + w)),          # bottom
+            Bounds((lo[0], lo[1], hi[2] - w), (hi[0], hi[1], hi[2])),          # top
+            Bounds((hi[0] - w, lo[1], lo[2]), (hi[0], hi[1], hi[2])),          # back
+            Bounds((lo[0], lo[1], lo[2]), (hi[0], lo[1] + w, hi[2])),          # side
+            Bounds((lo[0], hi[1] - w, lo[2]), (hi[0], hi[1], hi[2])))          # side
+
+
+# geometry that never moves, built once
+CABINET = Bounds(CABINET_LO, CABINET_HI)
+CUPBOARD_WALLS = _cupboard_walls(CUPBOARD_LO, CUPBOARD_HI, CUPBOARD_WALL)
+CUPBOARD_INTERIOR = Bounds(CUPBOARD_LO + (0.0, CUPBOARD_WALL, CUPBOARD_WALL),
+                           CUPBOARD_HI - CUPBOARD_WALL)
+DUSTPAN_VOLUME = Bounds(DUSTPAN_LO, DUSTPAN_HI)
+DUSTPAN_FLOOR = Bounds(DUSTPAN_LO, (DUSTPAN_HI[0], DUSTPAN_HI[1], DUSTPAN_LO[2] + 0.01))
+
 OBJECT_HALF = {"block": 0.02, "box": 0.025, "broom": 0.02, "dustpan": 0.0, "rubbish": 0.0}
 GRASPABLE_KINDS = {"block", "box", "broom", "rubbish"}
 
@@ -61,29 +78,6 @@ class GripperCommand(str, Enum):
 class Action:
     target: Pose
     gripper_command: GripperCommand = GripperCommand.HOLD
-
-
-@dataclass(frozen=True)
-class Box:
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if np.any(hi <= lo):
-            raise ValueError(f"degenerate box: {lo} .. {hi}")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
-
-    def intersects_samples(self, samples: np.ndarray) -> bool:
-        return bool(np.any(np.all((samples >= self.lo) & (samples <= self.hi), axis=1)))
 
 
 @dataclass
@@ -108,7 +102,6 @@ class Scene:
     held_object: str | None = None
     collision_count: int = 0
     drawer_slams: int = 0
-    rng_seed: int = 0
 
     def copy(self) -> "Scene":
         return replace(self,
@@ -123,67 +116,46 @@ class Scene:
     def handle_position(self) -> np.ndarray:
         return np.array([self.drawer_front_x() - 0.025, HANDLE_Y, HANDLE_Z])
 
-    def drawer_interior(self) -> Box:
+    def drawer_interior(self) -> Bounds:
         shift = DRAWER_TRAVEL * self.open_fraction
-        return Box((CABINET_LO[0] + 0.01 - shift, CABINET_LO[1] + 0.01, 0.02),
-                   (CABINET_HI[0] - 0.02 - shift, CABINET_HI[1] - 0.01, DRAWER_WALL_TOP))
+        return Bounds((CABINET_LO[0] + 0.01 - shift, CABINET_LO[1] + 0.01, 0.02),
+                      (CABINET_HI[0] - 0.02 - shift, CABINET_HI[1] - 0.01, DRAWER_WALL_TOP))
 
-    def drawer_boxes(self) -> list[Box]:
+    def drawer_boxes(self) -> list[Bounds]:
         """Collision boxes of the tray part protruding from the cabinet."""
         if not self.drawer_present or self.open_fraction < 0.03:
             return []
         front = self.drawer_front_x()
-        boxes = [Box((front - DRAWER_WALL, CABINET_LO[1], 0.0),
-                     (front, CABINET_HI[1], DRAWER_WALL_TOP))]
+        boxes = [Bounds((front - DRAWER_WALL, CABINET_LO[1], 0.0),
+                        (front, CABINET_HI[1], DRAWER_WALL_TOP))]
         for y0, y1 in ((CABINET_LO[1], CABINET_LO[1] + DRAWER_WALL),
                        (CABINET_HI[1] - DRAWER_WALL, CABINET_HI[1])):
-            boxes.append(Box((front - DRAWER_WALL, y0, 0.0),
-                             (CABINET_LO[0], y1, DRAWER_WALL_TOP)))
-        boxes.append(Box((front - DRAWER_WALL, CABINET_LO[1], 0.0),
-                         (CABINET_LO[0], CABINET_HI[1], 0.02)))
+            boxes.append(Bounds((front - DRAWER_WALL, y0, 0.0),
+                                (CABINET_LO[0], y1, DRAWER_WALL_TOP)))
+        boxes.append(Bounds((front - DRAWER_WALL, CABINET_LO[1], 0.0),
+                            (CABINET_LO[0], CABINET_HI[1], 0.02)))
         return boxes
 
-    def cupboard_interior(self) -> Box:
-        return Box((CUPBOARD_LO[0], CUPBOARD_LO[1] + CUPBOARD_WALL, CUPBOARD_LO[2] + CUPBOARD_WALL),
-                   (CUPBOARD_HI[0] - CUPBOARD_WALL, CUPBOARD_HI[1] - CUPBOARD_WALL,
-                    CUPBOARD_HI[2] - CUPBOARD_WALL))
-
-    def cupboard_boxes(self) -> list[Box]:
-        if not self.cupboard_present:
-            return []
-        lo, hi, w = CUPBOARD_LO, CUPBOARD_HI, CUPBOARD_WALL
-        return [Box((lo[0], lo[1], lo[2]), (hi[0], hi[1], lo[2] + w)),          # bottom
-                Box((lo[0], lo[1], hi[2] - w), (hi[0], hi[1], hi[2])),          # top
-                Box((hi[0] - w, lo[1], lo[2]), (hi[0], hi[1], hi[2])),          # back
-                Box((lo[0], lo[1], lo[2]), (hi[0], lo[1] + w, hi[2])),          # side
-                Box((lo[0], hi[1] - w, lo[2]), (hi[0], hi[1], hi[2]))]          # side
-
-    def dustpan_volume(self) -> Box:
-        return Box(DUSTPAN_LO, DUSTPAN_HI)
-
-    def dustpan_boxes(self) -> list[Box]:
-        if not self.dustpan_present:
-            return []
-        return [Box(DUSTPAN_LO, (DUSTPAN_HI[0], DUSTPAN_HI[1], DUSTPAN_LO[2] + 0.01))]
-
-    def static_boxes(self, include_drawer: bool = True) -> list[Box]:
+    def static_boxes(self, include_drawer: bool = True) -> list[Bounds]:
         boxes = []
         if self.drawer_present:
-            boxes.append(Box(CABINET_LO, CABINET_HI))
+            boxes.append(CABINET)
             if include_drawer:
                 boxes.extend(self.drawer_boxes())
-        boxes.extend(self.cupboard_boxes())
-        boxes.extend(self.dustpan_boxes())
+        if self.cupboard_present:
+            boxes.extend(CUPBOARD_WALLS)
+        if self.dustpan_present:
+            boxes.append(DUSTPAN_FLOOR)
         return boxes
 
-    def object_boxes(self, exclude_held: bool = True) -> list[Box]:
+    def object_boxes(self, exclude_held: bool = True) -> list[Bounds]:
         boxes = []
         for name, obj in sorted(self.objects.items()):
             if exclude_held and obj.held:
                 continue
             half = OBJECT_HALF.get(obj.kind, 0.0)
             if half > 0:
-                boxes.append(Box(obj.position - half, obj.position + half))
+                boxes.append(Bounds(obj.position - half, obj.position + half))
         return boxes
 
     # --- queries ---
@@ -198,8 +170,7 @@ class Scene:
         names = self.rubbish_names()
         if not names:
             return 0.0
-        vol = self.dustpan_volume()
-        inside = sum(1 for n in names if vol.contains(self.objects[n].position))
+        inside = sum(1 for n in names if DUSTPAN_VOLUME.contains(self.objects[n].position))
         return inside / len(names)
 
     def to_dict(self) -> dict:
@@ -215,8 +186,7 @@ class Scene:
                             "state": self.gripper_state.value,
                             "held_object": self.held_object},
                 "collision_count": self.collision_count,
-                "drawer_slams": self.drawer_slams,
-                "rng_seed": self.rng_seed}
+                "drawer_slams": self.drawer_slams}
 
 
 def _segment_samples(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,12 +225,13 @@ def step(scene: Scene, action: Action) -> Scene:
     displacement = target - start
     holding_handle = out.held_object == HANDLE_NAME
 
-    # collision bookkeeping + drawer slam
-    hit_static = any(b.intersects_samples(samples)
-                     for b in (out.static_boxes(include_drawer=not holding_handle)))
-    if hit_static:
+    # collision bookkeeping + drawer slam; a tray pulled by its handle is not hit
+    drawer = [] if holding_handle else out.drawer_boxes()
+    hit_drawer = any(b.intersects_samples(samples) for b in drawer)
+    if hit_drawer or any(b.intersects_samples(samples)
+                         for b in out.static_boxes(include_drawer=False)):
         out.collision_count += 1
-    if not holding_handle and any(b.intersects_samples(samples) for b in out.drawer_boxes()):
+    if hit_drawer:
         direction = displacement / max(float(np.linalg.norm(displacement)), 1e-12)
         if abs(direction[2]) < 0.9 and out.open_fraction > SLAM_FRACTION:
             _shift_drawer_contents(out, out.open_fraction, SLAM_FRACTION)
@@ -332,17 +303,17 @@ def point_cloud(scene: Scene, density: float = 2500.0) -> np.ndarray:
     return np.vstack(points)
 
 
-def _sample_box_faces(box: Box, density: float) -> np.ndarray:
+def _sample_box_faces(box: Bounds, density: float) -> np.ndarray:
     pts = []
-    size = box.hi - box.lo
+    size = box.upper - box.lower
     for axis in range(3):
         u, v = (axis + 1) % 3, (axis + 2) % 3
         nu = max(1, int(round(size[u] * np.sqrt(density))))
         nv = max(1, int(round(size[v] * np.sqrt(density))))
-        us = box.lo[u] + (np.arange(nu) + 0.5) * size[u] / nu
-        vs = box.lo[v] + (np.arange(nv) + 0.5) * size[v] / nv
+        us = box.lower[u] + (np.arange(nu) + 0.5) * size[u] / nu
+        vs = box.lower[v] + (np.arange(nv) + 0.5) * size[v] / nv
         uu, vv = np.meshgrid(us, vs, indexing="ij")
-        for w in (box.lo[axis], box.hi[axis]):
+        for w in (box.lower[axis], box.upper[axis]):
             face = np.zeros((nu * nv, 3))
             face[:, axis] = w
             face[:, u] = uu.ravel()

@@ -12,9 +12,9 @@ import zlib
 import numpy as np
 
 from ..errors import UnknownTask
-from ..registry import (DRAWER_CLOSED_THRESHOLD, DRAWER_OPEN_THRESHOLD,
-                        TaskRegistry, TaskSpec, load_registry)
-from .scene import Scene, SimObject
+from ..registry import (DRAWER_CLOSED_THRESHOLD, DRAWER_OPEN_THRESHOLD, TaskSpec,
+                        load_registry)
+from .scene import CUPBOARD_INTERIOR, Scene, SimObject
 
 RUBBISH_FRACTION_THRESHOLD = 0.8
 
@@ -178,7 +178,7 @@ INITIALIZERS = {
 def reset(task: TaskSpec, seed: int) -> Scene:
     if task.initializer not in INITIALIZERS:
         raise UnknownTask(f"task {task.id!r} has unknown initializer {task.initializer!r}")
-    scene = Scene(rng_seed=seed)
+    scene = Scene()
     INITIALIZERS[task.initializer](scene, _rng(task.id, seed))
     return scene
 
@@ -194,7 +194,7 @@ def _in_drawer(scene: Scene, name: str) -> bool:
 
 
 def _in_cupboard(scene: Scene, name: str) -> bool:
-    return scene.cupboard_interior().contains(scene.objects[name].position)
+    return CUPBOARD_INTERIOR.contains(scene.objects[name].position)
 
 
 PREDICATES = {
@@ -246,7 +246,3 @@ def drawer_front_obstacle_task() -> TaskSpec:
                     domain="drawer", kind="compositional", cycle_count=base.cycle_count,
                     predicate=base.predicate, initializer="drawer_front_obstacle",
                     plan=base.plan, aliases=())
-
-
-def get_registry() -> TaskRegistry:
-    return load_registry()

@@ -139,6 +139,22 @@ def test_ablate_chaining_sweep(runner, tmp_path):
     assert len(comparison) == 3
 
 
+def test_ablate_honours_seed_list(runner, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("tasks: [open_drawer]\nepisodes: 1\nseeds: [0]\n")
+    result = invoke(runner, ["--out-dir", str(tmp_path), "--seed-list", "7", "ablate",
+                             "--axis", "chaining-m", "--values", "0",
+                             "--config", str(cfg)])
+    assert result.exit_code == 0
+    rows = (tmp_path / "results_chaining-m_0.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["open_drawer", "7"]]
+
+
+def test_removed_flags_are_rejected(runner):
+    assert CliRunner().invoke(main, ["--workers", "2", "eval"]).exit_code == 2
+    assert CliRunner().invoke(main, ["eval", "--planner", "vlm"]).exit_code == 2
+
+
 def test_export_costmap(runner, tmp_path):
     result = invoke(runner, ["--out-dir", str(tmp_path), "export-costmap",
                              "--task", "put_in_and_close"])

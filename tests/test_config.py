@@ -13,7 +13,6 @@ def test_defaults(registry):
     cfg = ExperimentConfig()
     assert cfg.seeds == [0, 1, 2]
     assert cfg.chaining_m == 6
-    assert cfg.planner == "mock"
     assert cfg.validate(registry) == []
 
 
@@ -31,7 +30,7 @@ def test_from_yaml_partial_override(tmp_path):
     cfg = ExperimentConfig.from_yaml(path)
     assert cfg.chaining_m == 2
     assert cfg.seeds == [5]
-    assert cfg.planner == "mock"
+    assert cfg.noise_sigma == 0.0
 
 
 def test_from_yaml_rejects_unknown_keys(tmp_path):
@@ -41,13 +40,22 @@ def test_from_yaml_rejects_unknown_keys(tmp_path):
         ExperimentConfig.from_yaml(path)
 
 
+@pytest.mark.parametrize("key", ["planner: vlm", "out_dir: results", "workers: 2"])
+def test_from_yaml_rejects_removed_keys(tmp_path, key):
+    # eval always plans with the mock planner and writes to the global --out-dir
+    path = tmp_path / "cfg.yaml"
+    path.write_text(key + "\n")
+    with pytest.raises(ValueError, match="unknown config keys: " + key.split(":")[0]):
+        ExperimentConfig.from_yaml(path)
+
+
 def test_validation_lists_all_errors(registry):
-    cfg = ExperimentConfig(tasks=["no_such_task", "also_missing"], planner="llm",
+    cfg = ExperimentConfig(tasks=["no_such_task", "also_missing"], mode="quarter",
                            episodes=0, seeds=[])
     errors = cfg.validate(registry)
     assert any("no_such_task" in e for e in errors)
     assert any("also_missing" in e for e in errors)
-    assert any("planner" in e for e in errors)
+    assert any("mode" in e for e in errors)
     assert any("episodes" in e for e in errors)
     assert any("seeds" in e for e in errors)
 

@@ -3,7 +3,7 @@ import pytest
 
 from deco.costmap import (Bounds, CostMap, build_cost_map, cost_from_distance,
                           distance_grid, occupancy_from_points)
-from deco.errors import DegenerateBounds
+from deco.errors import DecoError, DegenerateBounds
 
 BOUNDS = Bounds((0.0, 0.0, 0.0), (0.2, 0.2, 0.2))
 
@@ -93,6 +93,23 @@ def test_export_grid_is_x_fastest(tmp_path):
     assert flat[0] == cost[0, 0, 0]
     assert flat[1] == cost[1, 0, 0]
     assert flat[2] == cost[0, 1, 0]
+
+
+@pytest.mark.parametrize("size", [92, 104])  # 4 bytes short, 8 bytes long
+def test_load_rejects_grid_of_wrong_size(tmp_path, size):
+    header, grid = tmp_path / "h.json", tmp_path / "g.f32"
+    CostMap([0, 0, 0], 0.1, np.zeros((2, 3, 4))).export(header, grid)  # 96 bytes
+    grid.write_bytes(bytes(size))
+    with pytest.raises(DecoError, match=f"has {size} bytes.*need 96"):
+        CostMap.load(header, grid)
+
+
+def test_bounds_reject_degenerate_box_and_test_samples():
+    with pytest.raises(ValueError, match="degenerate"):
+        Bounds((0, 0, 0), (0.1, 0.0, 0.1))
+    box = Bounds((0, 0, 0), (0.1, 0.1, 0.1))
+    assert box.intersects_samples(np.array([[0.5, 0.5, 0.5], [0.1, 0.05, 0.0]]))
+    assert not box.intersects_samples(np.array([[0.5, 0.5, 0.5], [0.11, 0.05, 0.0]]))
 
 
 def brute_force_distance(occ, voxel):

@@ -1,11 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from deco.errors import PreconditionUnmet
+import deco.executor
 from deco.executor import (ExecutorConfig, MonitorVerdict, SOURCE_DEMO_TASKS,
-                           build_library, monitor, predict_start_pose,
-                           run_episode, run_suite, run_task_episode,
-                           scene_summary, write_suite_csv)
+                           build_library, monitor, run_episode, run_suite,
+                           run_task_episode, scene_summary, write_suite_csv)
 from deco.geometry import Pose
 from deco.planning import ItemLocation, Plan, PlanSource
 from deco.registry import load_registry
@@ -31,28 +32,6 @@ def test_monitor_verdicts():
     assert monitor(scene, goal_here, 1, cfg) is MonitorVerdict.COMPLETE
     assert monitor(scene, goal_far, 1, cfg) is MonitorVerdict.CONTINUE
     assert monitor(scene, goal_far, cfg.max_actions_per_skill, cfg) is MonitorVerdict.TIMEOUT
-
-
-def test_predict_start_pose_dry_run(registry):
-    scene = reset(registry.get("open_drawer"), 0)
-    pose, fallback = predict_start_pose(OraclePolicy(), "open drawer", scene)
-    assert not fallback
-    assert np.allclose(pose.position, scene.handle_position() + [-0.05, 0, 0])
-
-
-def test_predict_start_pose_library_fallback(registry, library):
-    # drawer already open: the dry run refuses, the library centroid steps in
-    scene = reset(registry.get("close_drawer"), 0)
-    pose, fallback = predict_start_pose(OraclePolicy(), "open drawer", scene, library)
-    assert fallback
-    centroid = library.goal_centroid("open drawer")
-    assert np.allclose(pose.position, centroid.position)
-
-
-def test_predict_start_pose_reraises_without_library(registry):
-    scene = reset(registry.get("close_drawer"), 0)
-    with pytest.raises(PreconditionUnmet):
-        predict_start_pose(OraclePolicy(), "open drawer", scene)
 
 
 def test_scene_summary_locations(registry):
@@ -162,12 +141,31 @@ def test_run_suite_rows_and_csv(tmp_path, library, registry):
     assert lines[1] == "open_drawer,0,2,2,1.000000,0.000000,0"
 
 
-def test_run_suite_deterministic_and_parallel_identical(tmp_path, library, registry):
+def test_run_suite_deterministic(tmp_path, library, registry):
     tasks = [registry.get("put_in_wo_close")]
     kwargs = dict(library=library, registry=registry, episodes=2)
-    rows1 = run_suite(tasks, [0, 1], ExecutorConfig(), workers=1, **kwargs)
-    rows2 = run_suite(tasks, [0, 1], ExecutorConfig(), workers=3, **kwargs)
+    rows1 = run_suite(tasks, [0, 1], ExecutorConfig(), **kwargs)
+    rows2 = run_suite(tasks, [0, 1], ExecutorConfig(), **kwargs)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_suite_csv(rows1, a)
     write_suite_csv(rows2, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_planning_error_becomes_planning_outcome(library, registry):
+    # an instruction no plan template knows fails in the planner, not the episode
+    ghost = replace(registry.get("open_drawer"), id="ghost",
+                    instruction="assemble the spaceship")
+    result = run_task_episode(ghost, 0, ExecutorConfig(), library, registry)
+    assert not result.success
+    assert [s.instruction for s in result.skills] == ["<planning>"]
+    assert "no template matches" in result.skills[0].reason
+
+
+def test_non_deco_error_in_planning_propagates(library, registry, monkeypatch):
+    def broken_planner(*args):
+        raise KeyError("bug in the planner")
+
+    monkeypatch.setattr(deco.executor, "plan_mock", broken_planner)
+    with pytest.raises(KeyError, match="bug in the planner"):
+        run_task_episode(registry.get("open_drawer"), 0, ExecutorConfig(), library, registry)

@@ -6,7 +6,7 @@ import pytest
 from deco.errors import PreconditionUnmet, UnknownInstruction, UnknownTask
 from deco.registry import load_registry
 from deco.sim.oracle import ATOMIC_SKILLS, OraclePolicy, oracle_policy, record_demo
-from deco.sim.scene import GripperCommand, Scene, SimObject, step
+from deco.sim.scene import CUPBOARD_INTERIOR, GripperCommand, Scene, SimObject, step
 from deco.sim.tasks import drawer_front_obstacle_task, reset, success
 
 
@@ -163,5 +163,5 @@ def test_exchange_boxes_picks_table_box(registry):
     task = registry.get("exchange_boxes")
     scene = run_plan(task, 0)
     assert success(task, scene)
-    assert scene.cupboard_interior().contains(scene.objects["box_b"].position)
-    assert not scene.cupboard_interior().contains(scene.objects["box_a"].position)
+    assert CUPBOARD_INTERIOR.contains(scene.objects["box_b"].position)
+    assert not CUPBOARD_INTERIOR.contains(scene.objects["box_a"].position)
