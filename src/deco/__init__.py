@@ -1,6 +1,6 @@
 """Demonstration decomposition, skill chaining and desk-scale benchmark suite."""
 
-from .chaining import ChainingResult, RrtParams, chain_skills, chaining_poses, rrt_path
+from .chaining import ChainingResult, chain_skills, chaining_poses, rrt_path
 from .costmap import Bounds, CostMap, build_cost_map
 from .config import ExperimentConfig
 from .decompose import (DecompositionConfig, DecompositionMode,

@@ -18,14 +18,9 @@ from .geometry import Pose, quat_slerp
 
 MAX_REFINE_ITERS = 200
 MAX_INTERPOLANT_DEVIATION = 0.15
-
-
-@dataclass
-class RrtParams:
-    step: float = 0.03
-    goal_bias: float = 0.1
-    max_iters: int = 5000
-    seed: int = 0
+RRT_STEP = 0.03
+RRT_GOAL_BIAS = 0.1
+RRT_MAX_ITERS = 5000
 
 
 @dataclass
@@ -44,13 +39,10 @@ class ChainingResult:
 
 
 def _cost_gradient(cmap: CostMap, point: np.ndarray) -> np.ndarray:
+    """Central differences along each axis, one voxel either side."""
     h = cmap.voxel_size
-    grad = np.zeros(3)
-    for axis in range(3):
-        offset = np.zeros(3)
-        offset[axis] = h
-        grad[axis] = (cmap.cost_at(point + offset) - cmap.cost_at(point - offset)) / (2 * h)
-    return grad
+    cost = cmap.cost_at(point + np.vstack([np.eye(3) * h, np.eye(3) * -h]))
+    return (cost[:3] - cost[3:]) / (2 * h)
 
 
 def _refine_position(init: np.ndarray, cmap: CostMap) -> np.ndarray:
@@ -114,9 +106,8 @@ def _shortcut(path: list[np.ndarray], cmap: CostMap) -> list[np.ndarray]:
     return out
 
 
-def rrt_path(a, b, cmap: CostMap, params: RrtParams | None = None) -> list[np.ndarray]:
+def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     """Plan a collision-free polyline from a to b.  Deterministic given the seed."""
-    params = params or RrtParams()
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not cmap.is_free(a) or not cmap.is_free(b):
@@ -127,7 +118,7 @@ def rrt_path(a, b, cmap: CostMap, params: RrtParams | None = None) -> list[np.nd
     if cmap.segment_free(a, b):
         return [a, b]
 
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     map_lo, map_hi = cmap.origin, cmap.upper
     # half the samples come from a window around the endpoints: connection
     # legs are short and pure whole-map sampling starves the region of interest
@@ -136,22 +127,22 @@ def rrt_path(a, b, cmap: CostMap, params: RrtParams | None = None) -> list[np.nd
     win_hi = np.minimum(np.maximum(a, b) + margin, map_hi)
     nodes = [a]
     parents = [-1]
-    for _ in range(params.max_iters):
+    for _ in range(RRT_MAX_ITERS):
         roll = rng.random()
-        if roll < params.goal_bias:
+        if roll < RRT_GOAL_BIAS:
             sample = b
-        elif roll < 0.5 + params.goal_bias / 2:
+        elif roll < 0.5 + RRT_GOAL_BIAS / 2:
             sample = win_lo + rng.random(3) * (win_hi - win_lo)
         else:
             sample = map_lo + rng.random(3) * (map_hi - map_lo)
         dists = np.linalg.norm(np.asarray(nodes) - sample, axis=1)
         nearest = int(np.argmin(dists))
-        new_pt = _steer(nodes[nearest], sample, params.step)
+        new_pt = _steer(nodes[nearest], sample, RRT_STEP)
         if not cmap.segment_free(nodes[nearest], new_pt):
             continue
         nodes.append(new_pt)
         parents.append(nearest)
-        if np.linalg.norm(new_pt - b) <= params.step and cmap.segment_free(new_pt, b):
+        if np.linalg.norm(new_pt - b) <= RRT_STEP and cmap.segment_free(new_pt, b):
             path = [b]
             idx = len(nodes) - 1
             while idx >= 0:
@@ -159,26 +150,23 @@ def rrt_path(a, b, cmap: CostMap, params: RrtParams | None = None) -> list[np.nd
                 idx = parents[idx]
             path.reverse()
             return _shortcut(path, cmap)
-    raise PlanningFailure(f"RRT failed to connect after {params.max_iters} iterations")
+    raise PlanningFailure(f"RRT failed to connect after {RRT_MAX_ITERS} iterations")
 
 
 def chain_skills(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int,
-                 params: RrtParams | None = None) -> ChainingResult:
+                 seed: int = 0) -> ChainingResult:
     """Chaining poses plus RRT legs from the previous goal to the next start."""
-    params = params or RrtParams()
     poses = chaining_poses(goal_prev, start_next, cmap, m)
     anchors = [goal_prev.position] + [p.position for p in poses] + [start_next.position]
     path: list[np.ndarray] = []
     for leg, (p, q) in enumerate(zip(anchors, anchors[1:])):
-        leg_params = RrtParams(params.step, params.goal_bias, params.max_iters,
-                               params.seed + leg)
-        sub = rrt_path(p, q, cmap, leg_params)
+        sub = rrt_path(p, q, cmap, seed + leg)
         if path:
             sub = sub[1:]
         path.extend(sub)
     if not path:
         path = [np.asarray(goal_prev.position, dtype=float)]
-    profile = [cmap.cost_at(w) for w in path]
+    profile = cmap.cost_at(np.asarray(path)).tolist()
     return ChainingResult(poses=poses, path=path, cost_profile=profile)
 
 

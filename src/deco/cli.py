@@ -12,7 +12,7 @@ import numpy as np
 from .config import ExperimentConfig, print_defaults
 from .costmap import build_cost_map
 from .decompose import DecompositionConfig, build_atomic_dataset
-from .errors import DecoError
+from .errors import ConfigError, DecoError
 from .executor import (ExecutorConfig, build_library, run_suite, scene_summary,
                        write_suite_csv)
 from .planning import plan_mock
@@ -86,23 +86,16 @@ def decompose(ctx, demos_path, annotations_path, mode):
 
 @main.command("record-demos")
 @click.option("--tasks", "task_ids", default="all",
-              help="Comma-separated task ids, or 'all'/'atomic'/'compositional'.")
+              help="Comma-separated task ids and selectors 'all'/'atomic'/'compositional'.")
 @click.pass_context
 def record_demos(ctx, task_ids):
     """Run the scripted policies over their canonical plans and log demos."""
     out = _out_dir(ctx)
-    registry = load_registry()
-    if task_ids == "all":
-        tasks = list(registry)
-    elif task_ids == "atomic":
-        tasks = registry.atomic_tasks()
-    elif task_ids == "compositional":
-        tasks = registry.compositional_tasks()
-    else:
-        try:
-            tasks = [registry.get(tid.strip()) for tid in task_ids.split(",")]
-        except DecoError as exc:
-            raise click.ClickException(str(exc))
+    selection = ExperimentConfig(tasks=[name.strip() for name in task_ids.split(",")])
+    try:
+        tasks = selection.resolve_tasks(load_registry())
+    except DecoError as exc:
+        raise click.ClickException(str(exc))
     demos, annotations = [], {}
     for task in tasks:
         for seed in ctx.obj["seeds"]:
@@ -155,8 +148,17 @@ def plan(ctx, instruction, planner, library_path, task_id):
     click.echo(json.dumps(list(result.steps)))
 
 
+def _config_errors(errors: list[str]):
+    for err in errors:
+        click.echo(f"config error: {err}", err=True)
+    raise SystemExit(2)
+
+
 def _load_config(ctx, config_path, chaining_m=None, noise_sigma=None, episodes=None):
-    config = ExperimentConfig.from_yaml(config_path) if config_path else ExperimentConfig()
+    try:
+        config = ExperimentConfig.from_yaml(config_path) if config_path else ExperimentConfig()
+    except ConfigError as exc:
+        _config_errors([str(exc)])
     if chaining_m is not None:
         config.chaining_m = chaining_m
     if noise_sigma is not None:
@@ -172,9 +174,7 @@ def _run_eval(ctx, config: ExperimentConfig, csv_name: str) -> tuple[list, float
     registry = load_registry()
     errors = config.validate(registry)
     if errors:
-        for err in errors:
-            click.echo(f"config error: {err}", err=True)
-        raise SystemExit(2)
+        _config_errors(errors)
     tasks = config.resolve_tasks(registry)
     _, _, library = build_library(registry, mode=config.mode)
     exec_config = ExecutorConfig(chaining_m=config.chaining_m,
@@ -264,19 +264,16 @@ def ablate(ctx, axis, values, config_path):
 
 @main.command("export-costmap")
 @click.option("--task", "task_id", required=True)
-@click.option("--density", type=float, default=10000.0, show_default=True,
-              help="Point-cloud surface sampling density (points per m^2).")
-@click.option("--voxel-size", type=float, default=0.02, show_default=True)
 @click.pass_context
-def export_costmap(ctx, task_id, density, voxel_size):
-    """Build the cost map of a task's initial scene and export it."""
+def export_costmap(ctx, task_id):
+    """Export the cost map the executor plans on for a task's initial scene."""
     registry = load_registry()
     try:
         scene = reset(registry.get(task_id), ctx.obj["seeds"][0])
     except DecoError as exc:
         raise click.ClickException(str(exc))
-    cloud = point_cloud(scene, density)
-    cmap = build_cost_map(cloud, WORKSPACE, voxel_size)
+    cloud = point_cloud(scene)
+    cmap = build_cost_map(cloud, WORKSPACE)
     out = _out_dir(ctx)
     cmap.export(out / "costmap.json", out / "costmap.f32")
     click.echo(f"exported {cmap.dims[0]}x{cmap.dims[1]}x{cmap.dims[2]} grid "

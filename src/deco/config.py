@@ -11,9 +11,31 @@ from dataclasses import asdict, dataclass, field
 
 import yaml
 
+from .errors import ConfigError
 from .registry import TaskRegistry, TaskSpec
 
 SELECTORS = ("atomic", "compositional", "all")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list_of(value, valid) -> bool:
+    return isinstance(value, list) and len(value) > 0 and all(valid(v) for v in value)
+
+
+# field -> (test of a value, what the value must be)
+_RULES = {
+    "tasks": (lambda v: _is_list_of(v, lambda t: isinstance(t, str)),
+              "a non-empty list of task ids and selectors"),
+    "mode": (lambda v: v in ("full", "half"), "'full' or 'half'"),
+    "chaining_m": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "noise_sigma": (lambda v: (_is_int(v) or isinstance(v, float)) and v >= 0,
+                    "a non-negative number"),
+    "episodes": (lambda v: _is_int(v) and v >= 1, "an integer of at least 1"),
+    "seeds": (lambda v: _is_list_of(v, _is_int), "a non-empty list of integers"),
+}
 
 
 @dataclass
@@ -31,30 +53,26 @@ class ExperimentConfig:
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
+            try:
+                data = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"{path} is not valid YAML: {exc}")
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path} must hold a mapping of config keys, "
+                              f"got a {type(data).__name__}")
         known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        unknown = sorted(map(str, set(data) - set(cls.__dataclass_fields__)))
         if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**known)
 
     def validate(self, registry: TaskRegistry) -> list[str]:
-        errors = []
-        if not self.tasks:
-            errors.append("tasks must not be empty")
-        for name in self.tasks:
-            if name not in SELECTORS and name not in registry.tasks:
-                errors.append(f"unknown task id: {name!r}")
-        if self.mode not in ("full", "half"):
-            errors.append(f"mode must be 'full' or 'half', got {self.mode!r}")
-        if self.chaining_m < 0:
-            errors.append("chaining_m must be non-negative")
-        if self.noise_sigma < 0:
-            errors.append("noise_sigma must be non-negative")
-        if self.episodes < 1:
-            errors.append("episodes must be at least 1")
-        if not self.seeds:
-            errors.append("seeds must not be empty")
+        errors = [f"{name} must be {what}, got {getattr(self, name)!r}"
+                  for name, (valid, what) in _RULES.items() if not valid(getattr(self, name))]
+        if isinstance(self.tasks, list):
+            errors += [f"unknown task id: {name!r}" for name in self.tasks
+                       if isinstance(name, str) and name not in SELECTORS
+                       and name not in registry.tasks]
         return errors
 
     def resolve_tasks(self, registry: TaskRegistry) -> list[TaskSpec]:

@@ -42,11 +42,15 @@ class Bounds:
 
 class CostMap:
     def __init__(self, origin, voxel_size: float, cost: np.ndarray,
-                 collision_threshold: float = 0.5, inflation_radius: float = 0.05):
+                 collision_threshold: float, inflation_radius: float):
         self.origin = np.asarray(origin, dtype=float)
         self.voxel_size = float(voxel_size)
-        self.cost = cost
+        # a one-voxel border of cost 1.0 answers every point outside the map:
+        # lookups clip their index into it instead of masking
+        self._padded = np.pad(cost, 1, constant_values=1.0)
+        self.cost = self._padded[1:-1, 1:-1, 1:-1]
         self.dims = cost.shape
+        self._max_index = np.asarray(self.dims, dtype=float)
         self.collision_threshold = float(collision_threshold)
         self.inflation_radius = float(inflation_radius)
 
@@ -54,34 +58,33 @@ class CostMap:
     def upper(self) -> np.ndarray:
         return self.origin + np.asarray(self.dims) * self.voxel_size
 
-    def voxel_index(self, point):
-        idx = np.floor((np.asarray(point, dtype=float) - self.origin) / self.voxel_size).astype(int)
-        return tuple(idx)
-
     def voxel_center(self, index) -> np.ndarray:
         return self.origin + (np.asarray(index, dtype=float) + 0.5) * self.voxel_size
 
-    def cost_at(self, point) -> float:
-        """Cost of the voxel containing the point; outside the map counts as occupied."""
-        idx = self.voxel_index(point)
-        if not all(0 <= i < d for i, d in zip(idx, self.dims)):
-            return 1.0
-        return float(self.cost[idx])
+    def cost_at(self, points):
+        """Cost of the voxel containing each point; outside the map counts as occupied.
+
+        One point gives a float, an (N, 3) array gives N costs.
+        """
+        p = np.asarray(points, dtype=float)
+        idx = np.minimum(np.maximum(np.floor((p - self.origin) / self.voxel_size), -1.0),
+                         self._max_index).astype(int) + 1
+        if p.ndim == 1:
+            i, j, k = idx.tolist()
+            return float(self._padded[i, j, k])
+        return self._padded[idx[:, 0], idx[:, 1], idx[:, 2]]
 
     def is_free(self, point) -> bool:
         return self.cost_at(point) < self.collision_threshold
 
-    def segment_free(self, a, b, resolution: float | None = None) -> bool:
-        """Sample the segment at voxel_size/2 (default) and test every sample."""
+    def segment_free(self, a, b) -> bool:
+        """Sample the segment at voxel_size/2 and test every sample."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        res = resolution if resolution is not None else self.voxel_size / 2.0
         length = float(np.linalg.norm(b - a))
-        n = max(1, int(np.ceil(length / res)))
-        for t in np.linspace(0.0, 1.0, n + 1):
-            if not self.is_free(a + t * (b - a)):
-                return False
-        return True
+        n = max(1, int(np.ceil(length / (self.voxel_size / 2.0))))
+        samples = a + np.linspace(0.0, 1.0, n + 1)[:, None] * (b - a)
+        return bool(np.all(self.cost_at(samples) < self.collision_threshold))
 
     def export(self, header_path, grid_path):
         """JSON header plus a flat little-endian float32 grid, x-fastest order."""

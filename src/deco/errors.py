@@ -5,6 +5,10 @@ class DecoError(Exception):
     """Base class for all toolkit errors."""
 
 
+class ConfigError(DecoError, ValueError):
+    """An experiment config that cannot be loaded."""
+
+
 # --- demonstration / decomposition ---
 
 class EmptyDemo(DecoError):

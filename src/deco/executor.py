@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .chaining import RrtParams, chain_skills
+from .chaining import chain_skills
 from .costmap import build_cost_map
 from .decompose import DecompositionConfig, build_atomic_dataset
 from .errors import (DecoError, NoFreeChain, PlanningFailure, PreconditionUnmet,
@@ -47,17 +47,7 @@ class ExecutorConfig:
     tol_ang: float = 0.1
     max_actions_per_skill: int = 25
     chaining_m: int = 6          # 0 disables transition planning entirely
-    rrt_step: float = 0.03
-    rrt_goal_bias: float = 0.1
-    rrt_max_iters: int = 5000
     noise_sigma: float = 0.0
-    voxel_size: float = 0.02
-    inflation_radius: float = 0.05
-    collision_threshold: float = 0.5
-    cloud_density: float = 10000.0
-
-    def rrt_params(self, seed: int) -> RrtParams:
-        return RrtParams(self.rrt_step, self.rrt_goal_bias, self.rrt_max_iters, seed)
 
 
 @dataclass
@@ -132,12 +122,9 @@ def build_library(registry: TaskRegistry | None = None, seed: int = 0,
 
 def _execute_transition(scene: Scene, start_pose: Pose, config: ExecutorConfig,
                         seed: int, result: EpisodeResult) -> Scene:
-    cloud = point_cloud(scene, config.cloud_density)
-    cmap = build_cost_map(cloud, WORKSPACE, config.voxel_size,
-                          config.inflation_radius, config.collision_threshold)
+    cmap = build_cost_map(point_cloud(scene), WORKSPACE)
     try:
-        chain = chain_skills(scene.gripper_pose(), start_pose, cmap,
-                             config.chaining_m, config.rrt_params(seed))
+        chain = chain_skills(scene.gripper_pose(), start_pose, cmap, config.chaining_m, seed)
     except (NoFreeChain, PlanningFailure):
         result.chaining_failures += 1
         return scene
@@ -147,9 +134,9 @@ def _execute_transition(scene: Scene, start_pose: Pose, config: ExecutorConfig,
     return scene
 
 
-def run_episode(task: TaskSpec, plan: Plan, policy, config: ExecutorConfig,
+def run_episode(task: TaskSpec, scene: Scene, plan: Plan, policy, config: ExecutorConfig,
                 seed: int) -> EpisodeResult:
-    scene = reset(task, seed)
+    """Run the plan from ``scene``, the task's initial scene for ``seed``."""
     result = EpisodeResult(task_id=task.id, seed=seed, success=False)
     rng = np.random.default_rng([seed, zlib.crc32(task.id.encode())])
     completed_all = True
@@ -205,7 +192,7 @@ def run_task_episode(task: TaskSpec, seed: int, config: ExecutorConfig,
         result = EpisodeResult(task_id=task.id, seed=seed, success=False)
         result.skills.append(SkillOutcome("<planning>", False, 0, str(exc)))
         return result
-    return run_episode(task, plan, policy, config, seed)
+    return run_episode(task, initial, plan, policy, config, seed)
 
 
 @dataclass

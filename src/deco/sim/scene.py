@@ -289,7 +289,7 @@ def _nearest_graspable(scene: Scene) -> str | None:
     return best_name
 
 
-def point_cloud(scene: Scene, density: float = 2500.0) -> np.ndarray:
+def point_cloud(scene: Scene, density: float = 10000.0) -> np.ndarray:
     """Stratified surface sampling of every geometry box, plus rubbish points."""
     if density <= 0:
         raise ValueError("density must be positive")

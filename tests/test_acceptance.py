@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from deco.chaining import RrtParams, rrt_path
+from deco.chaining import rrt_path
 from deco.costmap import Bounds, CostMap, build_cost_map, cost_from_distance, distance_grid
 from deco.decompose import (DecompositionConfig, DecompositionMode,
                             discover_keyframes, segment_interactions)
@@ -286,11 +286,11 @@ def test_criterion_10_rrt_soundness():
         y1 = int(rng.integers(0, 17))
         cost[:, y0:y0 + 3, z0:z0 + 3] = 0.0
         cost[x1:x1 + 3, min(y0, y1):max(y0, y1) + 3, z0:z0 + 3] = 0.0
-        cmap = CostMap([0.0, 0.0, 0.0], voxel, cost)
+        cmap = CostMap([0.0, 0.0, 0.0], voxel, cost, 0.5, 0.05)
         a = cmap.voxel_center((1, y0 + 1, z0 + 1))
         b = cmap.voxel_center((x1 + 1, y1 + 1, z0 + 1))
         try:
-            path = rrt_path(a, b, cmap, RrtParams(seed=trial))
+            path = rrt_path(a, b, cmap, trial)
         except PlanningFailure:
             continue
         found += 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deco.chaining import (ChainingResult, RrtParams, chain_skills,
+from deco.chaining import (ChainingResult, chain_skills,
                            chaining_poses, export_path, rrt_path)
 from deco.costmap import Bounds, CostMap, build_cost_map
 from deco.errors import NoFreeChain, PlanningFailure
@@ -63,7 +63,7 @@ def test_chaining_pose_orientation_slerp():
 
 def test_no_free_chain_in_saturated_map():
     cost = np.ones((10, 10, 10))
-    cmap = CostMap([0, 0, 0], 0.04, cost)
+    cmap = CostMap([0, 0, 0], 0.04, cost, 0.5, 0.05)
     with pytest.raises(NoFreeChain):
         chaining_poses(Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.2, 0.2]), cmap, 1)
 
@@ -90,7 +90,7 @@ def test_rrt_rejects_occupied_endpoint():
 def test_rrt_routes_through_hole():
     cmap = wall_map()
     a, b = np.array([0.05, 0.2, 0.2]), np.array([0.35, 0.2, 0.2])
-    path = rrt_path(a, b, cmap, RrtParams(seed=1))
+    path = rrt_path(a, b, cmap, 1)
     assert np.allclose(path[0], a) and np.allclose(path[-1], b)
     for p, q in zip(path, path[1:]):
         assert cmap.segment_free(p, q)
@@ -99,8 +99,8 @@ def test_rrt_routes_through_hole():
 def test_rrt_deterministic_per_seed():
     cmap = wall_map()
     a, b = [0.05, 0.2, 0.2], [0.35, 0.2, 0.2]
-    p1 = rrt_path(a, b, cmap, RrtParams(seed=5))
-    p2 = rrt_path(a, b, cmap, RrtParams(seed=5))
+    p1 = rrt_path(a, b, cmap, 5)
+    p2 = rrt_path(a, b, cmap, 5)
     assert len(p1) == len(p2)
     assert all(np.allclose(u, v) for u, v in zip(p1, p2))
 
@@ -116,7 +116,7 @@ def test_chain_skills_m_zero_single_leg():
 def test_chain_skills_profile_below_threshold():
     cmap = wall_map()
     result = chain_skills(Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.2, 0.2]), cmap, 4,
-                          RrtParams(seed=2))
+                          2)
     assert len(result.poses) == 4
     assert all(c < cmap.collision_threshold for c in result.cost_profile)
     assert np.allclose(result.path[0], [0.05, 0.2, 0.2])

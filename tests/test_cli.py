@@ -163,3 +163,40 @@ def test_export_costmap(runner, tmp_path):
     dims = header["dims"]
     grid = (tmp_path / "costmap.f32").read_bytes()
     assert len(grid) == 4 * dims[0] * dims[1] * dims[2]
+    # the executor's map: build_cost_map's defaults
+    assert header["voxel_size"] == 0.02
+    assert header["inflation_radius"] == 0.05
+    assert header["collision_threshold"] == 0.5
+
+
+@pytest.mark.parametrize("text, named", [
+    ("planner: vlm\n", "planner"),
+    ("- tasks: [open_drawer]\n", "mapping"),
+    ("episodes: ten\n", "episodes"),
+    ("tasks\n", "mapping"),
+])
+@pytest.mark.parametrize("command", [["eval"], ["ablate", "--axis", "noise", "--values", "0"]])
+def test_bad_config_exits_2_with_config_errors(runner, tmp_path, text, named, command):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path)] + command
+                                + ["--config", str(cfg)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("config error:")]
+    assert errors and any(named in line for line in errors)
+
+
+def test_record_demos_mixes_selectors_and_ids(runner, tmp_path):
+    result = invoke(runner, ["--out-dir", str(tmp_path), "--seed-list", "0", "record-demos",
+                             "--tasks", "open_drawer,atomic,open_drawer"])
+    assert result.exit_code == 0
+    assert "recorded 10 demos (10 tasks x 1 seeds)" in result.output
+
+
+@pytest.mark.parametrize("flag", ["--density", "--voxel-size"])
+def test_export_costmap_has_no_map_settings(runner, tmp_path, flag):
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path), "export-costmap",
+                                       "--task", "put_in_and_close", flag, "0.05"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output

@@ -1,6 +1,7 @@
 import pytest
 
 from deco.config import ExperimentConfig, print_defaults
+from deco.errors import ConfigError
 from deco.registry import load_registry
 
 
@@ -71,3 +72,19 @@ def test_resolve_selectors(registry):
 def test_resolve_explicit_ids(registry):
     cfg = ExperimentConfig(tasks=["open_drawer", "sweep_and_drop"])
     assert [t.id for t in cfg.resolve_tasks(registry)] == ["open_drawer", "sweep_and_drop"]
+
+
+@pytest.mark.parametrize("text", ["- chaining_m: 2\n", "tasks\n", "7\n", "chaining_m: [\n"])
+def test_from_yaml_rejects_a_document_that_is_not_a_mapping(tmp_path, text):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="cfg.yaml"):
+        ExperimentConfig.from_yaml(path)
+
+
+def test_validation_rejects_wrong_types(registry):
+    cfg = ExperimentConfig(tasks="compositional", mode=["full"], chaining_m=2.5,
+                           noise_sigma="low", episodes="ten", seeds=[0, True])
+    errors = cfg.validate(registry)
+    for name in ("tasks", "mode", "chaining_m", "noise_sigma", "episodes", "seeds"):
+        assert sum(e.startswith(name) for e in errors) == 1, (name, errors)

@@ -86,7 +86,7 @@ def test_export_load_round_trip(tmp_path):
 
 def test_export_grid_is_x_fastest(tmp_path):
     cost = np.arange(8, dtype=float).reshape(2, 2, 2)  # [x, y, z]
-    cmap = CostMap([0, 0, 0], 0.1, cost)
+    cmap = CostMap([0, 0, 0], 0.1, cost, 0.5, 0.05)
     cmap.export(tmp_path / "h.json", tmp_path / "g.f32")
     flat = np.frombuffer((tmp_path / "g.f32").read_bytes(), dtype="<f4")
     # x varies fastest: element 1 must be cost[1, 0, 0]
@@ -98,7 +98,7 @@ def test_export_grid_is_x_fastest(tmp_path):
 @pytest.mark.parametrize("size", [92, 104])  # 4 bytes short, 8 bytes long
 def test_load_rejects_grid_of_wrong_size(tmp_path, size):
     header, grid = tmp_path / "h.json", tmp_path / "g.f32"
-    CostMap([0, 0, 0], 0.1, np.zeros((2, 3, 4))).export(header, grid)  # 96 bytes
+    CostMap([0, 0, 0], 0.1, np.zeros((2, 3, 4)), 0.5, 0.05).export(header, grid)  # 96 bytes
     grid.write_bytes(bytes(size))
     with pytest.raises(DecoError, match=f"has {size} bytes.*need 96"):
         CostMap.load(header, grid)

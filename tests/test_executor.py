@@ -65,7 +65,7 @@ def test_half_mode_library_doubles_segments(registry):
 def test_run_episode_atomic_success(registry):
     task = registry.get("open_drawer")
     plan = Plan(steps=task.plan, source=PlanSource.MOCK)
-    result = run_episode(task, plan, OraclePolicy(), ExecutorConfig(), 0)
+    result = run_episode(task, reset(task, 0), plan, OraclePolicy(), ExecutorConfig(), 0)
     assert result.success
     assert [s.completed for s in result.skills] == [True]
 
@@ -74,7 +74,7 @@ def test_run_episode_precondition_failure(registry):
     # drawer starts open: "open drawer" is refused and the episode fails
     task = registry.get("close_drawer")
     plan = Plan(steps=("open drawer",), source=PlanSource.MOCK)
-    result = run_episode(task, plan, OraclePolicy(), ExecutorConfig(), 0)
+    result = run_episode(task, reset(task, 0), plan, OraclePolicy(), ExecutorConfig(), 0)
     assert not result.success
     assert not result.skills[0].completed
     assert "open" in result.skills[0].reason
@@ -83,7 +83,7 @@ def test_run_episode_precondition_failure(registry):
 def test_run_episode_skill_advance_soundness(registry):
     task = registry.get("put_in_and_close")
     plan = Plan(steps=task.plan, source=PlanSource.MOCK)
-    result = run_episode(task, plan, OraclePolicy(), ExecutorConfig(), 0)
+    result = run_episode(task, reset(task, 0), plan, OraclePolicy(), ExecutorConfig(), 0)
     assert result.success
     assert all(s.completed for s in result.skills)
     assert len(result.skills) == len(plan.steps)
@@ -93,7 +93,7 @@ def test_run_episode_noise_can_time_out(registry):
     task = registry.get("open_drawer")
     plan = Plan(steps=task.plan, source=PlanSource.MOCK)
     cfg = ExecutorConfig(noise_sigma=0.05, max_actions_per_skill=8)
-    results = [run_episode(task, plan, OraclePolicy(noise_sigma=0.05), cfg, s)
+    results = [run_episode(task, reset(task, s), plan, OraclePolicy(noise_sigma=0.05), cfg, s)
                for s in range(8)]
     assert any(not r.success for r in results)
 
@@ -102,15 +102,15 @@ def test_run_episode_small_noise_recovers(registry):
     task = registry.get("open_drawer")
     plan = Plan(steps=task.plan, source=PlanSource.MOCK)
     cfg = ExecutorConfig(noise_sigma=0.004)
-    result = run_episode(task, plan, OraclePolicy(noise_sigma=0.004), cfg, 0)
+    result = run_episode(task, reset(task, 0), plan, OraclePolicy(noise_sigma=0.004), cfg, 0)
     assert result.skills[0].completed
 
 
 def test_tolerance_monotonicity(registry):
     task = registry.get("put_in_wo_close")
     plan = Plan(steps=task.plan, source=PlanSource.MOCK)
-    tight = run_episode(task, plan, OraclePolicy(), ExecutorConfig(), 0)
-    loose = run_episode(task, plan, OraclePolicy(),
+    tight = run_episode(task, reset(task, 0), plan, OraclePolicy(), ExecutorConfig(), 0)
+    loose = run_episode(task, reset(task, 0), plan, OraclePolicy(),
                         ExecutorConfig(tol_pos=0.05, tol_ang=0.5), 0)
     assert tight.success
     assert loose.success
@@ -169,3 +169,17 @@ def test_non_deco_error_in_planning_propagates(library, registry, monkeypatch):
     monkeypatch.setattr(deco.executor, "plan_mock", broken_planner)
     with pytest.raises(KeyError, match="bug in the planner"):
         run_task_episode(registry.get("open_drawer"), 0, ExecutorConfig(), library, registry)
+
+
+def test_run_task_episode_resets_once(library, registry, monkeypatch):
+    calls = []
+
+    def counting_reset(task, seed):
+        calls.append((task.id, seed))
+        return reset(task, seed)
+
+    monkeypatch.setattr(deco.executor, "reset", counting_reset)
+    result = run_task_episode(registry.get("put_in_and_close"), 3, ExecutorConfig(),
+                              library, registry)
+    assert result.success
+    assert calls == [("put_in_and_close", 3)]
