@@ -125,7 +125,10 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     margin = max(0.15, 2 * float(np.linalg.norm(b - a)))
     win_lo = np.maximum(np.minimum(a, b) - margin, map_lo)
     win_hi = np.minimum(np.maximum(a, b) + margin, map_hi)
-    nodes = [a]
+    # one row per node; each iteration adds at most one, so the tree never
+    # outgrows RRT_MAX_ITERS + 1 rows
+    nodes = np.empty((RRT_MAX_ITERS + 1, 3))
+    nodes[0] = a
     parents = [-1]
     for _ in range(RRT_MAX_ITERS):
         roll = rng.random()
@@ -135,18 +138,18 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
             sample = win_lo + rng.random(3) * (win_hi - win_lo)
         else:
             sample = map_lo + rng.random(3) * (map_hi - map_lo)
-        dists = np.linalg.norm(np.asarray(nodes) - sample, axis=1)
-        nearest = int(np.argmin(dists))
+        n = len(parents)
+        nearest = int(np.argmin(np.linalg.norm(nodes[:n] - sample, axis=1)))
         new_pt = _steer(nodes[nearest], sample, RRT_STEP)
         if not cmap.segment_free(nodes[nearest], new_pt):
             continue
-        nodes.append(new_pt)
+        nodes[n] = new_pt
         parents.append(nearest)
         if np.linalg.norm(new_pt - b) <= RRT_STEP and cmap.segment_free(new_pt, b):
             path = [b]
-            idx = len(nodes) - 1
+            idx = n
             while idx >= 0:
-                path.append(nodes[idx])
+                path.append(nodes[idx].copy())
                 idx = parents[idx]
             path.reverse()
             return _shortcut(path, cmap)

@@ -7,7 +7,9 @@ voxels are exactly 1.0 and cost decays monotonically with clearance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -38,6 +40,14 @@ class Bounds:
 
     def intersects_samples(self, samples: np.ndarray) -> bool:
         return bool(np.any(np.all((samples >= self.lower) & (samples <= self.upper), axis=1)))
+
+
+@lru_cache(maxsize=256)
+def _segment_fractions(n: int) -> np.ndarray:
+    """The n + 1 sample positions along a segment, as an (n + 1, 1) column."""
+    fractions = np.linspace(0.0, 1.0, n + 1)[:, None]
+    fractions.flags.writeable = False
+    return fractions
 
 
 class CostMap:
@@ -80,11 +90,11 @@ class CostMap:
     def segment_free(self, a, b) -> bool:
         """Sample the segment at voxel_size/2 and test every sample."""
         a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        length = float(np.linalg.norm(b - a))
-        n = max(1, int(np.ceil(length / (self.voxel_size / 2.0))))
-        samples = a + np.linspace(0.0, 1.0, n + 1)[:, None] * (b - a)
-        return bool(np.all(self.cost_at(samples) < self.collision_threshold))
+        d = np.asarray(b, dtype=float) - a
+        # the sqrt of the dot product is what np.linalg.norm computes for a vector
+        n = max(1, math.ceil(math.sqrt(d.dot(d)) / (self.voxel_size / 2.0)))
+        samples = a + _segment_fractions(n) * d
+        return bool((self.cost_at(samples) < self.collision_threshold).all())
 
     def export(self, header_path, grid_path):
         """JSON header plus a flat little-endian float32 grid, x-fastest order."""

@@ -66,8 +66,13 @@ class EpisodeResult:
     skills: list[SkillOutcome] = field(default_factory=list)
     collisions: int = 0
     drawer_slams: int = 0
-    chaining_failures: int = 0
+    # the NoFreeChain or PlanningFailure message of each transition that failed
+    chaining_failure_reasons: list[str] = field(default_factory=list)
     transition_waypoints: int = 0
+
+    @property
+    def chaining_failures(self) -> int:
+        return len(self.chaining_failure_reasons)
 
 
 def monitor(scene: Scene, goal: Pose, actions_used: int,
@@ -125,8 +130,8 @@ def _execute_transition(scene: Scene, start_pose: Pose, config: ExecutorConfig,
     cmap = build_cost_map(point_cloud(scene), WORKSPACE)
     try:
         chain = chain_skills(scene.gripper_pose(), start_pose, cmap, config.chaining_m, seed)
-    except (NoFreeChain, PlanningFailure):
-        result.chaining_failures += 1
+    except (NoFreeChain, PlanningFailure) as exc:
+        result.chaining_failure_reasons.append(str(exc))
         return scene
     for waypoint in chain.path[1:]:
         scene = step(scene, Action(Pose(waypoint), GripperCommand.HOLD))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
+from types import MappingProxyType
 
 from .errors import UnknownTask
 
@@ -41,7 +43,8 @@ class TaskSpec:
 
 class TaskRegistry:
     def __init__(self, tasks: list[TaskSpec]):
-        self.tasks = {t.id: t for t in tasks}
+        # read-only: load_registry hands one shared instance to every caller
+        self.tasks = MappingProxyType({t.id: t for t in tasks})
         self._by_instruction: dict[str, TaskSpec] = {}
         for task in tasks:
             for text in (task.instruction, *task.aliases):
@@ -80,6 +83,8 @@ def _parse(data: dict) -> TaskRegistry:
     return TaskRegistry(tasks)
 
 
+@cache
 def load_registry() -> TaskRegistry:
+    """The packaged registry, parsed once per process and shared by every caller."""
     text = resources.files("deco.assets").joinpath("tasks.json").read_text()
     return _parse(json.loads(text))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,14 @@ from deco.chaining import (ChainingResult, chain_skills,
 from deco.costmap import Bounds, CostMap, build_cost_map
 from deco.errors import NoFreeChain, PlanningFailure
 from deco.geometry import Pose
+from deco.sim.oracle import OraclePolicy
+from deco.sim.scene import WORKSPACE, point_cloud, step
+from deco.sim.tasks import drawer_front_obstacle_task, reset
+
+# sha256 prefixes of the raw float64 bytes of searched paths; a planner
+# change that moves any coordinate by one ulp changes them
+WALL_PATHS_DIGEST = "91dfadcbc2d4d10d"
+FIXTURE_CHAIN_DIGEST = "53045c642fb97176"
 
 BOUNDS = Bounds((0.0, 0.0, 0.0), (0.4, 0.4, 0.4))
 
@@ -138,3 +148,65 @@ def test_chaining_result_to_dict():
     d = result.to_dict()
     assert d["path"] == [[0.1, 0.2, 0.3]]
     assert d["cost_profile"] == [0.25]
+
+
+def _path_digest(paths) -> str:
+    h = hashlib.sha256()
+    for path in paths:
+        arr = np.asarray(path)
+        h.update(np.asarray(arr.shape, dtype=np.int64).tobytes())
+        h.update(arr.astype(np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_searched_rrt_paths_are_pinned_bit_for_bit():
+    cmap = wall_map()
+    paths = [rrt_path([0.05, 0.2, 0.2], [0.35, 0.2, 0.2], cmap, seed) for seed in range(10)]
+    assert all(len(p) > 2 for p in paths)
+    # waypoints are arrays of their own, not views into the planner's node tree
+    assert all(w.base is None for p in paths for w in p)
+    assert _path_digest(paths) == WALL_PATHS_DIGEST
+
+
+def test_fixture_chain_path_is_pinned_bit_for_bit():
+    """The open-drawer to put-in-drawer transition of the obstacle fixture."""
+    scene = reset(drawer_front_obstacle_task(), 0)
+    policy = OraclePolicy()
+    for action in policy("open drawer", scene, 0):
+        scene = step(scene, action)
+    start = policy.dry_run("put item in drawer", scene)[0].target
+    cmap = build_cost_map(point_cloud(scene), WORKSPACE)
+    chain = chain_skills(scene.gripper_pose(), start, cmap, 6, 0)
+    # 8 anchors; more waypoints than that means at least one searched leg
+    assert len(chain.path) > 8
+    assert _path_digest([chain.path]) == FIXTURE_CHAIN_DIGEST
+
+
+class CountingMap(CostMap):
+    """Counts the segment checks and how many of them pass."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.checks = []
+
+    def segment_free(self, a, b):
+        free = super().segment_free(a, b)
+        self.checks.append(free)
+        return free
+
+
+def test_rrt_fills_every_tree_slot_before_giving_up():
+    """The goal is free but walled in 200 m away, out of reach of 5000 steps of 0.03 m.
+
+    Every sample extends the tree, so all RRT_MAX_ITERS + 1 nodes get used.
+    """
+    cost = np.zeros((21, 3, 3))
+    cost[19] = 1.0
+    cost[20] = 1.0
+    cost[20, 1, 1] = 0.0
+    cmap = CountingMap([0.0, 0.0, 0.0], 10.0, cost, 0.5, 0.05)
+    a, b = [5.0, 15.0, 15.0], [205.0, 15.0, 15.0]
+    with pytest.raises(PlanningFailure, match="after 5000 iterations"):
+        rrt_path(a, b, cmap, 0)
+    # the direct segment is blocked, then one passing check per iteration
+    assert cmap.checks == [False] + [True] * 5000

@@ -7,6 +7,7 @@ import deco.executor
 from deco.executor import (ExecutorConfig, MonitorVerdict, SOURCE_DEMO_TASKS,
                            build_library, monitor, run_episode, run_suite,
                            run_task_episode, scene_summary, write_suite_csv)
+from deco.errors import NoFreeChain
 from deco.geometry import Pose
 from deco.planning import ItemLocation, Plan, PlanSource
 from deco.registry import load_registry
@@ -125,6 +126,28 @@ def test_obstacle_fixture_m0_fails_m6_succeeds(library, registry):
     assert r6.success
     assert r6.collisions == 0
     assert r6.transition_waypoints > 0
+
+
+def test_chaining_failure_keeps_its_reason(library, registry, monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise NoFreeChain("no collision-free chaining pose near the drawer")
+
+    monkeypatch.setattr(deco.executor, "chain_skills", no_chain)
+    result = run_task_episode(registry.get("put_in_and_close"), 0, ExecutorConfig(),
+                              library, registry)
+    # one reason per transition: open -> put in, put in -> close
+    assert result.chaining_failure_reasons == [
+        "no collision-free chaining pose near the drawer"] * 2
+    assert result.chaining_failures == 2
+
+
+def test_obstacle_fixture_rrt_failure_is_reported(library, registry):
+    """At this seed the open-drawer to put-in-drawer leg exhausts the RRT."""
+    fixture = drawer_front_obstacle_task()
+    result = run_task_episode(fixture, 31676, ExecutorConfig(chaining_m=6), library, registry)
+    assert result.chaining_failures == 1
+    assert result.chaining_failure_reasons == [
+        "RRT failed to connect after 5000 iterations"]
 
 
 def test_run_suite_rows_and_csv(tmp_path, library, registry):

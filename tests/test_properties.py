@@ -1,4 +1,4 @@
-"""Property tests of the voxel lookup, the segment check and the RRT planner.
+"""Property tests of the cost map, the voxel lookup, the segment check and the RRT planner.
 
 Each property is checked against a reference written here with plain Python
 arithmetic on the cost grid, not against other ``CostMap`` methods.  The
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deco.chaining import rrt_path
-from deco.costmap import CostMap
+from deco.costmap import Bounds, CostMap, build_cost_map
 
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -122,3 +122,62 @@ def test_rrt_path_keeps_endpoints_and_every_segment_is_free(scene, seed):
     for p, q in zip(path, path[1:]):
         assert reference_segment_free(cmap.cost, cmap.origin, cmap.voxel_size,
                                       cmap.collision_threshold, list(p), list(q))
+
+
+MAP_BOUNDS = Bounds((0.0, 0.0, 0.0), (0.4, 0.4, 0.4))
+
+
+def sample_box_faces(lower, upper, spacing) -> np.ndarray:
+    """Cell midpoints of a grid of at most ``spacing`` on each of the six faces."""
+    points = []
+    for axis in range(3):
+        u, v = (axis + 1) % 3, (axis + 2) % 3
+        nu = math.ceil((upper[u] - lower[u]) / spacing)
+        nv = math.ceil((upper[v] - lower[v]) / spacing)
+        for w in (lower[axis], upper[axis]):
+            for i in range(nu):
+                for j in range(nv):
+                    point = [0.0, 0.0, 0.0]
+                    point[axis] = w
+                    point[u] = lower[u] + (i + 0.5) * (upper[u] - lower[u]) / nu
+                    point[v] = lower[v] + (j + 0.5) * (upper[v] - lower[v]) / nv
+                    points.append(point)
+    return np.array(points)
+
+
+def box_surface_distance(point, lower, upper) -> float:
+    """Distance from a point to the surface of the box, inside or outside it."""
+    outside = [max(lo - p, 0.0, p - hi) for p, lo, hi in zip(point, lower, upper)]
+    if any(outside):
+        return math.hypot(*outside)
+    return min(min(p - lo, hi - p) for p, lo, hi in zip(point, lower, upper))
+
+
+@st.composite
+def boxes(draw):
+    voxel = draw(st.sampled_from([0.02, 0.025, 0.04]))
+    lower = [draw(st.floats(0.02, 0.25)) for _ in range(3)]
+    upper = [lo + draw(st.floats(0.004, 0.12)) for lo in lower]
+    return voxel, lower, upper
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(boxes())
+def test_build_cost_map_distance_matches_analytic_box_distance(box):
+    """The distance each voxel's cost encodes is within voxel_size * sqrt(3) of the box.
+
+    An occupied voxel's centre lies within half a voxel diagonal of a surface
+    sample, and every surface point lies within half a sample-cell diagonal
+    (at most voxel_size / (2 * sqrt(2))) of a sample, which together stay below
+    the bound.
+    """
+    voxel, lower, upper = box
+    cmap = build_cost_map(sample_box_faces(lower, upper, voxel / 2), MAP_BOUNDS, voxel)
+    sigma = cmap.inflation_radius / 2
+    for index in np.ndindex(*cmap.dims):
+        cost = float(cmap.cost[index])
+        # invert cost = exp(-d^2 / (2 sigma^2)); cost 1.0 marks an occupied voxel
+        encoded = sigma * math.sqrt(-2.0 * math.log(cost))
+        centre = [o + (i + 0.5) * voxel for o, i in zip(cmap.origin, index)]
+        exact = box_surface_distance(centre, lower, upper)
+        assert abs(encoded - exact) <= voxel * math.sqrt(3), (index, encoded, exact)

@@ -29,6 +29,13 @@ def test_registry_has_22_tasks(registry):
     assert len(registry.compositional_tasks()) == 12
 
 
+def test_registry_is_parsed_once_and_shared():
+    registry = load_registry()
+    assert load_registry() is registry
+    with pytest.raises(TypeError):
+        registry.tasks["open_drawer"] = registry.get("close_drawer")
+
+
 def test_cycle_count_census(registry):
     # drawer-involving compositional: two 4-cycle, five 6-cycle, two 10-cycle
     drawer = [t for t in registry.compositional_tasks()
