@@ -2,7 +2,8 @@
 
 Chaining poses start on the straight interpolant between the previous goal
 and the next start pose, then slide down the cost field until they clear the
-collision threshold.  An RRT with greedy shortcutting connects the sequence.
+collision threshold.  RRT-Connect with greedy shortcutting connects the
+sequence.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .geometry import Pose, quat_slerp
 MAX_REFINE_ITERS = 200
 MAX_INTERPOLANT_DEVIATION = 0.15
 RRT_STEP = 0.03
-RRT_GOAL_BIAS = 0.1
 RRT_MAX_ITERS = 5000
 
 
@@ -107,7 +107,14 @@ def _shortcut(path: list[np.ndarray], cmap: CostMap) -> list[np.ndarray]:
 
 
 def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
-    """Plan a collision-free polyline from a to b.  Deterministic given the seed."""
+    """Plan a collision-free polyline from a to b with RRT-Connect.
+
+    One tree grows from each endpoint and they take turns (Kuffner & LaValle,
+    ICRA 2000): the growing tree extends one ``RRT_STEP`` toward a sample,
+    then the other tree steps greedily toward the new node until it reaches
+    it or is blocked.  The joined path is shortcut.  Deterministic given the
+    seed.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not cmap.is_free(a) or not cmap.is_free(b):
@@ -125,34 +132,55 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     margin = max(0.15, 2 * float(np.linalg.norm(b - a)))
     win_lo = np.maximum(np.minimum(a, b) - margin, map_lo)
     win_hi = np.minimum(np.maximum(a, b) + margin, map_hi)
-    # one row per node; each iteration adds at most one, so the tree never
-    # outgrows RRT_MAX_ITERS + 1 rows
-    nodes = np.empty((RRT_MAX_ITERS + 1, 3))
-    nodes[0] = a
-    parents = [-1]
-    for _ in range(RRT_MAX_ITERS):
-        roll = rng.random()
-        if roll < RRT_GOAL_BIAS:
-            sample = b
-        elif roll < 0.5 + RRT_GOAL_BIAS / 2:
+    # tree 0 grows from a, tree 1 from b; one preallocated row per node.  A
+    # greedy connect can add many nodes in one iteration, so the row count
+    # is a cap that is checked, not a bound that iterations guarantee
+    nodes = (np.empty((RRT_MAX_ITERS + 1, 3)), np.empty((RRT_MAX_ITERS + 1, 3)))
+    nodes[0][0], nodes[1][0] = a, b
+    parents = ([-1], [-1])
+
+    def nearest(tree: int, point: np.ndarray) -> int:
+        return int(np.argmin(np.linalg.norm(nodes[tree][:len(parents[tree])] - point, axis=1)))
+
+    def add(tree: int, point: np.ndarray, parent: int) -> int:
+        n = len(parents[tree])
+        if n == len(nodes[tree]):
+            raise PlanningFailure(f"RRT tree reached its cap of {n} nodes")
+        nodes[tree][n] = point
+        parents[tree].append(parent)
+        return n
+
+    def branch(tree: int, idx: int) -> list[np.ndarray]:
+        """Copies of the nodes from ``idx`` back to the tree's root."""
+        out = []
+        while idx >= 0:
+            out.append(nodes[tree][idx].copy())
+            idx = parents[tree][idx]
+        return out
+
+    for it in range(RRT_MAX_ITERS):
+        grow, other = it % 2, 1 - it % 2
+        if rng.random() < 0.5:
             sample = win_lo + rng.random(3) * (win_hi - win_lo)
         else:
             sample = map_lo + rng.random(3) * (map_hi - map_lo)
-        n = len(parents)
-        nearest = int(np.argmin(np.linalg.norm(nodes[:n] - sample, axis=1)))
-        new_pt = _steer(nodes[nearest], sample, RRT_STEP)
-        if not cmap.segment_free(nodes[nearest], new_pt):
+        near = nearest(grow, sample)
+        new_pt = _steer(nodes[grow][near], sample, RRT_STEP)
+        if not cmap.segment_free(nodes[grow][near], new_pt):
             continue
-        nodes[n] = new_pt
-        parents.append(nearest)
-        if np.linalg.norm(new_pt - b) <= RRT_STEP and cmap.segment_free(new_pt, b):
-            path = [b]
-            idx = n
-            while idx >= 0:
-                path.append(nodes[idx].copy())
-                idx = parents[idx]
-            path.reverse()
-            return _shortcut(path, cmap)
+        new = add(grow, new_pt, near)
+        idx = nearest(other, new_pt)
+        while True:
+            step_pt = _steer(nodes[other][idx], new_pt, RRT_STEP)
+            if not cmap.segment_free(nodes[other][idx], step_pt):
+                break
+            if step_pt is new_pt:
+                # _steer hands back new_pt itself once it is within one step,
+                # so the trees meet there: a's branch, then b's
+                a_end, b_end = (new, idx) if grow == 0 else (idx, new)
+                path = branch(0, a_end)[::-1] + branch(1, b_end)
+                return _shortcut(path, cmap)
+            idx = add(other, step_pt, idx)
     raise PlanningFailure(f"RRT failed to connect after {RRT_MAX_ITERS} iterations")
 
 

@@ -3,7 +3,8 @@
 Each skill is dry-run first to predict its start and goal poses, transitions
 between skills are planned on a cost map rebuilt from the live scene, and a
 monitor declares the skill complete once the gripper reaches the predicted
-goal within tolerance (or times out on its action budget).
+goal within tolerance (or times out on its action budget).  A transition that
+cannot be planned fails the skill it leads into, and the episode stops.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class EpisodeResult:
     skills: list[SkillOutcome] = field(default_factory=list)
     collisions: int = 0
     drawer_slams: int = 0
-    # the NoFreeChain or PlanningFailure message of each transition that failed
+    # the NoFreeChain or PlanningFailure message of the transition that failed;
+    # a failed transition fails the skill it leads into and ends the episode
     chaining_failure_reasons: list[str] = field(default_factory=list)
     transition_waypoints: int = 0
 
@@ -127,12 +129,9 @@ def build_library(registry: TaskRegistry | None = None, seed: int = 0,
 
 def _execute_transition(scene: Scene, start_pose: Pose, config: ExecutorConfig,
                         seed: int, result: EpisodeResult) -> Scene:
+    """Drive the gripper to ``start_pose``; raises NoFreeChain or PlanningFailure."""
     cmap = build_cost_map(point_cloud(scene), WORKSPACE)
-    try:
-        chain = chain_skills(scene.gripper_pose(), start_pose, cmap, config.chaining_m, seed)
-    except (NoFreeChain, PlanningFailure) as exc:
-        result.chaining_failure_reasons.append(str(exc))
-        return scene
+    chain = chain_skills(scene.gripper_pose(), start_pose, cmap, config.chaining_m, seed)
     for waypoint in chain.path[1:]:
         scene = step(scene, Action(Pose(waypoint), GripperCommand.HOLD))
         result.transition_waypoints += 1
@@ -154,8 +153,15 @@ def run_episode(task: TaskSpec, scene: Scene, plan: Plan, policy, config: Execut
             break
         goal = dry[-1].target
         if i > 0 and config.chaining_m > 0:
-            scene = _execute_transition(scene, dry[0].target, config,
-                                        seed * 131 + i, result)
+            try:
+                scene = _execute_transition(scene, dry[0].target, config,
+                                            seed * 131 + i, result)
+            except (NoFreeChain, PlanningFailure) as exc:
+                # without a transition the skill would start from the wrong pose
+                result.chaining_failure_reasons.append(str(exc))
+                result.skills.append(SkillOutcome(instruction, False, 0, f"chaining: {exc}"))
+                completed_all = False
+                break
         actions = policy(instruction, scene, seed * 101 + i)
         used = 0
         for action in actions:

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from deco.chaining import (ChainingResult, chain_skills,
+from deco.chaining import (RRT_MAX_ITERS, ChainingResult, chain_skills,
                            chaining_poses, export_path, rrt_path)
 from deco.costmap import Bounds, CostMap, build_cost_map
 from deco.errors import NoFreeChain, PlanningFailure
@@ -14,8 +14,8 @@ from deco.sim.tasks import drawer_front_obstacle_task, reset
 
 # sha256 prefixes of the raw float64 bytes of searched paths; a planner
 # change that moves any coordinate by one ulp changes them
-WALL_PATHS_DIGEST = "91dfadcbc2d4d10d"
-FIXTURE_CHAIN_DIGEST = "53045c642fb97176"
+WALL_PATHS_DIGEST = "7f5ece2620202ff2"
+FIXTURE_CHAIN_DIGEST = "d70a259cdc138b6c"
 
 BOUNDS = Bounds((0.0, 0.0, 0.0), (0.4, 0.4, 0.4))
 
@@ -183,30 +183,51 @@ def test_fixture_chain_path_is_pinned_bit_for_bit():
 
 
 class CountingMap(CostMap):
-    """Counts the segment checks and how many of them pass."""
+    """Records each segment check and whether it passed."""
 
     def __init__(self, *args):
         super().__init__(*args)
+        self.segments = []
         self.checks = []
 
     def segment_free(self, a, b):
         free = super().segment_free(a, b)
+        self.segments.append((np.array(a, dtype=float), np.array(b, dtype=float)))
         self.checks.append(free)
         return free
 
 
-def test_rrt_fills_every_tree_slot_before_giving_up():
-    """The goal is free but walled in 200 m away, out of reach of 5000 steps of 0.03 m.
+def pocket_map(length: float) -> CountingMap:
+    """A free corridor ``length`` m long, then a wall, then the goal's sealed 10 m pocket."""
+    nx = int(length / 10) + 2
+    cost = np.zeros((nx, 3, 3))
+    cost[nx - 2:] = 1.0
+    cost[nx - 1, 1, 1] = 0.0
+    return CountingMap([0.0, 0.0, 0.0], 10.0, cost, 0.5, 0.05)
 
-    Every sample extends the tree, so all RRT_MAX_ITERS + 1 nodes get used.
+
+def a_side_passes(cmap: CountingMap, wall_x: float) -> int:
+    return sum(free for (p, _), free in zip(cmap.segments, cmap.checks) if p[0] < wall_x)
+
+
+def test_rrt_fills_every_tree_slot_before_giving_up():
+    """The goal is walled in 200 m away; a's greedy connect toward it outruns the node cap.
+
+    Every row of a's tree gets used: RRT_MAX_ITERS steps pass and are added after the
+    root, and the next passing step is refused with PlanningFailure, not IndexError.
     """
-    cost = np.zeros((21, 3, 3))
-    cost[19] = 1.0
-    cost[20] = 1.0
-    cost[20, 1, 1] = 0.0
-    cmap = CountingMap([0.0, 0.0, 0.0], 10.0, cost, 0.5, 0.05)
-    a, b = [5.0, 15.0, 15.0], [205.0, 15.0, 15.0]
-    with pytest.raises(PlanningFailure, match="after 5000 iterations"):
-        rrt_path(a, b, cmap, 0)
-    # the direct segment is blocked, then one passing check per iteration
-    assert cmap.checks == [False] + [True] * 5000
+    cmap = pocket_map(190.0)
+    with pytest.raises(PlanningFailure, match="cap of 5001 nodes"):
+        rrt_path([5.0, 15.0, 15.0], [205.0, 15.0, 15.0], cmap, 0)
+    assert a_side_passes(cmap, 190.0) == RRT_MAX_ITERS + 1
+
+
+def test_rrt_gives_up_at_the_node_cap_after_long_blocked_connects():
+    """a's first greedy connect runs 3833 steps to the wall at x = 120 m and is blocked;
+    the extensions after it fill a's tree before the iterations run out."""
+    cmap = pocket_map(120.0)
+    with pytest.raises(PlanningFailure, match="cap of 5001 nodes"):
+        rrt_path([5.0, 15.0, 15.0], [135.0, 15.0, 15.0], cmap, 0)
+    runs = "".join("1" if free else "0" for free in cmap.checks).split("0")
+    assert max(len(run) for run in runs[:-1]) > 3000
+    assert a_side_passes(cmap, 120.0) == RRT_MAX_ITERS + 1

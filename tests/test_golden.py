@@ -14,7 +14,7 @@ import pytest
 from deco.executor import ExecutorConfig, build_library, run_task_episode
 from deco.registry import load_registry
 
-GOLDEN_DIGEST = "b6b45ba075b1ddc3"
+GOLDEN_DIGEST = "de65b12f5035f49a"
 
 
 @pytest.fixture(scope="module")

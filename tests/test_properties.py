@@ -1,7 +1,8 @@
 """Property tests of the cost map, the voxel lookup, the segment check and the RRT planner.
 
 Each property is checked against a reference written here with plain Python
-arithmetic on the cost grid, not against other ``CostMap`` methods.  The
+arithmetic on the cost grid, not against other ``CostMap`` methods; the
+planner's determinism is checked by comparing two calls byte for byte.  The
 examples are derandomized, so every run checks the same cases.
 """
 
@@ -122,6 +123,14 @@ def test_rrt_path_keeps_endpoints_and_every_segment_is_free(scene, seed):
     for p, q in zip(path, path[1:]):
         assert reference_segment_free(cmap.cost, cmap.origin, cmap.voxel_size,
                                       cmap.collision_threshold, list(p), list(q))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(wall_scenes(), st.integers(0, 1000))
+def test_rrt_path_is_byte_identical_for_one_seed(scene, seed):
+    cmap, a, b = scene
+    first, second = rrt_path(a, b, cmap, seed), rrt_path(a, b, cmap, seed)
+    assert [w.tobytes() for w in first] == [w.tobytes() for w in second]
 
 
 MAP_BOUNDS = Bounds((0.0, 0.0, 0.0), (0.4, 0.4, 0.4))
