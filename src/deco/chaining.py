@@ -9,7 +9,7 @@ sequence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +27,13 @@ RRT_MAX_ITERS = 5000
 class ChainingResult:
     poses: list[Pose]
     path: list[np.ndarray]
-    cost_profile: list[float] = field(default_factory=list)
 
     def path_length(self) -> float:
         return float(sum(np.linalg.norm(b - a) for a, b in zip(self.path, self.path[1:])))
 
     def to_dict(self) -> dict:
         return {"poses": [p.to_dict() for p in self.poses],
-                "path": [[round(float(v), 12) for v in w] for w in self.path],
-                "cost_profile": [round(float(c), 12) for c in self.cost_profile]}
+                "path": [[round(float(v), 12) for v in w] for w in self.path]}
 
 
 def _cost_gradient(cmap: CostMap, point: np.ndarray) -> np.ndarray:
@@ -197,8 +195,7 @@ def chain_skills(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int,
         path.extend(sub)
     if not path:
         path = [np.asarray(goal_prev.position, dtype=float)]
-    profile = cmap.cost_at(np.asarray(path)).tolist()
-    return ChainingResult(poses=poses, path=path, cost_profile=profile)
+    return ChainingResult(poses=poses, path=path)
 
 
 def export_path(path, out_path):

@@ -1,7 +1,12 @@
-"""Voxel cost maps: occupancy, exact distance transform, Gaussian decay.
+"""Voxel cost maps: occupancy, exact nearest-occupied-voxel transform, Gaussian decay.
 
 Cost is exp(-d^2 / (2 sigma^2)) with sigma = inflation_radius / 2, so occupied
-voxels are exactly 1.0 and cost decays monotonically with clearance.
+voxels are exactly 1.0 and cost decays monotonically with clearance.  d is the
+exact Euclidean distance to the nearest occupied voxel.  ``build_cost_map``
+takes the per-axis offset to that voxel from the feature transform and looks
+the cost up in a table indexed by ``|offset|``, built once per grid shape,
+voxel size and inflation radius; the result is byte for byte
+``cost_from_distance(distance_grid(occ, voxel_size), inflation_radius)``.
 """
 
 from __future__ import annotations
@@ -37,9 +42,6 @@ class Bounds:
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
         return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
-
-    def intersects_samples(self, samples: np.ndarray) -> bool:
-        return bool(np.any(np.all((samples >= self.lower) & (samples <= self.upper), axis=1)))
 
 
 @lru_cache(maxsize=256)
@@ -141,7 +143,11 @@ def occupancy_from_points(points, bounds: Bounds, voxel_size: float) -> tuple[np
 
 
 def distance_grid(occupancy: np.ndarray, voxel_size: float) -> np.ndarray:
-    """Exact Euclidean distance (m) from each voxel to the nearest occupied voxel."""
+    """Exact Euclidean distance (m) from each voxel to the nearest occupied voxel.
+
+    ``build_cost_map`` does not call it; it is the float reference that the
+    cost table is checked against.
+    """
     if not occupancy.any():
         return np.full(occupancy.shape, np.inf)
     return ndimage.distance_transform_edt(~occupancy, sampling=voxel_size)
@@ -158,14 +164,49 @@ def cost_from_distance(dist: np.ndarray, inflation_radius: float) -> np.ndarray:
     return np.clip(cost, 0.0, 1.0)
 
 
+@lru_cache(maxsize=4)
+def _offset_cost_table(dims: tuple, voxel_size: float,
+                       inflation_radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each voxel's index, and the cost of every per-axis |offset| to the nearest
+    occupied voxel, flattened in C order.
+
+    Offsets along an axis stay below the grid's length there, so the table has
+    the grid's shape.  The distance of an offset is computed as scipy's
+    ``distance_transform_edt`` computes it, sqrt(((dx s)^2 + (dy s)^2) + (dz s)^2),
+    so a looked-up cost is the bytes ``cost_from_distance`` gives the EDT.
+    Keyed only by map parameters; both arrays are read-only.
+    """
+    sq = [np.square(np.arange(n, dtype=float) * voxel_size) for n in dims]
+    dist = np.sqrt((sq[0][:, None, None] + sq[1][None, :, None]) + sq[2][None, None, :])
+    table = cost_from_distance(dist, inflation_radius).ravel()
+    indices = np.indices(dims, dtype=np.int32)
+    table.flags.writeable = False
+    indices.flags.writeable = False
+    return indices, table
+
+
 def build_cost_map(points, bounds: Bounds, voxel_size: float = 0.02,
                    inflation_radius: float = 0.05,
                    collision_threshold: float = 0.5) -> CostMap:
+    """Cost map of a point cloud: voxelise, find each voxel's nearest occupied
+    voxel, and look its cost up by the per-axis offset to it.
+
+    The feature transform gets ``sampling=voxel_size`` so that ties between
+    equally near voxels resolve as in ``distance_grid``.  An empty cloud gives
+    an all-zero grid.
+    """
     if voxel_size <= 0:
         raise ValueError("voxel_size must be positive")
     if inflation_radius < 0:
         raise ValueError("inflation_radius must be non-negative")
-    occ, origin, _dims = occupancy_from_points(points, bounds, voxel_size)
-    dist = distance_grid(occ, voxel_size)
-    cost = cost_from_distance(dist, inflation_radius)
+    occ, origin, dims = occupancy_from_points(points, bounds, voxel_size)
+    if not occ.any():
+        return CostMap(origin, voxel_size, np.zeros(dims), collision_threshold, inflation_radius)
+    indices, table = _offset_cost_table(dims, float(voxel_size), float(inflation_radius))
+    offset = ndimage.distance_transform_edt(~occ, sampling=voxel_size, return_distances=False,
+                                            return_indices=True)
+    offset -= indices
+    np.abs(offset, out=offset)
+    flat = (offset[0] * dims[1] + offset[1]) * dims[2] + offset[2]
+    cost = table.take(flat)
     return CostMap(origin, voxel_size, cost, collision_threshold, inflation_radius)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +62,8 @@ CUPBOARD_INTERIOR = Bounds(CUPBOARD_LO + (0.0, CUPBOARD_WALL, CUPBOARD_WALL),
                            CUPBOARD_HI - CUPBOARD_WALL)
 DUSTPAN_VOLUME = Bounds(DUSTPAN_LO, DUSTPAN_HI)
 DUSTPAN_FLOOR = Bounds(DUSTPAN_LO, (DUSTPAN_HI[0], DUSTPAN_HI[1], DUSTPAN_LO[2] + 0.01))
+_NO_BOXES = np.zeros((0, 2, 3))
+_NO_BOXES.flags.writeable = False
 
 OBJECT_HALF = {"block": 0.02, "box": 0.025, "broom": 0.02, "dustpan": 0.0, "rubbish": 0.0}
 GRASPABLE_KINDS = {"block", "box", "broom", "rubbish"}
@@ -121,32 +124,24 @@ class Scene:
         return Bounds((CABINET_LO[0] + 0.01 - shift, CABINET_LO[1] + 0.01, 0.02),
                       (CABINET_HI[0] - 0.02 - shift, CABINET_HI[1] - 0.01, DRAWER_WALL_TOP))
 
+    def drawer_rows(self) -> np.ndarray:
+        """(K, 2, 3) lower and upper corners of the tray part protruding from
+        the cabinet: front wall, two side walls, floor; K is 0 while the tray
+        is in."""
+        if not self.drawer_present or self.open_fraction < 0.03:
+            return _NO_BOXES
+        front = self.drawer_front_x()
+        return np.array([
+            [(front - DRAWER_WALL, CABINET_LO[1], 0.0), (front, CABINET_HI[1], DRAWER_WALL_TOP)],
+            [(front - DRAWER_WALL, CABINET_LO[1], 0.0),
+             (CABINET_LO[0], CABINET_LO[1] + DRAWER_WALL, DRAWER_WALL_TOP)],
+            [(front - DRAWER_WALL, CABINET_HI[1] - DRAWER_WALL, 0.0),
+             (CABINET_LO[0], CABINET_HI[1], DRAWER_WALL_TOP)],
+            [(front - DRAWER_WALL, CABINET_LO[1], 0.0), (CABINET_LO[0], CABINET_HI[1], 0.02)]])
+
     def drawer_boxes(self) -> list[Bounds]:
         """Collision boxes of the tray part protruding from the cabinet."""
-        if not self.drawer_present or self.open_fraction < 0.03:
-            return []
-        front = self.drawer_front_x()
-        boxes = [Bounds((front - DRAWER_WALL, CABINET_LO[1], 0.0),
-                        (front, CABINET_HI[1], DRAWER_WALL_TOP))]
-        for y0, y1 in ((CABINET_LO[1], CABINET_LO[1] + DRAWER_WALL),
-                       (CABINET_HI[1] - DRAWER_WALL, CABINET_HI[1])):
-            boxes.append(Bounds((front - DRAWER_WALL, y0, 0.0),
-                                (CABINET_LO[0], y1, DRAWER_WALL_TOP)))
-        boxes.append(Bounds((front - DRAWER_WALL, CABINET_LO[1], 0.0),
-                            (CABINET_LO[0], CABINET_HI[1], 0.02)))
-        return boxes
-
-    def static_boxes(self, include_drawer: bool = True) -> list[Bounds]:
-        boxes = []
-        if self.drawer_present:
-            boxes.append(CABINET)
-            if include_drawer:
-                boxes.extend(self.drawer_boxes())
-        if self.cupboard_present:
-            boxes.extend(CUPBOARD_WALLS)
-        if self.dustpan_present:
-            boxes.append(DUSTPAN_FLOOR)
-        return boxes
+        return [Bounds(lower, upper) for lower, upper in self.drawer_rows()]
 
     def object_boxes(self, exclude_held: bool = True) -> list[Bounds]:
         boxes = []
@@ -225,11 +220,15 @@ def step(scene: Scene, action: Action) -> Scene:
     displacement = target - start
     holding_handle = out.held_object == HANDLE_NAME
 
-    # collision bookkeeping + drawer slam; a tray pulled by its handle is not hit
-    drawer = [] if holding_handle else out.drawer_boxes()
-    hit_drawer = any(b.intersects_samples(samples) for b in drawer)
-    if hit_drawer or any(b.intersects_samples(samples)
-                         for b in out.static_boxes(include_drawer=False)):
+    # collision bookkeeping + drawer slam; a tray pulled by its handle is not hit.
+    # One broadcast tests every sample against every box, tray rows first
+    tray = _NO_BOXES if holding_handle else out.drawer_rows()
+    boxes = np.concatenate((tray, _fixed_rows(out.drawer_present, out.cupboard_present,
+                                              out.dustpan_present)))
+    s3 = samples[:, None, :]
+    hit = ((s3 >= boxes[:, 0]) & (s3 <= boxes[:, 1])).all(axis=2).any(axis=0)
+    hit_drawer = bool(hit[:len(tray)].any())
+    if hit.any():
         out.collision_count += 1
     if hit_drawer:
         direction = displacement / max(float(np.linalg.norm(displacement)), 1e-12)
@@ -289,34 +288,71 @@ def _nearest_graspable(scene: Scene) -> str | None:
     return best_name
 
 
+@lru_cache(maxsize=8)
+def _fixed_rows(drawer_present: bool, cupboard_present: bool,
+                dustpan_present: bool) -> np.ndarray:
+    """Read-only (K, 2, 3) corners of the fixed boxes of a scene with these parts."""
+    boxes = (([CABINET] if drawer_present else [])
+             + (list(CUPBOARD_WALLS) if cupboard_present else [])
+             + ([DUSTPAN_FLOOR] if dustpan_present else []))
+    rows = np.array([(b.lower, b.upper) for b in boxes]).reshape(-1, 2, 3)
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=4)
+def _fixed_face_samples(density: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only face samples of the cabinet, the cupboard walls and the dustpan floor."""
+    cabinet = _sample_box_faces(CABINET, density)
+    cupboard = np.vstack([_sample_box_faces(b, density) for b in CUPBOARD_WALLS])
+    dustpan = _sample_box_faces(DUSTPAN_FLOOR, density)
+    for samples in (cabinet, cupboard, dustpan):
+        samples.flags.writeable = False
+    return cabinet, cupboard, dustpan
+
+
 def point_cloud(scene: Scene, density: float = 10000.0) -> np.ndarray:
-    """Stratified surface sampling of every geometry box, plus rubbish points."""
+    """Stratified surface sampling of every geometry box, plus rubbish points.
+
+    Boxes come in a fixed order: cabinet, drawer tray, cupboard walls, dustpan
+    floor, objects by name.  The fixed boxes (cabinet, cupboard walls, dustpan
+    floor) are sampled once per density; the tray and the objects are sampled
+    on every call.
+    """
     if density <= 0:
         raise ValueError("density must be positive")
+    cabinet, cupboard, dustpan = _fixed_face_samples(float(density))
     points = []
-    for box in scene.static_boxes() + scene.object_boxes():
-        points.append(_sample_box_faces(box, density))
-    for name in scene.rubbish_names():
-        points.append(scene.objects[name].position[None, :])
+    if scene.drawer_present:
+        points.append(cabinet)
+        points += [_sample_box_faces(box, density) for box in scene.drawer_boxes()]
+    if scene.cupboard_present:
+        points.append(cupboard)
+    if scene.dustpan_present:
+        points.append(dustpan)
+    points += [_sample_box_faces(box, density) for box in scene.object_boxes()]
+    points += [scene.objects[name].position[None, :] for name in scene.rubbish_names()]
     if not points:
         return np.zeros((0, 3))
     return np.vstack(points)
 
 
 def _sample_box_faces(box: Bounds, density: float) -> np.ndarray:
-    pts = []
+    """Cell midpoints of a grid on each face: the faces normal to x, then y,
+    then z, lower face first, points in (u, v) row-major order."""
     size = box.upper - box.lower
+    counts = [max(1, int(round(s * np.sqrt(density)))) for s in size]
+    pairs = [counts[(axis + 1) % 3] * counts[(axis + 2) % 3] for axis in range(3)]
+    out = np.empty((2 * sum(pairs), 3))
+    row = 0
     for axis in range(3):
         u, v = (axis + 1) % 3, (axis + 2) % 3
-        nu = max(1, int(round(size[u] * np.sqrt(density))))
-        nv = max(1, int(round(size[v] * np.sqrt(density))))
-        us = box.lower[u] + (np.arange(nu) + 0.5) * size[u] / nu
-        vs = box.lower[v] + (np.arange(nv) + 0.5) * size[v] / nv
-        uu, vv = np.meshgrid(us, vs, indexing="ij")
-        for w in (box.lower[axis], box.upper[axis]):
-            face = np.zeros((nu * nv, 3))
-            face[:, axis] = w
-            face[:, u] = uu.ravel()
-            face[:, v] = vv.ravel()
-            pts.append(face)
-    return np.vstack(pts)
+        nu, nv = counts[u], counts[v]
+        # both faces of the pair in one block, indexed [face, i, j, coordinate]
+        faces = out[row:row + 2 * pairs[axis]].reshape(2, nu, nv, 3)
+        faces[0, :, :, axis] = box.lower[axis]
+        faces[1, :, :, axis] = box.upper[axis]
+        faces[:, :, :, u] = (box.lower[u] + (np.arange(nu) + 0.5) * size[u] / nu)[:, None]
+        faces[:, :, :, v] = box.lower[v] + (np.arange(nv) + 0.5) * size[v] / nv
+        row += 2 * pairs[axis]
+    return out

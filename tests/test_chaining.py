@@ -128,7 +128,8 @@ def test_chain_skills_profile_below_threshold():
     result = chain_skills(Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.2, 0.2]), cmap, 4,
                           2)
     assert len(result.poses) == 4
-    assert all(c < cmap.collision_threshold for c in result.cost_profile)
+    profile = cmap.cost_at(np.asarray(result.path))
+    assert (profile < cmap.collision_threshold).all()
     assert np.allclose(result.path[0], [0.05, 0.2, 0.2])
     assert np.allclose(result.path[-1], [0.35, 0.2, 0.2])
 
@@ -143,11 +144,10 @@ def test_export_path(tmp_path):
 
 def test_chaining_result_to_dict():
     result = ChainingResult(poses=[Pose([0.1, 0.2, 0.3])],
-                            path=[np.array([0.1, 0.2, 0.3])],
-                            cost_profile=[0.25])
+                            path=[np.array([0.1, 0.2, 0.3])])
     d = result.to_dict()
     assert d["path"] == [[0.1, 0.2, 0.3]]
-    assert d["cost_profile"] == [0.25]
+    assert set(d) == {"poses", "path"}
 
 
 def _path_digest(paths) -> str:

@@ -104,12 +104,9 @@ def test_load_rejects_grid_of_wrong_size(tmp_path, size):
         CostMap.load(header, grid)
 
 
-def test_bounds_reject_degenerate_box_and_test_samples():
+def test_bounds_reject_degenerate_box():
     with pytest.raises(ValueError, match="degenerate"):
         Bounds((0, 0, 0), (0.1, 0.0, 0.1))
-    box = Bounds((0, 0, 0), (0.1, 0.1, 0.1))
-    assert box.intersects_samples(np.array([[0.5, 0.5, 0.5], [0.1, 0.05, 0.0]]))
-    assert not box.intersects_samples(np.array([[0.5, 0.5, 0.5], [0.11, 0.05, 0.0]]))
 
 
 def brute_force_distance(occ, voxel):

@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import deco.costmap
 import deco.executor
+import deco.sim.scene
 from deco.executor import (ExecutorConfig, MonitorVerdict, SOURCE_DEMO_TASKS,
                            build_library, monitor, run_episode, run_suite,
                            run_task_episode, scene_summary, write_suite_csv)
@@ -13,6 +15,7 @@ from deco.geometry import Pose
 from deco.planning import ItemLocation, Plan, PlanSource
 from deco.registry import load_registry
 from deco.sim.oracle import OraclePolicy
+from deco.sim.scene import WORKSPACE
 from deco.sim.tasks import drawer_front_obstacle_task, reset
 
 
@@ -235,3 +238,33 @@ def test_run_task_episode_resets_once(library, registry, monkeypatch):
                               library, registry)
     assert result.success
     assert calls == [("put_in_and_close", 3)]
+
+
+
+def test_geometry_caches_are_keyed_by_constants_not_episodes(library, registry, monkeypatch):
+    """The fixed-geometry and cost-table caches see only geometry constants and
+    map parameters, so repeated episodes cannot turn into cache hits."""
+    cached = {"table": (deco.costmap, "_offset_cost_table"),
+              "rows": (deco.sim.scene, "_fixed_rows"),
+              "samples": (deco.sim.scene, "_fixed_face_samples")}
+    originals, keys = {}, {}
+    for name, (module, attr) in cached.items():
+        originals[name] = fn = getattr(module, attr)
+        keys[name] = seen = set()
+        fn.cache_clear()
+
+        def recording(*args, _fn=fn, _seen=seen):
+            _seen.add(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(module, attr, recording)
+    for task in registry.compositional_tasks():
+        run_task_episode(task, 0, ExecutorConfig(chaining_m=6), library, registry)
+
+    dims = tuple(int(np.ceil(e / 0.02)) for e in WORKSPACE.upper - WORKSPACE.lower)
+    assert keys["table"] == {(dims, 0.02, 0.05)}
+    assert keys["samples"] == {(10000.0,)}
+    assert 1 < len(keys["rows"]) <= 8
+    assert all(type(flag) is bool for key in keys["rows"] for flag in key)
+    for name, fn in originals.items():
+        assert fn.cache_info().currsize == len(keys[name])
