@@ -11,7 +11,7 @@ from .executor import (ExecutorConfig, EpisodeResult, MonitorVerdict,
                        scene_summary, write_suite_csv)
 from .geometry import Pose, is_goal_reached, pose_distance, quat_slerp
 from .planning import (ItemLocation, Plan, PlanSource, SceneSummary, plan_mock,
-                       repair_preconditions, validate_plan)
+                       repair_preconditions)
 from .registry import TaskRegistry, TaskSpec, load_registry
 from .trajectory import (AtomicTask, Demonstration, GripperState,
                          InstructionLibrary, InteractionSegment, SegmentKind,

@@ -8,7 +8,6 @@ sequence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +26,6 @@ RRT_MAX_ITERS = 5000
 class ChainingResult:
     poses: list[Pose]
     path: list[np.ndarray]
-
-    def path_length(self) -> float:
-        return float(sum(np.linalg.norm(b - a) for a, b in zip(self.path, self.path[1:])))
-
-    def to_dict(self) -> dict:
-        return {"poses": [p.to_dict() for p in self.poses],
-                "path": [[round(float(v), 12) for v in w] for w in self.path]}
 
 
 def _cost_gradient(cmap: CostMap, point: np.ndarray) -> np.ndarray:
@@ -193,11 +185,4 @@ def chain_skills(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int,
         if path:
             sub = sub[1:]
         path.extend(sub)
-    if not path:
-        path = [np.asarray(goal_prev.position, dtype=float)]
     return ChainingResult(poses=poses, path=path)
-
-
-def export_path(path, out_path):
-    with open(out_path, "w") as fh:
-        json.dump([[round(float(v), 12) for v in w] for w in path], fh)

@@ -73,6 +73,10 @@ class ExperimentConfig:
             errors += [f"unknown task id: {name!r}" for name in self.tasks
                        if isinstance(name, str) and name not in SELECTORS
                        and name not in registry.tasks]
+        if _is_list_of(self.seeds, _is_int):
+            # run_suite pools the episodes of one (task, seed) cell
+            errors += [f"seeds must not repeat, got seed {seed} more than once"
+                       for seed in sorted({s for s in self.seeds if self.seeds.count(s) > 1})]
         return errors
 
     def resolve_tasks(self, registry: TaskRegistry) -> list[TaskSpec]:

@@ -154,11 +154,13 @@ def distance_grid(occupancy: np.ndarray, voxel_size: float) -> np.ndarray:
 
 
 def cost_from_distance(dist: np.ndarray, inflation_radius: float) -> np.ndarray:
-    if inflation_radius <= 0:
-        return np.where(dist <= 0, 1.0, 0.0)
     sigma = inflation_radius / 2.0
+    spread = 2.0 * sigma * sigma
+    # a radius so small that the spread underflows to 0 is a step as well
+    if inflation_radius <= 0 or spread == 0:
+        return np.where(dist <= 0, 1.0, 0.0)
     with np.errstate(over="ignore"):
-        cost = np.exp(-np.square(dist) / (2.0 * sigma * sigma))
+        cost = np.exp(-np.square(dist) / spread)
     cost[dist <= 0] = 1.0
     cost[~np.isfinite(dist)] = 0.0
     return np.clip(cost, 0.0, 1.0)

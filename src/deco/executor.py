@@ -35,6 +35,12 @@ from .trajectory import InstructionLibrary
 SOURCE_DEMO_TASKS = ("put_in_wo_close", "take_out_and_close", "exchange_boxes",
                      "sweep_and_drop", "box_out_of_opened_drawer", "broom_out_cupboard")
 
+# a skill is complete once the gripper is this close to its goal (metres,
+# radians), and times out after this many actions
+TOL_POS = 0.01
+TOL_ANG = 0.1
+MAX_ACTIONS_PER_SKILL = 25
+
 
 class MonitorVerdict(str, Enum):
     CONTINUE = "continue"
@@ -44,9 +50,6 @@ class MonitorVerdict(str, Enum):
 
 @dataclass
 class ExecutorConfig:
-    tol_pos: float = 0.01
-    tol_ang: float = 0.1
-    max_actions_per_skill: int = 25
     chaining_m: int = 6          # 0 disables transition planning entirely
     noise_sigma: float = 0.0
 
@@ -77,11 +80,10 @@ class EpisodeResult:
         return len(self.chaining_failure_reasons)
 
 
-def monitor(scene: Scene, goal: Pose, actions_used: int,
-            config: ExecutorConfig) -> MonitorVerdict:
-    if is_goal_reached(scene.gripper_pose(), goal, config.tol_pos, config.tol_ang):
+def monitor(scene: Scene, goal: Pose, actions_used: int) -> MonitorVerdict:
+    if is_goal_reached(scene.gripper_pose(), goal, TOL_POS, TOL_ANG):
         return MonitorVerdict.COMPLETE
-    if actions_used >= config.max_actions_per_skill:
+    if actions_used >= MAX_ACTIONS_PER_SKILL:
         return MonitorVerdict.TIMEOUT
     return MonitorVerdict.CONTINUE
 
@@ -110,11 +112,11 @@ def scene_summary(scene: Scene) -> SceneSummary:
         locations=locations)
 
 
-def build_library(registry: TaskRegistry | None = None, seed: int = 0,
+def build_library(registry: TaskRegistry | None = None,
                   mode: str = "full") -> tuple[list, list, InstructionLibrary]:
-    """Record the source demos, decompose them, aggregate the skill library."""
+    """Record the source demos at seed 0, decompose them, aggregate the skill library."""
     registry = registry or load_registry()
-    demos = [record_demo(registry.get(tid), seed) for tid in SOURCE_DEMO_TASKS]
+    demos = [record_demo(registry.get(tid), 0) for tid in SOURCE_DEMO_TASKS]
     annotations = {}
     for demo, tid in zip(demos, SOURCE_DEMO_TASKS):
         labels = list(registry.get(tid).plan)
@@ -167,7 +169,7 @@ def run_episode(task: TaskSpec, scene: Scene, plan: Plan, policy, config: Execut
         for action in actions:
             scene = step(scene, action)
             used += 1
-        verdict = monitor(scene, goal, used, config)
+        verdict = monitor(scene, goal, used)
         while verdict is MonitorVerdict.CONTINUE:
             offset = rng.normal(0.0, config.noise_sigma, 3) if config.noise_sigma > 0 else 0.0
             position = np.clip(goal.position + offset,
@@ -176,7 +178,7 @@ def run_episode(task: TaskSpec, scene: Scene, plan: Plan, policy, config: Execut
                            actions[-1].gripper_command)
             scene = step(scene, retry)
             used += 1
-            verdict = monitor(scene, goal, used, config)
+            verdict = monitor(scene, goal, used)
         outcome = SkillOutcome(instruction, verdict is MonitorVerdict.COMPLETE,
                                used, "" if verdict is MonitorVerdict.COMPLETE else "timeout")
         result.skills.append(outcome)

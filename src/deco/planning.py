@@ -27,7 +27,7 @@ class Plan:
     steps: tuple[str, ...]
     source: PlanSource
 
-    # non-emptiness is enforced by validate_plan before execution
+    # plan_mock and parse_plan_response reject empty plans and unknown steps
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
 
@@ -139,14 +139,3 @@ def plan_mock(instruction: str, scene: SceneSummary, library: InstructionLibrary
         if step not in library:
             raise UnsatisfiablePlan(f"required skill {step!r} missing from library")
     return Plan(steps=tuple(steps), source=PlanSource.MOCK)
-
-
-def validate_plan(plan: Plan, library: InstructionLibrary) -> list[str]:
-    """Empty list means the plan is executable against this library."""
-    errors = []
-    if not plan.steps:
-        errors.append("empty plan")
-    for step in plan.steps:
-        if step not in library:
-            errors.append(f"unknown step: {step!r}")
-    return errors

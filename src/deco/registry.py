@@ -70,9 +70,6 @@ class TaskRegistry:
     def compositional_tasks(self) -> list[TaskSpec]:
         return [t for t in self.tasks.values() if t.kind == "compositional"]
 
-    def atomic_instructions(self) -> list[str]:
-        return [t.instruction for t in self.atomic_tasks()]
-
 
 def _parse(data: dict) -> TaskRegistry:
     tasks = [TaskSpec(id=t["id"], instruction=t["instruction"], domain=t["domain"],

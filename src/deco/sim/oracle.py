@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import PreconditionUnmet, UnknownInstruction
 from ..geometry import Pose
-from ..registry import DRAWER_OPEN_THRESHOLD, TaskSpec
+from ..registry import DRAWER_CLOSED_THRESHOLD, DRAWER_OPEN_THRESHOLD, TaskSpec
 from ..trajectory import Demonstration, GripperState, TimeStep
 from .scene import (CUPBOARD_INTERIOR, DRAWER_TRAVEL, DUSTPAN_VOLUME, HOME, WORKSPACE,
                     Action, GripperCommand, Scene, step)
@@ -95,7 +95,7 @@ def _open_drawer(scene: Scene) -> list[Action]:
 
 def _close_drawer(scene: Scene) -> list[Action]:
     _require(scene.drawer_present, "no drawer in the scene")
-    _require(scene.open_fraction > 0.2, "drawer is already closed")
+    _require(scene.open_fraction > DRAWER_CLOSED_THRESHOLD, "drawer is already closed")
     _require_empty(scene)
     handle = scene.handle_position()
     push = DRAWER_TRAVEL * scene.open_fraction
@@ -167,8 +167,7 @@ def _put_box_in_cupboard(scene: Scene) -> list[Action]:
             _hold([CUPBOARD_EXTRACT_X, place[1], place[2]])]
 
 
-def _take_out_of_cupboard(scene: Scene, prefix: str, drop_base: np.ndarray,
-                          retreat_z: float = 0.12) -> list[Action]:
+def _take_out_of_cupboard(scene: Scene, prefix: str, drop_base: np.ndarray) -> list[Action]:
     _require(scene.cupboard_present, "no cupboard in the scene")
     _require_empty(scene)
     candidates = [n for n in _items(scene, prefix)
@@ -182,7 +181,7 @@ def _take_out_of_cupboard(scene: Scene, prefix: str, drop_base: np.ndarray,
             _hold([CUPBOARD_EXTRACT_X, pos[1], pos[2]]),
             _hold([drop[0], drop[1], 0.15]),
             _open(drop),
-            _hold([drop[0], drop[1], retreat_z])]
+            _hold([drop[0], drop[1], 0.12])]
 
 
 def _rubbish_cluster(scene: Scene) -> list[str]:

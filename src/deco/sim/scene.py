@@ -27,6 +27,7 @@ GRASP_RADIUS = 0.04
 SWEEP_RADIUS = 0.05
 SEGMENT_SAMPLE_RES = 0.005
 SLAM_FRACTION = 0.15
+CLOUD_DENSITY = 10000.0     # point-cloud surface samples per square metre
 
 # drawer unit: cabinet fixed, tray slides out toward -x
 CABINET_LO = np.array([0.55, -0.35, 0.0])
@@ -139,19 +140,13 @@ class Scene:
              (CABINET_LO[0], CABINET_HI[1], DRAWER_WALL_TOP)],
             [(front - DRAWER_WALL, CABINET_LO[1], 0.0), (CABINET_LO[0], CABINET_HI[1], 0.02)]])
 
-    def drawer_boxes(self) -> list[Bounds]:
-        """Collision boxes of the tray part protruding from the cabinet."""
-        return [Bounds(lower, upper) for lower, upper in self.drawer_rows()]
-
-    def object_boxes(self, exclude_held: bool = True) -> list[Bounds]:
-        boxes = []
-        for name, obj in sorted(self.objects.items()):
-            if exclude_held and obj.held:
-                continue
-            half = OBJECT_HALF.get(obj.kind, 0.0)
-            if half > 0:
-                boxes.append(Bounds(obj.position - half, obj.position + half))
-        return boxes
+    def object_rows(self) -> np.ndarray:
+        """(K, 2, 3) lower and upper corners of the unheld objects that have a
+        body, by name."""
+        rows = [(obj.position - half, obj.position + half)
+                for _, obj in sorted(self.objects.items())
+                if not obj.held and (half := OBJECT_HALF.get(obj.kind, 0.0)) > 0]
+        return np.array(rows).reshape(-1, 2, 3)
 
     # --- queries ---
 
@@ -167,21 +162,6 @@ class Scene:
             return 0.0
         inside = sum(1 for n in names if DUSTPAN_VOLUME.contains(self.objects[n].position))
         return inside / len(names)
-
-    def to_dict(self) -> dict:
-        return {"drawer_present": self.drawer_present,
-                "open_fraction": round(self.open_fraction, 9),
-                "cupboard_present": self.cupboard_present,
-                "dustpan_present": self.dustpan_present,
-                "objects": {n: {"kind": o.kind,
-                                "position": [round(float(v), 9) for v in o.position],
-                                "held": o.held}
-                            for n, o in sorted(self.objects.items())},
-                "gripper": {"position": [round(float(v), 9) for v in self.gripper_position],
-                            "state": self.gripper_state.value,
-                            "held_object": self.held_object},
-                "collision_count": self.collision_count,
-                "drawer_slams": self.drawer_slams}
 
 
 def _segment_samples(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -300,48 +280,35 @@ def _fixed_rows(drawer_present: bool, cupboard_present: bool,
     return rows
 
 
-@lru_cache(maxsize=4)
-def _fixed_face_samples(density: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only face samples of the cabinet, the cupboard walls and the dustpan floor."""
-    cabinet = _sample_box_faces(CABINET, density)
-    cupboard = np.vstack([_sample_box_faces(b, density) for b in CUPBOARD_WALLS])
-    dustpan = _sample_box_faces(DUSTPAN_FLOOR, density)
-    for samples in (cabinet, cupboard, dustpan):
-        samples.flags.writeable = False
-    return cabinet, cupboard, dustpan
-
-
-def point_cloud(scene: Scene, density: float = 10000.0) -> np.ndarray:
+def point_cloud(scene: Scene) -> np.ndarray:
     """Stratified surface sampling of every geometry box, plus rubbish points.
 
     Boxes come in a fixed order: cabinet, drawer tray, cupboard walls, dustpan
     floor, objects by name.  The fixed boxes (cabinet, cupboard walls, dustpan
-    floor) are sampled once per density; the tray and the objects are sampled
+    floor) are sampled once, at import; the tray and the objects are sampled
     on every call.
     """
-    if density <= 0:
-        raise ValueError("density must be positive")
-    cabinet, cupboard, dustpan = _fixed_face_samples(float(density))
     points = []
     if scene.drawer_present:
-        points.append(cabinet)
-        points += [_sample_box_faces(box, density) for box in scene.drawer_boxes()]
+        points.append(_CABINET_SAMPLES)
+        points += [_sample_box_faces(lower, upper) for lower, upper in scene.drawer_rows()]
     if scene.cupboard_present:
-        points.append(cupboard)
+        points.append(_CUPBOARD_SAMPLES)
     if scene.dustpan_present:
-        points.append(dustpan)
-    points += [_sample_box_faces(box, density) for box in scene.object_boxes()]
+        points.append(_DUSTPAN_SAMPLES)
+    points += [_sample_box_faces(lower, upper) for lower, upper in scene.object_rows()]
     points += [scene.objects[name].position[None, :] for name in scene.rubbish_names()]
     if not points:
         return np.zeros((0, 3))
     return np.vstack(points)
 
 
-def _sample_box_faces(box: Bounds, density: float) -> np.ndarray:
-    """Cell midpoints of a grid on each face: the faces normal to x, then y,
-    then z, lower face first, points in (u, v) row-major order."""
-    size = box.upper - box.lower
-    counts = [max(1, int(round(s * np.sqrt(density)))) for s in size]
+def _sample_box_faces(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Cell midpoints of a grid on each face of the box from ``lower`` to
+    ``upper``, CLOUD_DENSITY cells per square metre: the faces normal to x,
+    then y, then z, lower face first, points in (u, v) row-major order."""
+    size = upper - lower
+    counts = [max(1, int(round(s * np.sqrt(CLOUD_DENSITY)))) for s in size]
     pairs = [counts[(axis + 1) % 3] * counts[(axis + 2) % 3] for axis in range(3)]
     out = np.empty((2 * sum(pairs), 3))
     row = 0
@@ -350,9 +317,21 @@ def _sample_box_faces(box: Bounds, density: float) -> np.ndarray:
         nu, nv = counts[u], counts[v]
         # both faces of the pair in one block, indexed [face, i, j, coordinate]
         faces = out[row:row + 2 * pairs[axis]].reshape(2, nu, nv, 3)
-        faces[0, :, :, axis] = box.lower[axis]
-        faces[1, :, :, axis] = box.upper[axis]
-        faces[:, :, :, u] = (box.lower[u] + (np.arange(nu) + 0.5) * size[u] / nu)[:, None]
-        faces[:, :, :, v] = box.lower[v] + (np.arange(nv) + 0.5) * size[v] / nv
+        faces[0, :, :, axis] = lower[axis]
+        faces[1, :, :, axis] = upper[axis]
+        faces[:, :, :, u] = (lower[u] + (np.arange(nu) + 0.5) * size[u] / nu)[:, None]
+        faces[:, :, :, v] = lower[v] + (np.arange(nv) + 0.5) * size[v] / nv
         row += 2 * pairs[axis]
     return out
+
+
+def _read_only(samples: np.ndarray) -> np.ndarray:
+    samples.flags.writeable = False
+    return samples
+
+
+# face samples of the boxes that never move, shared by every cloud
+_CABINET_SAMPLES = _read_only(_sample_box_faces(CABINET.lower, CABINET.upper))
+_CUPBOARD_SAMPLES = _read_only(np.vstack([_sample_box_faces(b.lower, b.upper)
+                                          for b in CUPBOARD_WALLS]))
+_DUSTPAN_SAMPLES = _read_only(_sample_box_faces(DUSTPAN_FLOOR.lower, DUSTPAN_FLOOR.upper))

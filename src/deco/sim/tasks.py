@@ -1,8 +1,8 @@
 """Benchmark scene initializers and success predicates.
 
-Thresholds are fixed here: the drawer counts as open at fraction >= 0.8 and
-closed below 0.2; a sweep succeeds once at least 80% of the rubbish sits in
-the dustpan.
+The drawer thresholds live in ``deco.registry``: the drawer counts as open at
+fraction >= 0.8 and closed below 0.2.  A sweep succeeds once at least 80% of
+the rubbish sits in the dustpan (``RUBBISH_FRACTION_THRESHOLD``, fixed here).
 """
 
 from __future__ import annotations

@@ -70,9 +70,6 @@ class Demonstration:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise MalformedDemo(f"demo {self.id!r} time indices not strictly increasing")
 
-    def gripper_string(self) -> str:
-        return "".join("o" if s.gripper is GripperState.OPEN else "c" for s in self.steps)
-
     def to_dict(self) -> dict:
         return {"id": self.id, "instruction": self.instruction,
                 "steps": [s.to_dict() for s in self.steps]}
@@ -152,10 +149,6 @@ class LibraryEntry:
         if self.goal_quat is None:
             self.goal_quat = [float(v) for v in task.goal_pose.orientation]
 
-    def goal_centroid(self) -> Pose:
-        mean = np.mean(np.asarray(self.goal_positions), axis=0)
-        return Pose(mean, self.goal_quat if self.goal_quat else [1, 0, 0, 0])
-
     def to_dict(self) -> dict:
         return {"instruction": self.instruction, "kinds": self.kinds,
                 "demo_ids": self.demo_ids, "count": self.count,
@@ -189,9 +182,6 @@ class InstructionLibrary:
 
     def instructions(self) -> list[str]:
         return list(self.entries)
-
-    def goal_centroid(self, instruction: str) -> Pose:
-        return self.entries[instruction].goal_centroid()
 
     def to_dict(self) -> dict:
         return {name: e.to_dict() for name, e in self.entries.items()}

@@ -3,8 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from deco.chaining import (RRT_MAX_ITERS, ChainingResult, chain_skills,
-                           chaining_poses, export_path, rrt_path)
+from deco.chaining import RRT_MAX_ITERS, chain_skills, chaining_poses, rrt_path
 from deco.costmap import Bounds, CostMap, build_cost_map
 from deco.errors import NoFreeChain, PlanningFailure
 from deco.geometry import Pose
@@ -120,7 +119,6 @@ def test_chain_skills_m_zero_single_leg():
     result = chain_skills(Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.2, 0.2]), cmap, 0)
     assert result.poses == []
     assert len(result.path) == 2
-    assert result.path_length() == pytest.approx(0.3)
 
 
 def test_chain_skills_profile_below_threshold():
@@ -132,22 +130,6 @@ def test_chain_skills_profile_below_threshold():
     assert (profile < cmap.collision_threshold).all()
     assert np.allclose(result.path[0], [0.05, 0.2, 0.2])
     assert np.allclose(result.path[-1], [0.35, 0.2, 0.2])
-
-
-def test_export_path(tmp_path):
-    import json
-    out = tmp_path / "path.json"
-    export_path([np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6])], out)
-    data = json.loads(out.read_text())
-    assert data == [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
-
-
-def test_chaining_result_to_dict():
-    result = ChainingResult(poses=[Pose([0.1, 0.2, 0.3])],
-                            path=[np.array([0.1, 0.2, 0.3])])
-    d = result.to_dict()
-    assert d["path"] == [[0.1, 0.2, 0.3]]
-    assert set(d) == {"poses", "path"}
 
 
 def _path_digest(paths) -> str:

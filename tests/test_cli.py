@@ -187,6 +187,20 @@ def test_bad_config_exits_2_with_config_errors(runner, tmp_path, text, named, co
     assert errors and any(named in line for line in errors)
 
 
+@pytest.mark.parametrize("seed_list, seeds", [(["--seed-list", "0,0"], "[0, 1]"),
+                                              ([], "[0, 0]")])
+@pytest.mark.parametrize("command", [["eval"], ["ablate", "--axis", "noise", "--values", "0"]])
+def test_repeated_seeds_exit_2_with_a_config_error(runner, tmp_path, seed_list, seeds, command):
+    # run_suite would pool both seeds' episodes into one cell and write it twice
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"tasks: [open_drawer]\nepisodes: 2\nseeds: {seeds}\n")
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path)] + seed_list + command
+                                + ["--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "config error: seeds must not repeat, got seed 0 more than once" in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_record_demos_mixes_selectors_and_ids(runner, tmp_path):
     result = invoke(runner, ["--out-dir", str(tmp_path), "--seed-list", "0", "record-demos",
                              "--tasks", "open_drawer,atomic,open_drawer"])

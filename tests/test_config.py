@@ -61,6 +61,12 @@ def test_validation_lists_all_errors(registry):
     assert any("seeds" in e for e in errors)
 
 
+def test_validation_names_each_repeated_seed(registry):
+    errors = ExperimentConfig(seeds=[3, 0, 3, 1, 0, 3]).validate(registry)
+    assert errors == ["seeds must not repeat, got seed 0 more than once",
+                      "seeds must not repeat, got seed 3 more than once"]
+
+
 def test_resolve_selectors(registry):
     assert len(ExperimentConfig(tasks=["atomic"]).resolve_tasks(registry)) == 10
     assert len(ExperimentConfig(tasks=["compositional"]).resolve_tasks(registry)) == 12

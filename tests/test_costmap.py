@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,18 @@ def test_zero_inflation_binary_cost():
     occ[1, 0, 0] = True
     cost = cost_from_distance(distance_grid(occ, 0.01), 0.0)
     assert list(cost[:, 0, 0]) == [0.0, 1.0, 0.0]
+
+
+def test_underflowing_inflation_is_a_warning_free_step():
+    # 2 sigma^2 underflows to 0 for this radius; dividing by it would warn
+    occ = np.zeros((5, 4, 3), dtype=bool)
+    occ[1, 2, 0] = True
+    dist = distance_grid(occ, 0.02)
+    dist[4, 3, 2] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cost = cost_from_distance(dist, 1e-200)
+    assert cost.tobytes() == np.where(dist <= 0, 1.0, 0.0).tobytes()
 
 
 def test_cost_at_outside_map_is_occupied():

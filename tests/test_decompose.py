@@ -126,7 +126,7 @@ def test_segmentation_rejects_no_interaction():
 def test_segment_gripper_substring_shape():
     demo = make_demo("oocccoocco")
     segs = segment_interactions(demo, DecompositionConfig())
-    s = demo.gripper_string()
+    s = "".join("o" if st.gripper is GripperState.OPEN else "c" for st in demo.steps)
     import re
     for seg in segs:
         assert re.fullmatch("o+c+o+", s[seg.start:seg.end + 1])

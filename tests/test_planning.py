@@ -2,8 +2,8 @@ import pytest
 
 from deco.errors import UnknownTask, UnsatisfiablePlan
 from deco.executor import build_library
-from deco.planning import (ItemLocation, Plan, PlanSource, SceneSummary,
-                           plan_mock, repair_preconditions, validate_plan)
+from deco.planning import (ItemLocation, PlanSource, SceneSummary, plan_mock,
+                           repair_preconditions)
 from deco.registry import load_registry
 
 
@@ -116,18 +116,3 @@ def _scene_for(task):
         drawer_open_fraction=0.0 if needs_drawer else None,
         cupboard_present=True, dustpan_present=True)
 
-
-def test_validate_plan_empty(library):
-    errors = validate_plan(Plan(steps=(), source=PlanSource.MOCK), library)
-    assert errors == ["empty plan"]
-
-
-def test_validate_plan_unknown_step(library):
-    errors = validate_plan(Plan(steps=("open drawer", "juggle"),
-                                source=PlanSource.MOCK), library)
-    assert errors == ["unknown step: 'juggle'"]
-
-
-def test_validate_plan_ok(library):
-    assert validate_plan(Plan(steps=("open drawer",), source=PlanSource.MOCK),
-                         library) == []

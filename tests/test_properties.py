@@ -4,7 +4,7 @@ planner, the point cloud and the simulator's box test.
 Each property is checked against a reference written here with plain Python
 arithmetic on the cost grid, not against other ``CostMap`` methods; the
 planner's determinism is checked by comparing two calls byte for byte.  The
-cost-map table, the cached fixed-box samples and the one broadcast box test
+cost-map table, the shared fixed-box samples and the one broadcast box test
 per step are gated byte for byte against references that recompute every
 distance, sample every box and test one ``Bounds`` at a time.  The examples
 are derandomized, so every run checks the same cases.
@@ -20,10 +20,10 @@ from deco.chaining import rrt_path
 from deco.costmap import (Bounds, CostMap, build_cost_map, cost_from_distance, distance_grid,
                           occupancy_from_points)
 from deco.geometry import Pose
-from deco.sim.scene import (CABINET, CABINET_HI, CABINET_LO, CUPBOARD_WALLS, DRAWER_TRAVEL,
-                            DRAWER_WALL, DRAWER_WALL_TOP, DUSTPAN_FLOOR, DUSTPAN_HI, HANDLE_NAME,
-                            OBJECT_HALF, SLAM_FRACTION, WORKSPACE, Action, Scene, SimObject,
-                            _segment_samples, point_cloud, step)
+from deco.sim.scene import (CABINET, CABINET_HI, CABINET_LO, CLOUD_DENSITY, CUPBOARD_WALLS,
+                            DRAWER_TRAVEL, DRAWER_WALL, DRAWER_WALL_TOP, DUSTPAN_FLOOR, DUSTPAN_HI,
+                            HANDLE_NAME, OBJECT_HALF, SLAM_FRACTION, WORKSPACE, Action, Scene,
+                            SimObject, _segment_samples, point_cloud, step)
 from deco.trajectory import GripperState
 
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
@@ -255,14 +255,14 @@ def reference_fixed_boxes(scene) -> list[Bounds]:
             + ([DUSTPAN_FLOOR] if scene.dustpan_present else []))
 
 
-def reference_box_faces(box: Bounds, density: float) -> np.ndarray:
+def reference_box_faces(box: Bounds) -> np.ndarray:
     """Face sampling of one box, one meshgrid per face."""
     pts = []
     size = box.upper - box.lower
     for axis in range(3):
         u, v = (axis + 1) % 3, (axis + 2) % 3
-        nu = max(1, int(round(size[u] * np.sqrt(density))))
-        nv = max(1, int(round(size[v] * np.sqrt(density))))
+        nu = max(1, int(round(size[u] * np.sqrt(CLOUD_DENSITY))))
+        nv = max(1, int(round(size[v] * np.sqrt(CLOUD_DENSITY))))
         us = box.lower[u] + (np.arange(nu) + 0.5) * size[u] / nu
         vs = box.lower[v] + (np.arange(nv) + 0.5) * size[v] / nv
         uu, vv = np.meshgrid(us, vs, indexing="ij")
@@ -275,7 +275,7 @@ def reference_box_faces(box: Bounds, density: float) -> np.ndarray:
     return np.vstack(pts)
 
 
-def reference_point_cloud(scene, density) -> np.ndarray:
+def reference_point_cloud(scene) -> np.ndarray:
     """Every box sampled on every call: cabinet, tray, cupboard walls, dustpan
     floor, unheld objects by name, then one point per rubbish item."""
     fixed = reference_fixed_boxes(scene)
@@ -285,7 +285,7 @@ def reference_point_cloud(scene, density) -> np.ndarray:
         half = OBJECT_HALF[obj.kind]
         if not obj.held and half > 0:
             boxes.append(Bounds(obj.position - half, obj.position + half))
-    points = [reference_box_faces(box, density) for box in boxes]
+    points = [reference_box_faces(box) for box in boxes]
     points += [obj.position[None, :] for _name, obj in sorted(scene.objects.items())
                if obj.kind == "rubbish"]
     return np.vstack(points) if points else np.zeros((0, 3))
@@ -317,12 +317,12 @@ def scenes(draw):
 
 
 @settings(PROPERTY_SETTINGS, max_examples=60)
-@given(scenes(), st.sampled_from([100.0, 2500.0, 10000.0]) | st.floats(50.0, 20000.0))
-def test_point_cloud_is_byte_identical_to_per_box_sampling(scene, density):
-    expected = reference_point_cloud(scene, density)
-    assert point_cloud(scene, density).tobytes() == expected.tobytes()
-    # the cached fixed samples are not changed by a call
-    assert point_cloud(scene, density).tobytes() == expected.tobytes()
+@given(scenes())
+def test_point_cloud_is_byte_identical_to_per_box_sampling(scene):
+    expected = reference_point_cloud(scene)
+    assert point_cloud(scene).tobytes() == expected.tobytes()
+    # the shared fixed samples are not changed by a call
+    assert point_cloud(scene).tobytes() == expected.tobytes()
 
 
 def reference_box_hit(samples: np.ndarray, box: Bounds) -> bool:

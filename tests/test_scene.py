@@ -145,16 +145,10 @@ def test_rubbish_fraction():
 
 
 def test_point_cloud_counts_cube_faces():
-    # a 0.1 m cube at density 1e4 points/m^2: 6 faces x 100 points
+    # 1e4 points/m^2; box half-size 0.025 -> 0.05 cube: each face 0.05*sqrt(1e4)=5 -> 25 pts
     s = Scene(objects={"box": SimObject("box", np.array([0.4, 0.0, 0.05]))})
-    # box half-size 0.025 -> 0.05 cube: each face 0.05*sqrt(1e4)=5 -> 25 pts
-    cloud = point_cloud(s, density=1e4)
+    cloud = point_cloud(s)
     assert cloud.shape == (150, 3)
-
-
-def test_point_cloud_rejects_bad_density():
-    with pytest.raises(ValueError):
-        point_cloud(Scene(), density=0)
 
 
 def test_point_cloud_includes_rubbish_points():
@@ -162,10 +156,3 @@ def test_point_cloud_includes_rubbish_points():
     cloud = point_cloud(s)
     assert cloud.shape == (1, 3)
     assert np.allclose(cloud[0], [0.4, 0.0, 0.01])
-
-
-def test_scene_to_dict_round_numbers():
-    s = drawer_scene(0.5)
-    d = s.to_dict()
-    assert d["open_fraction"] == 0.5
-    assert d["gripper"]["state"] == "open"

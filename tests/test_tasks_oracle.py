@@ -8,6 +8,7 @@ from deco.registry import load_registry
 from deco.sim.oracle import ATOMIC_SKILLS, OraclePolicy, oracle_policy, record_demo
 from deco.sim.scene import CUPBOARD_INTERIOR, GripperCommand, Scene, SimObject, step
 from deco.sim.tasks import drawer_front_obstacle_task, reset, success
+from deco.trajectory import GripperState
 
 
 @pytest.fixture(scope="module")
@@ -136,13 +137,13 @@ def test_oracle_policy_facade_dry_run_is_noiseless():
 
 
 def test_atomic_skill_names_cover_registry(registry):
-    assert sorted(ATOMIC_SKILLS) == sorted(registry.atomic_instructions())
+    assert sorted(ATOMIC_SKILLS) == sorted(t.instruction for t in registry.atomic_tasks())
 
 
 def test_record_demo_structure(registry):
     demo = record_demo(registry.get("put_in_wo_close"), 0)
     assert demo.id == "put_in_wo_close-s0"
-    s = demo.gripper_string()
+    s = "".join("o" if st.gripper is GripperState.OPEN else "c" for st in demo.steps)
     assert re.fullmatch("o+(c+o+)+", s)
     assert s.count("oc") == 2  # one interaction per plan step
     assert demo.steps[0].joint_speed == 0.0

@@ -40,7 +40,8 @@ def test_demo_times_strictly_increasing():
 
 
 def test_gripper_string():
-    assert make_demo("oocco").gripper_string() == "oocco"
+    demo = make_demo("oocco")
+    assert "".join("o" if s.gripper is GripperState.OPEN else "c" for s in demo.steps) == "oocco"
 
 
 def test_demos_jsonl_round_trip(tmp_path):
@@ -49,7 +50,8 @@ def test_demos_jsonl_round_trip(tmp_path):
     save_demos(demos, path)
     loaded = load_demos(path)
     assert [d.id for d in loaded] == ["a", "b"]
-    assert loaded[1].gripper_string() == "oocccoo"
+    assert "".join("o" if s.gripper is GripperState.OPEN else "c"
+                   for s in loaded[1].steps) == "oocccoo"
     assert np.allclose(loaded[0].steps[2].pose.position, demos[0].steps[2].pose.position)
 
 
@@ -91,7 +93,7 @@ def test_library_aggregation_and_centroid():
     assert "grab" in lib
     assert len(lib) == 1
     assert lib.entries["grab"].count == 2
-    assert np.allclose(lib.goal_centroid("grab").position, [0.5, 0.1, 0.2])
+    assert lib.entries["grab"].goal_positions == [[0.4, 0.0, 0.1], [0.6, 0.2, 0.3]]
 
 
 def test_library_save_load(tmp_path):
