@@ -9,7 +9,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .config import ExperimentConfig, print_defaults
+from .config import ExperimentConfig, print_defaults, repeated_seed_errors
 from .costmap import build_cost_map
 from .decompose import DecompositionConfig, build_atomic_dataset
 from .errors import ConfigError, DecoError
@@ -90,6 +90,10 @@ def decompose(ctx, demos_path, annotations_path, mode):
 @click.pass_context
 def record_demos(ctx, task_ids):
     """Run the scripted policies over their canonical plans and log demos."""
+    # a repeated seed would record the same demo id twice
+    errors = repeated_seed_errors(ctx.obj["seeds"])
+    if errors:
+        _config_errors(errors)
     out = _out_dir(ctx)
     selection = ExperimentConfig(tasks=[name.strip() for name in task_ids.split(",")])
     try:

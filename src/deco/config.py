@@ -75,8 +75,7 @@ class ExperimentConfig:
                        and name not in registry.tasks]
         if _is_list_of(self.seeds, _is_int):
             # run_suite pools the episodes of one (task, seed) cell
-            errors += [f"seeds must not repeat, got seed {seed} more than once"
-                       for seed in sorted({s for s in self.seeds if self.seeds.count(s) > 1})]
+            errors += repeated_seed_errors(self.seeds)
         return errors
 
     def resolve_tasks(self, registry: TaskRegistry) -> list[TaskSpec]:
@@ -96,6 +95,11 @@ class ExperimentConfig:
                     seen.add(task.id)
                     out.append(task)
         return out
+
+
+def repeated_seed_errors(seeds: list[int]) -> list[str]:
+    return [f"seeds must not repeat, got seed {seed} more than once"
+            for seed in sorted({s for s in seeds if seeds.count(s) > 1})]
 
 
 def print_defaults() -> str:

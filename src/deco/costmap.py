@@ -1,12 +1,19 @@
-"""Voxel cost maps: occupancy, exact nearest-occupied-voxel transform, Gaussian decay.
+"""Voxel cost maps: occupancy, a dilated ``blocked`` grid, and a Gaussian cost grid.
 
 Cost is exp(-d^2 / (2 sigma^2)) with sigma = inflation_radius / 2, so occupied
 voxels are exactly 1.0 and cost decays monotonically with clearance.  d is the
-exact Euclidean distance to the nearest occupied voxel.  ``build_cost_map``
-takes the per-axis offset to that voxel from the feature transform and looks
-the cost up in a table indexed by ``|offset|``, built once per grid shape,
-voxel size and inflation radius; the result is byte for byte
+exact Euclidean distance to the nearest occupied voxel.  The cost grid is
+looked up in a table indexed by the per-axis ``|offset|`` to that voxel, which
+the feature transform gives; the table is built once per grid shape, voxel
+size and inflation radius, and the result is byte for byte
 ``cost_from_distance(distance_grid(occ, voxel_size), inflation_radius)``.
+
+The planner mostly asks whether a voxel's cost is at or above the collision
+threshold.  That holds exactly when some occupied voxel lies at an offset whose
+table cost reaches the threshold: the nearest occupied voxel is at least as
+near, and cost does not rise as distance falls.  ``build_cost_map`` answers
+free/blocked by dilating the occupancy with that set of offsets, and computes
+the cost grid only when a cost value is first read.
 """
 
 from __future__ import annotations
@@ -53,18 +60,63 @@ def _segment_fractions(n: int) -> np.ndarray:
 
 
 class CostMap:
-    def __init__(self, origin, voxel_size: float, cost: np.ndarray,
-                 collision_threshold: float, inflation_radius: float):
+    """A voxel cost grid and the padded boolean ``blocked`` grid of
+    ``~(cost < collision_threshold)`` that answers ``is_free`` and ``segment_free``.
+
+    A one-voxel border of cost 1.0, blocked, answers every point outside the
+    map: lookups clip their index into it instead of masking.  A map built from
+    an explicit grid (``load``, tests) derives ``blocked`` from it; a map from
+    ``build_cost_map`` is given ``blocked`` and computes its cost grid from the
+    occupancy on the first read of ``cost``, ``cost_at`` or ``export``.  The
+    grids are read-only, so they cannot drift apart.
+    """
+
+    def __init__(self, origin, voxel_size: float, cost, collision_threshold: float,
+                 inflation_radius: float):
+        cost = np.asarray(cost, dtype=float)
+        self._set_parameters(origin, voxel_size, cost.shape, collision_threshold,
+                             inflation_radius)
+        self._occupancy = None
+        self._set_cost(cost)
+        self.blocked = ~(self._padded < self.collision_threshold)
+        self.blocked.flags.writeable = False
+
+    @classmethod
+    def _from_occupancy(cls, origin, voxel_size: float, occupancy: np.ndarray,
+                        blocked: np.ndarray, collision_threshold: float,
+                        inflation_radius: float) -> "CostMap":
+        """A map that answers free/blocked from ``blocked`` (padded) and computes
+        its cost grid from ``occupancy`` when a cost value is first read."""
+        cmap = cls.__new__(cls)
+        cmap._set_parameters(origin, voxel_size, occupancy.shape, collision_threshold,
+                             inflation_radius)
+        cmap._occupancy = occupancy
+        cmap._padded = None
+        cmap.blocked = blocked
+        return cmap
+
+    def _set_parameters(self, origin, voxel_size, dims, collision_threshold, inflation_radius):
         self.origin = np.asarray(origin, dtype=float)
         self.voxel_size = float(voxel_size)
-        # a one-voxel border of cost 1.0 answers every point outside the map:
-        # lookups clip their index into it instead of masking
-        self._padded = np.pad(cost, 1, constant_values=1.0)
-        self.cost = self._padded[1:-1, 1:-1, 1:-1]
-        self.dims = cost.shape
-        self._max_index = np.asarray(self.dims, dtype=float)
+        self.dims = dims
+        self._max_index = np.asarray(dims, dtype=float)
         self.collision_threshold = float(collision_threshold)
         self.inflation_radius = float(inflation_radius)
+
+    def _set_cost(self, cost: np.ndarray):
+        self._padded = np.pad(cost, 1, constant_values=1.0)
+        self._padded.flags.writeable = False
+
+    def _padded_cost(self) -> np.ndarray:
+        if self._padded is None:
+            self._set_cost(_nearest_voxel_cost(self._occupancy, self.voxel_size,
+                                               self.inflation_radius))
+            self._occupancy = None
+        return self._padded
+
+    @property
+    def cost(self) -> np.ndarray:
+        return self._padded_cost()[1:-1, 1:-1, 1:-1]
 
     @property
     def upper(self) -> np.ndarray:
@@ -73,30 +125,39 @@ class CostMap:
     def voxel_center(self, index) -> np.ndarray:
         return self.origin + (np.asarray(index, dtype=float) + 0.5) * self.voxel_size
 
-    def cost_at(self, points):
-        """Cost of the voxel containing each point; outside the map counts as occupied.
-
-        One point gives a float, an (N, 3) array gives N costs.
-        """
+    def _lookup(self, padded: np.ndarray, points):
+        """Entries of a padded grid at the voxels holding the points: one point
+        gives a scalar, an (N, 3) array gives N entries.  An index outside the
+        map is clipped into the border."""
         p = np.asarray(points, dtype=float)
         idx = np.minimum(np.maximum(np.floor((p - self.origin) / self.voxel_size), -1.0),
                          self._max_index).astype(int) + 1
         if p.ndim == 1:
             i, j, k = idx.tolist()
-            return float(self._padded[i, j, k])
-        return self._padded[idx[:, 0], idx[:, 1], idx[:, 2]]
+            return padded[i, j, k]
+        return padded[idx[:, 0], idx[:, 1], idx[:, 2]]
+
+    def cost_at(self, points):
+        """Cost of the voxel containing each point; outside the map counts as occupied.
+
+        One point gives a float, an (N, 3) array gives N costs.
+        """
+        cost = self._lookup(self._padded_cost(), points)
+        return float(cost) if cost.ndim == 0 else cost
 
     def is_free(self, point) -> bool:
-        return self.cost_at(point) < self.collision_threshold
+        """The point's voxel is not blocked: its cost is below the threshold,
+        read from ``blocked`` without computing the cost grid."""
+        return not self._lookup(self.blocked, point)
 
     def segment_free(self, a, b) -> bool:
-        """Sample the segment at voxel_size/2 and test every sample."""
+        """Sample the segment at voxel_size/2 and test every sample against ``blocked``."""
         a = np.asarray(a, dtype=float)
         d = np.asarray(b, dtype=float) - a
         # the sqrt of the dot product is what np.linalg.norm computes for a vector
         n = max(1, math.ceil(math.sqrt(d.dot(d)) / (self.voxel_size / 2.0)))
         samples = a + _segment_fractions(n) * d
-        return bool((self.cost_at(samples) < self.collision_threshold).all())
+        return not self._lookup(self.blocked, samples).any()
 
     def export(self, header_path, grid_path):
         """JSON header plus a flat little-endian float32 grid, x-fastest order."""
@@ -187,28 +248,99 @@ def _offset_cost_table(dims: tuple, voxel_size: float,
     return indices, table
 
 
+@lru_cache(maxsize=4)
+def _blocking_runs(dims: tuple, voxel_size: float, inflation_radius: float,
+                   collision_threshold: float) -> tuple[tuple[int, int, int], ...]:
+    """The offsets at which an occupied voxel blocks a voxel, as x-runs.
+
+    An offset blocks when its table cost is at least the threshold.  Cost does
+    not rise with any ``|offset|``, so for each ``(dy, dz)`` the blocking offsets
+    are ``|dx| < run``; the result lists ``(run, dy, dz)`` for every signed
+    ``(dy, dz)`` with a run, in C order.
+    """
+    table = _offset_cost_table(dims, voxel_size, inflation_radius)[1].reshape(dims)
+    dy, dz = np.arange(1 - dims[1], dims[1]), np.arange(1 - dims[2], dims[2])
+    runs = (table >= collision_threshold).sum(axis=0)[np.abs(dy)[:, None], np.abs(dz)]
+    iy, iz = np.nonzero(runs)
+    return tuple(zip(runs[iy, iz].tolist(), dy[iy].tolist(), dz[iz].tolist()))
+
+
+def _dilate(occupancy: np.ndarray, runs) -> np.ndarray:
+    """``occupancy`` dilated by the offsets of ``runs``, with a one-voxel blocked border.
+
+    Shift-and-OR on the flattened copy of a zero-padded grid: a shift by
+    ``(dx, dy, dz)`` is one shift of the flat index, and the padding keeps the
+    shifts read for the map and its border inside their own rows, so every OR
+    runs over one contiguous slice.  The grid is grown along x first, once per
+    run length, then shifted by every ``(dy, dz)``.
+    """
+    dims = occupancy.shape
+    # one voxel beyond the offsets' reach on each side holds the border
+    pad = (max(run for run, _, _ in runs), max(abs(dy) for _, dy, _ in runs) + 1,
+           max(abs(dz) for _, _, dz in runs) + 1)
+    shape = tuple(n + 2 * p for n, p in zip(dims, pad))
+    grid = np.zeros(shape, dtype=bool)
+    grid[pad[0]:pad[0] + dims[0], pad[1]:pad[1] + dims[1], pad[2]:pad[2] + dims[2]] = occupancy
+    flat = grid.ravel()
+    size, sx, sy = flat.size, shape[1] * shape[2], shape[2]
+    xr = (pad[0] - 1) * sx
+    along_x = {1: flat[xr:size - xr]}
+    for run in range(2, pad[0] + 1):
+        shift = (run - 1) * sx
+        grown = along_x[run - 1] | flat[xr + shift:size - xr + shift]
+        along_x[run] = np.logical_or(grown, flat[xr - shift:size - xr - shift], out=grown)
+    yz = (pad[1] - 1) * sy + pad[2] - 1
+    out = np.zeros(size, dtype=bool)
+    target = out[xr + yz:size - xr - yz]
+    for run, dy, dz in runs:
+        start = yz + dy * sy + dz
+        np.logical_or(target, along_x[run][start:start + target.size], out=target)
+    blocked = out.reshape(shape)[pad[0] - 1:pad[0] + dims[0] + 1,
+                                 pad[1] - 1:pad[1] + dims[1] + 1,
+                                 pad[2] - 1:pad[2] + dims[2] + 1]
+    blocked[[0, -1]] = True
+    blocked[:, [0, -1]] = True
+    blocked[:, :, [0, -1]] = True
+    blocked.flags.writeable = False
+    return blocked
+
+
+def _nearest_voxel_cost(occupancy: np.ndarray, voxel_size: float,
+                        inflation_radius: float) -> np.ndarray:
+    """Cost grid of an occupancy grid: find each voxel's nearest occupied voxel
+    and look its cost up by the per-axis offset to it.
+
+    The feature transform gets ``sampling=voxel_size`` so that ties between
+    equally near voxels resolve as in ``distance_grid``.  An empty grid gives
+    all zeros.
+    """
+    dims = occupancy.shape
+    if not occupancy.any():
+        return np.zeros(dims)
+    indices, table = _offset_cost_table(dims, voxel_size, inflation_radius)
+    offset = ndimage.distance_transform_edt(~occupancy, sampling=voxel_size,
+                                            return_distances=False, return_indices=True)
+    offset -= indices
+    np.abs(offset, out=offset)
+    flat = (offset[0] * dims[1] + offset[1]) * dims[2] + offset[2]
+    return table.take(flat)
+
+
 def build_cost_map(points, bounds: Bounds, voxel_size: float = 0.02,
                    inflation_radius: float = 0.05,
                    collision_threshold: float = 0.5) -> CostMap:
-    """Cost map of a point cloud: voxelise, find each voxel's nearest occupied
-    voxel, and look its cost up by the per-axis offset to it.
-
-    The feature transform gets ``sampling=voxel_size`` so that ties between
-    equally near voxels resolve as in ``distance_grid``.  An empty cloud gives
-    an all-zero grid.
+    """Cost map of a point cloud: voxelise it and dilate the occupancy by the
+    offsets whose table cost reaches ``collision_threshold`` into the map's
+    ``blocked`` grid.  The cost grid itself is computed on first read.
     """
     if voxel_size <= 0:
         raise ValueError("voxel_size must be positive")
     if inflation_radius < 0:
         raise ValueError("inflation_radius must be non-negative")
+    if not 0 < collision_threshold <= 1:
+        raise ValueError(f"collision_threshold must be in (0, 1], got {collision_threshold}")
     occ, origin, dims = occupancy_from_points(points, bounds, voxel_size)
-    if not occ.any():
-        return CostMap(origin, voxel_size, np.zeros(dims), collision_threshold, inflation_radius)
-    indices, table = _offset_cost_table(dims, float(voxel_size), float(inflation_radius))
-    offset = ndimage.distance_transform_edt(~occ, sampling=voxel_size, return_distances=False,
-                                            return_indices=True)
-    offset -= indices
-    np.abs(offset, out=offset)
-    flat = (offset[0] * dims[1] + offset[1]) * dims[2] + offset[2]
-    cost = table.take(flat)
-    return CostMap(origin, voxel_size, cost, collision_threshold, inflation_radius)
+    runs = _blocking_runs(dims, float(voxel_size), float(inflation_radius),
+                          float(collision_threshold))
+    return CostMap._from_occupancy(origin, voxel_size, occ, _dilate(occ, runs),
+                                   collision_threshold, inflation_radius)

@@ -201,6 +201,14 @@ def test_repeated_seeds_exit_2_with_a_config_error(runner, tmp_path, seed_list, 
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_record_demos_rejects_a_repeated_seed(tmp_path):
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path), "--seed-list", "0,1,0",
+                                       "record-demos", "--tasks", "open_drawer"])
+    assert result.exit_code == 2
+    assert "config error: seeds must not repeat, got seed 0 more than once" in result.output
+    assert not (tmp_path / "demos.jsonl").exists()
+
+
 def test_record_demos_mixes_selectors_and_ids(runner, tmp_path):
     result = invoke(runner, ["--out-dir", str(tmp_path), "--seed-list", "0", "record-demos",
                              "--tasks", "open_drawer,atomic,open_drawer"])

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from deco.costmap import (Bounds, CostMap, build_cost_map, cost_from_distance,
                           distance_grid, occupancy_from_points)
@@ -153,3 +154,58 @@ def test_build_cost_map_validates_params():
         build_cost_map([], BOUNDS, 0.0)
     with pytest.raises(ValueError):
         build_cost_map([], BOUNDS, 0.02, inflation_radius=-0.1)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
+def test_build_cost_map_rejects_a_threshold_outside_the_cost_range(threshold):
+    # cost lies in [0, 1]; a threshold <= 0 would block every offset in the table
+    with pytest.raises(ValueError, match="collision_threshold"):
+        build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02, collision_threshold=threshold)
+
+
+def test_build_cost_map_accepts_a_threshold_of_one():
+    cmap = build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02, collision_threshold=1.0)
+    assert not cmap.is_free([0.1, 0.1, 0.1])
+    assert cmap.is_free([0.125, 0.1, 0.1])
+
+
+@pytest.fixture()
+def feature_transforms(monkeypatch):
+    """The number of ``distance_transform_edt`` calls made so far."""
+    calls = []
+    real = ndimage.distance_transform_edt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "distance_transform_edt", counting)
+    return lambda: len(calls)
+
+
+@pytest.mark.parametrize("read", [lambda cmap, tmp: cmap.cost_at([0.05, 0.05, 0.05]),
+                                  lambda cmap, tmp: cmap.cost,
+                                  lambda cmap, tmp: cmap.export(tmp / "h.json", tmp / "g.f32")],
+                         ids=["cost_at", "cost", "export"])
+def test_feature_transform_runs_once_on_the_first_cost_read(feature_transforms, tmp_path, read):
+    cmap = build_cost_map([[0.1, 0.1, 0.1], [0.03, 0.15, 0.07]], BOUNDS, 0.02)
+    assert cmap.is_free([0.01, 0.01, 0.01]) and not cmap.is_free([0.1, 0.1, 0.1])
+    assert not cmap.segment_free([0.01, 0.1, 0.1], [0.19, 0.1, 0.1])
+    assert cmap.segment_free([0.01, 0.01, 0.01], [0.19, 0.01, 0.01])
+    assert feature_transforms() == 0
+    read(cmap, tmp_path)
+    assert feature_transforms() == 1
+    cmap.cost_at(np.array([[0.05, 0.05, 0.05], [0.1, 0.1, 0.1]]))
+    cmap.export(tmp_path / "h2.json", tmp_path / "g2.f32")
+    assert cmap.cost[5, 5, 5] == 1.0
+    assert feature_transforms() == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02),
+    lambda: CostMap([0, 0, 0], 0.1, np.zeros((2, 2, 2)), 0.5, 0.05)], ids=["built", "grid"])
+def test_cost_and_blocked_grids_are_read_only(make):
+    cmap = make()
+    for grid in (cmap.blocked, cmap.cost):
+        with pytest.raises(ValueError):
+            grid[1, 1, 1] = 1

@@ -49,16 +49,29 @@ def reference_segment_free(cost, origin, voxel, threshold, a, b) -> bool:
     return True
 
 
+THRESHOLDS = st.sampled_from([0.3, 0.5, 0.9])
+
+
 @st.composite
-def cost_maps(draw):
+def grid_cost_maps(draw):
     dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
     voxel = draw(st.sampled_from([0.02, 0.05, 0.1, 0.25]))
     origin = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    threshold = draw(st.sampled_from([0.3, 0.5, 0.9]))
     # high powers leave few voxels above the threshold, so segments can pass
     cost = rng.random(dims) ** draw(st.sampled_from([1, 4, 16]))
-    return CostMap(origin, voxel, cost, threshold, 0.05)
+    return CostMap(origin, voxel, cost, draw(THRESHOLDS), 0.05)
+
+
+@st.composite
+def built_cost_maps(draw):
+    """Maps from ``build_cost_map``, which answer free/blocked from the dilated grid."""
+    points, bounds, voxel, inflation = draw(clouds())
+    return build_cost_map(points, bounds, voxel, inflation, draw(THRESHOLDS))
+
+
+def cost_maps():
+    return grid_cost_maps() | built_cost_maps()
 
 
 @st.composite
@@ -87,6 +100,7 @@ def test_cost_at_matches_direct_grid_indexing(data):
     assert batched.shape == (len(points),)
     assert batched.tolist() == expected
     assert [cmap.cost_at(p) for p in points] == expected
+    assert [cmap.is_free(p) for p in points] == [c < cmap.collision_threshold for c in expected]
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)
@@ -232,6 +246,20 @@ def test_build_cost_map_is_byte_identical_to_the_float_reference(cloud):
     cmap = build_cost_map(points, bounds, voxel, inflation)
     assert cmap.cost.shape == expected.shape
     assert cmap.cost.tobytes() == expected.tobytes()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(clouds(), THRESHOLDS)
+def test_blocked_grid_is_the_cost_grid_at_the_threshold(cloud, threshold):
+    points, bounds, voxel, inflation = cloud
+    cmap = build_cost_map(points, bounds, voxel, inflation, threshold)
+    # read before the cost grid is computed: it comes from the dilation alone
+    blocked = cmap.blocked.copy()
+    assert blocked.shape == tuple(n + 2 for n in cmap.dims)
+    assert np.array_equal(blocked[1:-1, 1:-1, 1:-1], cmap.cost >= threshold)
+    inner = np.zeros(blocked.shape, dtype=bool)
+    inner[1:-1, 1:-1, 1:-1] = True
+    assert blocked[~inner].all()
 
 
 def reference_tray_boxes(scene) -> list[Bounds]:
