@@ -14,7 +14,7 @@ import numpy as np
 
 from .costmap import CostMap
 from .errors import NoFreeChain, PlanningFailure
-from .geometry import Pose, quat_slerp
+from .geometry import Pose, quat_slerp, vector_norm
 
 MAX_REFINE_ITERS = 200
 MAX_INTERPOLANT_DEVIATION = 0.15
@@ -43,18 +43,18 @@ def _refine_position(init: np.ndarray, cmap: CostMap) -> np.ndarray:
         if cmap.is_free(pos):
             return pos
         grad = _cost_gradient(cmap, pos)
-        norm = float(np.linalg.norm(grad))
+        norm = vector_norm(grad)
         if norm < 1e-12:
             # flat plateau inside an obstacle: nudge toward the map center
             direction = cmap.origin + 0.5 * (cmap.upper - cmap.origin) - pos
-            dnorm = float(np.linalg.norm(direction))
+            dnorm = vector_norm(direction)
             if dnorm < 1e-12:
                 break
             pos = pos + step * direction / dnorm
         else:
             pos = pos - step * grad / norm
         offset = pos - init
-        dev = float(np.linalg.norm(offset))
+        dev = vector_norm(offset)
         if dev > MAX_INTERPOLANT_DEVIATION:
             pos = init + offset * (MAX_INTERPOLANT_DEVIATION / dev)
     if cmap.is_free(pos):
@@ -77,7 +77,7 @@ def chaining_poses(start: Pose, end: Pose, cmap: CostMap, m: int) -> list[Pose]:
 
 def _steer(from_pt: np.ndarray, to_pt: np.ndarray, step: float) -> np.ndarray:
     delta = to_pt - from_pt
-    dist = float(np.linalg.norm(delta))
+    dist = vector_norm(delta)
     if dist <= step:
         return to_pt
     return from_pt + delta * (step / dist)
@@ -107,10 +107,14 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    for name, p in (("a", a), ("b", b)):
+        if not np.isfinite(p).all():
+            raise PlanningFailure(f"endpoint {name}={p} is not finite")
     if not cmap.is_free(a) or not cmap.is_free(b):
         raise PlanningFailure(f"endpoint in collision: a={a} (cost {cmap.cost_at(a):.3f}), "
                               f"b={b} (cost {cmap.cost_at(b):.3f})")
-    if np.allclose(a, b):
+    # np.allclose(a, b) with its default tolerances, in floats
+    if all(abs(x - y) <= 1e-8 + 1e-5 * abs(y) for x, y in zip(a.tolist(), b.tolist())):
         return [a]
     if cmap.segment_free(a, b):
         return [a, b]
@@ -119,7 +123,7 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     map_lo, map_hi = cmap.origin, cmap.upper
     # half the samples come from a window around the endpoints: connection
     # legs are short and pure whole-map sampling starves the region of interest
-    margin = max(0.15, 2 * float(np.linalg.norm(b - a)))
+    margin = max(0.15, 2 * vector_norm(b - a))
     win_lo = np.maximum(np.minimum(a, b) - margin, map_lo)
     win_hi = np.minimum(np.maximum(a, b) + margin, map_hi)
     # tree 0 grows from a, tree 1 from b; one preallocated row per node.  A

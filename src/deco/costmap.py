@@ -20,40 +20,56 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import DecoError, DegenerateBounds
+from .geometry import vector_norm
 
 
 @dataclass(frozen=True)
 class Bounds:
-    """Axis-aligned box: cost-map extents and the simulator's geometry."""
+    """Axis-aligned box: cost-map extents and the simulator's geometry.
+
+    The corners are read-only copies, also kept as six Python floats so that
+    ``contains`` tests one point with plain float comparisons.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
+    _corners: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        if np.any(hi <= lo):
-            raise ValueError(f"degenerate box: {lo} .. {hi}")
+        lo = np.array(self.lower, dtype=float)
+        hi = np.array(self.upper, dtype=float)
+        if lo.shape != (3,) or hi.shape != (3,):
+            raise DegenerateBounds(f"box corners must have 3 components: {lo} .. {hi}")
+        corners = tuple(lo.tolist() + hi.tolist())
+        if not all(map(math.isfinite, corners)):
+            raise DegenerateBounds(f"degenerate box, non-finite corner: {lo} .. {hi}")
+        x0, y0, z0, x1, y1, z1 = corners
+        if not (x0 < x1 and y0 < y1 and z0 < z1):
+            raise DegenerateBounds(f"degenerate box: {lo} .. {hi}")
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "_corners", corners)
 
     def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
+        """The point lies in the closed box; a NaN coordinate is outside."""
+        x, y, z = np.asarray(point).tolist()
+        x0, y0, z0, x1, y1, z1 = self._corners
+        return x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1
 
 
 @lru_cache(maxsize=256)
-def _segment_fractions(n: int) -> np.ndarray:
-    """The n + 1 sample positions along a segment, as an (n + 1, 1) column."""
+def segment_fractions(n: int) -> np.ndarray:
+    """The n + 1 sample positions along a segment, ``np.linspace(0, 1, n + 1)``,
+    as a read-only (n + 1, 1) column shared by every segment of n steps."""
     fractions = np.linspace(0.0, 1.0, n + 1)[:, None]
     fractions.flags.writeable = False
     return fractions
@@ -154,9 +170,8 @@ class CostMap:
         """Sample the segment at voxel_size/2 and test every sample against ``blocked``."""
         a = np.asarray(a, dtype=float)
         d = np.asarray(b, dtype=float) - a
-        # the sqrt of the dot product is what np.linalg.norm computes for a vector
-        n = max(1, math.ceil(math.sqrt(d.dot(d)) / (self.voxel_size / 2.0)))
-        samples = a + _segment_fractions(n) * d
+        n = max(1, math.ceil(vector_norm(d) / (self.voxel_size / 2.0)))
+        samples = a + segment_fractions(n) * d
         return not self._lookup(self.blocked, samples).any()
 
     def export(self, header_path, grid_path):

@@ -53,7 +53,7 @@ class HallucinatedStep(DecoError):
 
 # --- cost map / chaining ---
 
-class DegenerateBounds(DecoError):
+class DegenerateBounds(DecoError, ValueError):
     pass
 
 

@@ -3,22 +3,36 @@
 Quaternions are stored (w, x, y, z) and normalized on construction.  q and -q
 describe the same orientation, so angular distances are computed on the
 absolute dot product.
+
+A pose is built for every action and every monitor check, so validation runs
+on single vectors in plain floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 QUAT_NORM_TOL = 1e-6
 
+# the default orientation: a unit quaternion already, shared read-only
+IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
+IDENTITY_QUAT.flags.writeable = False
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D array: ``math.sqrt(v.dot(v))``, the value
+    ``np.linalg.norm`` computes for a vector, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
 
 def _as_vec(values, n, name):
     arr = np.asarray(values, dtype=float).reshape(-1)
     if arr.shape != (n,):
         raise ValueError(f"{name} must have {n} components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{name} components must be finite: {arr}")
     return arr
 
@@ -28,18 +42,20 @@ class Pose:
     """Position (m) plus unit quaternion orientation, robot base frame."""
 
     position: np.ndarray
-    orientation: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
+    orientation: np.ndarray = field(default_factory=lambda: IDENTITY_QUAT)
 
     def __post_init__(self):
         pos = _as_vec(self.position, 3, "position")
+        pos.flags.writeable = False
+        object.__setattr__(self, "position", pos)
+        if self.orientation is IDENTITY_QUAT:
+            return
         quat = _as_vec(self.orientation, 4, "orientation")
-        norm = float(np.linalg.norm(quat))
+        norm = vector_norm(quat)
         if norm == 0.0:
             raise ValueError("orientation quaternion has zero norm")
         quat = quat / norm
-        pos.flags.writeable = False
         quat.flags.writeable = False
-        object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", quat)
 
     def to_dict(self) -> dict:
@@ -51,13 +67,10 @@ class Pose:
         return cls(data["pos"], data["quat"])
 
 
-IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
-
-
 def pose_distance(a: Pose, b: Pose) -> tuple[float, float]:
     """Positional distance (m) and angular distance (rad) between two poses."""
-    positional = float(np.linalg.norm(a.position - b.position))
-    dot = abs(float(np.dot(a.orientation, b.orientation)))
+    positional = vector_norm(a.position - b.position)
+    dot = abs(float(a.orientation.dot(b.orientation)))
     angular = 2.0 * float(np.arccos(min(dot, 1.0)))
     return positional, angular
 
@@ -82,4 +95,4 @@ def quat_slerp(qa, qb, t: float) -> np.ndarray:
     else:
         theta = np.arccos(min(dot, 1.0))
         out = (np.sin((1 - t) * theta) * qa + np.sin(t * theta) * qb) / np.sin(theta)
-    return out / np.linalg.norm(out)
+    return out / vector_norm(out)

@@ -12,7 +12,7 @@ import zlib
 import numpy as np
 
 from ..errors import PreconditionUnmet, UnknownInstruction
-from ..geometry import Pose
+from ..geometry import Pose, vector_norm
 from ..registry import DRAWER_CLOSED_THRESHOLD, DRAWER_OPEN_THRESHOLD, TaskSpec
 from ..trajectory import Demonstration, GripperState, TimeStep
 from .scene import (CUPBOARD_INTERIOR, DRAWER_TRAVEL, DUSTPAN_VOLUME, HOME, WORKSPACE,
@@ -61,7 +61,7 @@ def _items(scene: Scene, prefix: str) -> list[str]:
 def _free_spot(scene: Scene, base: np.ndarray) -> np.ndarray:
     """Shift a nominal drop spot sideways past objects already parked there."""
     occupied = sum(1 for o in scene.objects.values()
-                   if not o.held and np.linalg.norm(o.position[:2] - base[:2]) < 0.05)
+                   if not o.held and vector_norm(o.position[:2] - base[:2]) < 0.05)
     spot = np.array(base)
     spot[1] += 0.07 * occupied
     return spot
@@ -73,7 +73,7 @@ def _drawer_put_target(scene: Scene) -> np.ndarray:
     hi_x = min(interior.upper[0], 0.54)
     base = np.array([(interior.lower[0] + hi_x) / 2.0, -0.25, 0.06])
     occupied = sum(1 for o in scene.objects.values()
-                   if not o.held and np.linalg.norm(o.position[:2] - base[:2]) < 0.04)
+                   if not o.held and vector_norm(o.position[:2] - base[:2]) < 0.04)
     base[1] += 0.05 * occupied
     return base
 
@@ -118,7 +118,7 @@ def _put_in_drawer(scene: Scene, prefix: str) -> list[Action]:
                   if not interior.contains(scene.objects[n].position)]
     _require(bool(candidates), f"no {prefix} outside the drawer")
     name = min(candidates,
-               key=lambda n: (float(np.linalg.norm(scene.objects[n].position - target)), n))
+               key=lambda n: (vector_norm(scene.objects[n].position - target), n))
     pos = scene.objects[name].position
     return [_hold([pos[0], pos[1], pos[2] + 0.14]),
             _close(pos),
@@ -155,7 +155,7 @@ def _put_box_in_cupboard(scene: Scene) -> list[Action]:
     _require(bool(candidates), "no box outside the cupboard")
     center = (CUPBOARD_INTERIOR.lower + CUPBOARD_INTERIOR.upper) / 2.0
     name = min(candidates,
-               key=lambda n: (float(np.linalg.norm(scene.objects[n].position - center)), n))
+               key=lambda n: (vector_norm(scene.objects[n].position - center), n))
     pos = scene.objects[name].position
     place = CUPBOARD_PLACE
     return [_hold([pos[0], pos[1], pos[2] + 0.15]),
@@ -193,7 +193,7 @@ def _rubbish_cluster(scene: Scene) -> list[str]:
     best, best_members = eligible[0], [eligible[0]]
     for n in eligible:
         members = [m for m in eligible
-                   if np.linalg.norm(positions[m][:2] - positions[n][:2]) <= 0.06]
+                   if vector_norm(positions[m][:2] - positions[n][:2]) <= 0.06]
         if len(members) > len(best_members):
             best, best_members = n, members
     return best_members
@@ -208,7 +208,7 @@ def _sweep_to_dustpan(scene: Scene) -> list[Action]:
     centroid = np.mean([scene.objects[n].position for n in cluster], axis=0)
     pan_center = (DUSTPAN_VOLUME.lower + DUSTPAN_VOLUME.upper) / 2.0
     direction = pan_center[:2] - centroid[:2]
-    direction = direction / max(float(np.linalg.norm(direction)), 1e-9)
+    direction = direction / max(vector_norm(direction), 1e-9)
     sweep_start = np.array([*(centroid[:2] - 0.08 * direction), 0.02])
     sweep_end = np.array([*(pan_center[:2] - 0.06 * direction), 0.02])
     broom = scene.objects["broom"].position
@@ -299,7 +299,7 @@ def record_demo(task: TaskSpec, seed: int) -> Demonstration:
         for action in oracle_policy(instruction, scene, 0.0, seed):
             previous = np.array(scene.gripper_position)
             scene = step(scene, action)
-            displacement = float(np.linalg.norm(action.target.position - previous))
+            displacement = vector_norm(action.target.position - previous)
             speed = 0.0 if displacement < 1e-9 else SPEED_SCALE * displacement
             steps.append(TimeStep(t, action.target, scene.gripper_state, speed))
             t += 1

@@ -8,15 +8,16 @@ shut, which is exactly the failure mode poor transition planning produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from ..costmap import Bounds
+from ..costmap import Bounds, segment_fractions
 from ..errors import OutOfBounds
-from ..geometry import IDENTITY_QUAT, Pose
+from ..geometry import IDENTITY_QUAT, Pose, vector_norm
 from ..trajectory import GripperState
 
 # workspace (robot base frame, meters)
@@ -108,9 +109,12 @@ class Scene:
     drawer_slams: int = 0
 
     def copy(self) -> "Scene":
-        return replace(self,
-                       objects={k: v.copy() for k, v in self.objects.items()},
-                       gripper_position=np.array(self.gripper_position, dtype=float))
+        """Every field, with the objects and the gripper position copied."""
+        out = object.__new__(Scene)
+        out.__dict__.update(self.__dict__)
+        out.objects = {k: v.copy() for k, v in self.objects.items()}
+        out.gripper_position = np.array(self.gripper_position, dtype=float)
+        return out
 
     # --- derived geometry ---
 
@@ -164,18 +168,24 @@ class Scene:
         return inside / len(names)
 
 
+def _clip01(x: float) -> float:
+    """``np.clip(x, 0.0, 1.0)`` of a number that is not NaN, as a float: the
+    same comparisons, so -0.0 also comes out as 0.0."""
+    return min(1.0, max(0.0, float(x)))
+
+
 def _segment_samples(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    length = float(np.linalg.norm(b - a))
-    n = max(1, int(np.ceil(length / SEGMENT_SAMPLE_RES)))
-    ts = np.linspace(0.0, 1.0, n + 1)
-    return a[None, :] + ts[:, None] * (b - a)[None, :]
+    """Samples at most SEGMENT_SAMPLE_RES apart from a to b, both included."""
+    d = b - a
+    n = max(1, math.ceil(vector_norm(d) / SEGMENT_SAMPLE_RES))
+    return a + segment_fractions(n) * d
 
 
 def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     ab = b - a
-    denom = float(np.dot(ab, ab))
-    t = 0.0 if denom == 0 else float(np.clip(np.dot(p - a, ab) / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
+    denom = float(ab.dot(ab))
+    t = 0.0 if denom == 0 else _clip01((p - a).dot(ab) / denom)
+    return vector_norm(p - (a + t * ab))
 
 
 def _shift_drawer_contents(scene: Scene, old_fraction: float, new_fraction: float):
@@ -195,7 +205,8 @@ def step(scene: Scene, action: Action) -> Scene:
         raise OutOfBounds(f"action target {target} outside workspace")
 
     out = scene.copy()
-    start = np.array(out.gripper_position)
+    # the copy's own array: step replaces out.gripper_position, never writes it
+    start = out.gripper_position
     samples = _segment_samples(start, target)
     displacement = target - start
     holding_handle = out.held_object == HANDLE_NAME
@@ -203,15 +214,16 @@ def step(scene: Scene, action: Action) -> Scene:
     # collision bookkeeping + drawer slam; a tray pulled by its handle is not hit.
     # One broadcast tests every sample against every box, tray rows first
     tray = _NO_BOXES if holding_handle else out.drawer_rows()
-    boxes = np.concatenate((tray, _fixed_rows(out.drawer_present, out.cupboard_present,
-                                              out.dustpan_present)))
+    boxes = _fixed_rows(out.drawer_present, out.cupboard_present, out.dustpan_present)
+    if len(tray):
+        boxes = np.concatenate((tray, boxes))
     s3 = samples[:, None, :]
-    hit = ((s3 >= boxes[:, 0]) & (s3 <= boxes[:, 1])).all(axis=2).any(axis=0)
-    hit_drawer = bool(hit[:len(tray)].any())
-    if hit.any():
+    hit = ((s3 >= boxes[:, 0]) & (s3 <= boxes[:, 1])).all(axis=2).any(axis=0).tolist()
+    hit_drawer = any(hit[:len(tray)])
+    if any(hit):
         out.collision_count += 1
     if hit_drawer:
-        direction = displacement / max(float(np.linalg.norm(displacement)), 1e-12)
+        direction = displacement / max(vector_norm(displacement), 1e-12)
         if abs(direction[2]) < 0.9 and out.open_fraction > SLAM_FRACTION:
             _shift_drawer_contents(out, out.open_fraction, SLAM_FRACTION)
             out.drawer_slams += 1
@@ -219,8 +231,7 @@ def step(scene: Scene, action: Action) -> Scene:
     # move the gripper; handle and held objects track it
     out.gripper_position = target
     if holding_handle:
-        new_fraction = float(np.clip(
-            out.open_fraction - displacement[0] / DRAWER_TRAVEL, 0.0, 1.0))
+        new_fraction = _clip01(out.open_fraction - displacement[0] / DRAWER_TRAVEL)
         _shift_drawer_contents(out, out.open_fraction, new_fraction)
     elif out.held_object is not None:
         out.objects[out.held_object].position = np.array(target)
@@ -229,7 +240,7 @@ def step(scene: Scene, action: Action) -> Scene:
     if out.held_object is not None and out.objects.get(out.held_object) is not None \
             and out.objects[out.held_object].kind == "broom":
         horizontal = np.array([displacement[0], displacement[1], 0.0])
-        if float(np.linalg.norm(horizontal)) > 0.01:
+        if vector_norm(horizontal) > 0.01:
             for name in out.rubbish_names():
                 obj = out.objects[name]
                 if obj.held:
@@ -258,11 +269,11 @@ def _nearest_graspable(scene: Scene) -> str | None:
     for name, obj in sorted(scene.objects.items()):
         if obj.kind not in GRASPABLE_KINDS or obj.held:
             continue
-        dist = float(np.linalg.norm(obj.position - scene.gripper_position))
+        dist = vector_norm(obj.position - scene.gripper_position)
         if dist <= best_dist:
             best_name, best_dist = name, dist
     if scene.drawer_present:
-        dist = float(np.linalg.norm(scene.handle_position() - scene.gripper_position))
+        dist = vector_norm(scene.handle_position() - scene.gripper_position)
         if dist <= best_dist:
             best_name = HANDLE_NAME
     return best_name

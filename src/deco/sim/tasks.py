@@ -235,8 +235,10 @@ def success(task: TaskSpec, scene: Scene) -> bool:
         raise UnknownTask(f"task {task.id!r} has unknown predicate {task.predicate!r}")
     try:
         return bool(PREDICATES[task.predicate](scene))
-    except KeyError:
-        return False
+    except KeyError as exc:
+        # predicates read the scene only through scene.objects
+        raise UnknownTask(f"task {task.id!r} predicate {task.predicate!r} names object "
+                          f"{exc.args[0]!r}, which the scene lacks") from exc
 
 
 def drawer_front_obstacle_task() -> TaskSpec:

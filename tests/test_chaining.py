@@ -96,6 +96,23 @@ def test_rrt_rejects_occupied_endpoint():
         rrt_path([0.2, 0.1, 0.1], [0.35, 0.2, 0.2], cmap)
 
 
+class NoLookupMap(CostMap):
+    """A map whose every grid lookup fails the test."""
+
+    def _lookup(self, padded, points):
+        raise AssertionError(f"grid lookup of {points}")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("end", ["a", "b"])
+def test_rrt_rejects_a_non_finite_endpoint_before_any_lookup(bad, end):
+    cmap = NoLookupMap([0.0, 0.0, 0.0], 0.1, np.zeros((4, 4, 4)), 0.5, 0.05)
+    a, b = [0.05, 0.2, 0.2], [0.35, 0.2, 0.2]
+    (a if end == "a" else b)[1] = bad
+    with pytest.raises(PlanningFailure, match=f"endpoint {end}=.* is not finite"):
+        rrt_path(a, b, cmap)
+
+
 def test_rrt_routes_through_hole():
     cmap = wall_map()
     a, b = np.array([0.05, 0.2, 0.2]), np.array([0.35, 0.2, 0.2])

@@ -124,6 +124,19 @@ def test_bounds_reject_degenerate_box():
         Bounds((0, 0, 0), (0.1, 0.0, 0.1))
 
 
+@pytest.mark.parametrize("corners", [((np.nan, 0, 0), (1, 1, 1)), ((0, 0, 0), (1, np.nan, 1)),
+                                     ((0, 0, -np.inf), (1, 1, 1)), ((0, 0, 0), (np.inf, 1, 1))])
+def test_bounds_reject_a_non_finite_corner(corners):
+    with pytest.raises(DegenerateBounds, match=r"non-finite corner: \[.*\] \.\. \[.*\]") as info:
+        Bounds(*corners)
+    assert isinstance(info.value, ValueError)
+
+
+def test_bounds_reject_corners_that_are_not_3_vectors():
+    with pytest.raises(DegenerateBounds, match="3 components"):
+        Bounds((0, 0), (1, 1))
+
+
 def brute_force_distance(occ, voxel):
     dims = occ.shape
     occupied = np.argwhere(occ)

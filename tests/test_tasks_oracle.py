@@ -91,6 +91,20 @@ def test_predicates_false_on_initial_scene(registry):
         assert not success(task, reset(task, 0)), task.id
 
 
+def test_every_predicate_evaluates_on_its_initial_scenes(registry):
+    for task in list(registry) + [drawer_front_obstacle_task()]:
+        for seed in range(5):
+            assert success(task, reset(task, seed)) in (True, False), (task.id, seed)
+
+
+def test_success_names_an_object_the_scene_lacks(registry):
+    task = registry.get("exchange_boxes")
+    scene = reset(task, 0)
+    del scene.objects["box_a"]
+    with pytest.raises(UnknownTask, match="'exchange_boxes'.*'box_a'"):
+        success(task, scene)
+
+
 def test_open_drawer_precondition():
     scene = Scene(drawer_present=True, open_fraction=1.0)
     with pytest.raises(PreconditionUnmet):
