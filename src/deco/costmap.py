@@ -12,8 +12,16 @@ The planner mostly asks whether a voxel's cost is at or above the collision
 threshold.  That holds exactly when some occupied voxel lies at an offset whose
 table cost reaches the threshold: the nearest occupied voxel is at least as
 near, and cost does not rise as distance falls.  ``build_cost_map`` answers
-free/blocked by dilating the occupancy with that set of offsets, and computes
-the cost grid only when a cost value is first read.
+free/blocked by dilating the occupancy with that set of offsets.
+
+Cost values are read near obstacles, by the chaining-pose gradient.  Until the
+cost grid is built, ``cost_at`` answers a point from the 5x5x5 window of the
+occupancy around its voxel: every offset of squared voxel length n <= 8 lies in
+that window, so the nearest occupied voxel found there is the true nearest.
+Its table cost is scipy's bytes whenever all offsets of that n share one table
+cost, whichever of them the feature transform picks; the largest n up to
+which that holds is derived per map parameters.  Only a point with no such
+voxel makes the map compute its whole cost grid, as ``cost`` and ``export`` do.
 """
 
 from __future__ import annotations
@@ -81,10 +89,12 @@ class CostMap:
 
     A one-voxel border of cost 1.0, blocked, answers every point outside the
     map: lookups clip their index into it instead of masking.  A map built from
-    an explicit grid (``load``, tests) derives ``blocked`` from it; a map from
-    ``build_cost_map`` is given ``blocked`` and computes its cost grid from the
-    occupancy on the first read of ``cost``, ``cost_at`` or ``export``.  The
-    grids are read-only, so they cannot drift apart.
+    an explicit grid (``load``, tests) derives ``blocked`` from it.  A map from
+    ``build_cost_map`` is given ``blocked`` and keeps its occupancy: ``cost_at``
+    answers from the occupancy window around each point while it can, and the
+    first read that it cannot answer, or of ``cost`` or ``export``, computes the
+    cost grid from the occupancy.  The grids are read-only, so they cannot
+    drift apart.
     """
 
     def __init__(self, origin, voxel_size: float, cost, collision_threshold: float,
@@ -92,7 +102,7 @@ class CostMap:
         cost = np.asarray(cost, dtype=float)
         self._set_parameters(origin, voxel_size, cost.shape, collision_threshold,
                              inflation_radius)
-        self._occupancy = None
+        self._occupancy = self._window_occupancy = None
         self._set_cost(cost)
         self.blocked = ~(self._padded < self.collision_threshold)
         self.blocked.flags.writeable = False
@@ -101,12 +111,13 @@ class CostMap:
     def _from_occupancy(cls, origin, voxel_size: float, occupancy: np.ndarray,
                         blocked: np.ndarray, collision_threshold: float,
                         inflation_radius: float) -> "CostMap":
-        """A map that answers free/blocked from ``blocked`` (padded) and computes
-        its cost grid from ``occupancy`` when a cost value is first read."""
+        """A map that answers free/blocked from ``blocked`` (padded) and cost
+        values from ``occupancy``."""
         cmap = cls.__new__(cls)
         cmap._set_parameters(origin, voxel_size, occupancy.shape, collision_threshold,
                              inflation_radius)
         cmap._occupancy = occupancy
+        cmap._window_occupancy = None
         cmap._padded = None
         cmap.blocked = blocked
         return cmap
@@ -127,7 +138,7 @@ class CostMap:
         if self._padded is None:
             self._set_cost(_nearest_voxel_cost(self._occupancy, self.voxel_size,
                                                self.inflation_radius))
-            self._occupancy = None
+            self._occupancy = self._window_occupancy = None
         return self._padded
 
     @property
@@ -137,9 +148,6 @@ class CostMap:
     @property
     def upper(self) -> np.ndarray:
         return self.origin + np.asarray(self.dims) * self.voxel_size
-
-    def voxel_center(self, index) -> np.ndarray:
-        return self.origin + (np.asarray(index, dtype=float) + 0.5) * self.voxel_size
 
     def _lookup(self, padded: np.ndarray, points):
         """Entries of a padded grid at the voxels holding the points: one point
@@ -153,12 +161,38 @@ class CostMap:
             return padded[i, j, k]
         return padded[idx[:, 0], idx[:, 1], idx[:, 2]]
 
+    def _window_cost(self, points):
+        """Costs of the points from the occupancy window around each voxel, or
+        None when a point inside the map has no occupied voxel at an exact offset.
+
+        The window grid is the occupancy padded by two voxels, flattened, then
+        the run of occupied cells that a point outside the map reads.
+        """
+        shifts, costs, centres, tail = _exact_window(self.dims, self.voxel_size,
+                                                     self.inflation_radius)[1:]
+        if self._window_occupancy is None:
+            shape = [n + 4 for n in self.dims]
+            size = math.prod(shape)
+            grid = np.zeros(size + tail, dtype=bool)
+            grid[:size].reshape(shape)[2:-2, 2:-2, 2:-2] = self._occupancy
+            grid[size:] = True
+            self._window_occupancy = grid
+        block = self._window_occupancy[self._lookup(centres, points)[..., None] + shifts]
+        if not block.any(axis=-1).all():
+            return None
+        # shifts run nearest first, so the first hit is the nearest occupied voxel
+        return costs[block.argmax(axis=-1)]
+
     def cost_at(self, points):
         """Cost of the voxel containing each point; outside the map counts as occupied.
 
-        One point gives a float, an (N, 3) array gives N costs.
+        One point gives a float, an (N, 3) array gives N costs.  A map built
+        from occupancy answers from the window around each point until a point
+        needs the whole cost grid.
         """
-        cost = self._lookup(self._padded_cost(), points)
+        cost = None if self._padded is not None else self._window_cost(points)
+        if cost is None:
+            cost = self._lookup(self._padded_cost(), points)
         return float(cost) if cost.ndim == 0 else cost
 
     def is_free(self, point) -> bool:
@@ -280,6 +314,50 @@ def _blocking_runs(dims: tuple, voxel_size: float, inflation_radius: float,
     return tuple(zip(runs[iy, iz].tolist(), dy[iy].tolist(), dz[iz].tolist()))
 
 
+@lru_cache(maxsize=4)
+def _exact_window(dims: tuple, voxel_size: float, inflation_radius: float):
+    """The exact-window limit N*, and what ``CostMap.cost_at`` reads the
+    occupancy window with.
+
+    Every offset with squared voxel length n <= 8 has each component <= 2, so
+    it lies in the 5x5x5 window.  N* is the largest n <= 8 such that, for every
+    m <= n, all offsets of squared length m share one table cost, byte for
+    byte: the feature transform may pick any of them, and the cost is the same.
+    Offsets that cannot reach from one voxel of the map to another are left out.
+
+    Returns N*; the offsets of n <= N*, nearest first, as shifts of a flat
+    index into the occupancy padded by two voxels, and their table costs; the
+    one-voxel padded grid of each voxel's flat window centre; and the length of
+    the run of occupied cells stored after the padded occupancy.  The border's
+    centre lies in that run, so a point outside the map hits offset (0, 0, 0)
+    first, and its table cost is 1.0.  Keyed only by map parameters; the arrays
+    are read-only.
+    """
+    table = _offset_cost_table(dims, voxel_size, inflation_radius)[1].reshape(dims)
+    offsets = np.indices((5, 5, 5)).reshape(3, -1).T - 2
+    offsets = offsets[(np.abs(offsets) < np.asarray(dims)).all(axis=1)]
+    n = np.square(offsets).sum(axis=1)
+    order = np.argsort(n, kind="stable")
+    offsets, n = offsets[order], n[order]
+    costs = table[tuple(np.abs(offsets).T)]
+    limit = 8
+    for m in range(1, 9):
+        if np.unique(costs[n == m].view(np.uint64)).size > 1:
+            limit = m - 1
+            break
+    exact = n <= limit
+    padded = [d + 4 for d in dims]
+    strides = np.array([padded[1] * padded[2], padded[2], 1])
+    shifts = offsets[exact].dot(strides)
+    tail = int(shifts.max() - shifts.min()) + 1
+    centres = np.full([d + 2 for d in dims], math.prod(padded) - shifts.min())
+    centres[1:-1, 1:-1, 1:-1] = np.tensordot(strides, np.indices(dims) + 2, axes=1)
+    costs = costs[exact]
+    for array in (shifts, costs, centres):
+        array.flags.writeable = False
+    return limit, shifts, costs, centres, tail
+
+
 def _dilate(occupancy: np.ndarray, runs) -> np.ndarray:
     """``occupancy`` dilated by the offsets of ``runs``, with a one-voxel blocked border.
 
@@ -346,7 +424,8 @@ def build_cost_map(points, bounds: Bounds, voxel_size: float = 0.02,
                    collision_threshold: float = 0.5) -> CostMap:
     """Cost map of a point cloud: voxelise it and dilate the occupancy by the
     offsets whose table cost reaches ``collision_threshold`` into the map's
-    ``blocked`` grid.  The cost grid itself is computed on first read.
+    ``blocked`` grid.  Cost values come from the occupancy window near
+    obstacles; the cost grid itself is computed only when a read needs it.
     """
     if voxel_size <= 0:
         raise ValueError("voxel_size must be positive")

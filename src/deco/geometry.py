@@ -29,7 +29,8 @@ def vector_norm(v: np.ndarray) -> float:
 
 
 def _as_vec(values, n, name):
-    arr = np.asarray(values, dtype=float).reshape(-1)
+    """A float copy of ``values``, so a caller's later writes cannot reach it."""
+    arr = np.asarray(values, dtype=float).reshape(-1).copy()
     if arr.shape != (n,):
         raise ValueError(f"{name} must have {n} components, got shape {arr.shape}")
     if not all(map(math.isfinite, arr.tolist())):
@@ -46,7 +47,8 @@ class Pose:
 
     def __post_init__(self):
         pos = _as_vec(self.position, 3, "position")
-        pos.flags.writeable = False
+        # setflags is cheaper than assigning through the flags object
+        pos.setflags(write=False)
         object.__setattr__(self, "position", pos)
         if self.orientation is IDENTITY_QUAT:
             return
@@ -55,7 +57,7 @@ class Pose:
         if norm == 0.0:
             raise ValueError("orientation quaternion has zero norm")
         quat = quat / norm
-        quat.flags.writeable = False
+        quat.setflags(write=False)
         object.__setattr__(self, "orientation", quat)
 
     def to_dict(self) -> dict:

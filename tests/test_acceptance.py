@@ -269,6 +269,10 @@ def test_criterion_9_determinism(tmp_path, registry):
            "repeated eval runs produced byte-identical CSVs")
 
 
+def voxel_center(cmap, index) -> np.ndarray:
+    return cmap.origin + (np.asarray(index, dtype=float) + 0.5) * cmap.voxel_size
+
+
 def test_criterion_10_rrt_soundness():
     rng = np.random.default_rng(14)
     n_scenes, found, verified = 100, 0, 0
@@ -287,8 +291,8 @@ def test_criterion_10_rrt_soundness():
         cost[:, y0:y0 + 3, z0:z0 + 3] = 0.0
         cost[x1:x1 + 3, min(y0, y1):max(y0, y1) + 3, z0:z0 + 3] = 0.0
         cmap = CostMap([0.0, 0.0, 0.0], voxel, cost, 0.5, 0.05)
-        a = cmap.voxel_center((1, y0 + 1, z0 + 1))
-        b = cmap.voxel_center((x1 + 1, y1 + 1, z0 + 1))
+        a = voxel_center(cmap, (1, y0 + 1, z0 + 1))
+        b = voxel_center(cmap, (x1 + 1, y1 + 1, z0 + 1))
         try:
             path = rrt_path(a, b, cmap, trial)
         except PlanningFailure:

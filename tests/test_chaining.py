@@ -2,11 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+import deco.chaining
 from deco.chaining import RRT_MAX_ITERS, chain_skills, chaining_poses, rrt_path
 from deco.costmap import Bounds, CostMap, build_cost_map
 from deco.errors import NoFreeChain, PlanningFailure
+from deco.executor import ExecutorConfig, build_library, run_task_episode
 from deco.geometry import Pose
+from deco.registry import load_registry
 from deco.sim.oracle import OraclePolicy
 from deco.sim.scene import WORKSPACE, point_cloud, step
 from deco.sim.tasks import drawer_front_obstacle_task, reset
@@ -15,6 +19,9 @@ from deco.sim.tasks import drawer_front_obstacle_task, reset
 # change that moves any coordinate by one ulp changes them
 WALL_PATHS_DIGEST = "7f5ece2620202ff2"
 FIXTURE_CHAIN_DIGEST = "d70a259cdc138b6c"
+# sha256 prefix of the gradient-refined chaining-pose positions of the first
+# transition of every compositional task at seed 0, M=6
+FIRST_POSES_DIGEST = "277a0da18a4f5759"
 
 BOUNDS = Bounds((0.0, 0.0, 0.0), (0.4, 0.4, 0.4))
 
@@ -230,3 +237,47 @@ def test_rrt_gives_up_at_the_node_cap_after_long_blocked_connects():
     runs = "".join("1" if free else "0" for free in cmap.checks).split("0")
     assert max(len(run) for run in runs[:-1]) > 3000
     assert a_side_passes(cmap, 120.0) == RRT_MAX_ITERS + 1
+
+
+@pytest.fixture(scope="module")
+def compositional_run():
+    registry = load_registry()
+    return registry, build_library(registry)[2]
+
+
+def test_first_transition_chaining_poses_are_pinned_bit_for_bit(compositional_run, monkeypatch):
+    registry, library = compositional_run
+    calls = []
+    real = deco.chaining.chaining_poses
+
+    def recording(*args, **kwargs):
+        poses = real(*args, **kwargs)
+        calls.append([p.position for p in poses])
+        return poses
+
+    monkeypatch.setattr(deco.chaining, "chaining_poses", recording)
+    first = []
+    for task in registry.compositional_tasks():
+        calls.clear()
+        run_task_episode(task, 0, ExecutorConfig(chaining_m=6), library, registry)
+        assert calls and len(calls[0]) == 6
+        first.append(calls[0])
+    assert _path_digest(first) == FIRST_POSES_DIGEST
+
+
+def test_compositional_transitions_run_no_feature_transform(compositional_run, monkeypatch):
+    """Chaining-pose gradients near obstacles are answered from the occupancy
+    window, so no transition of the compositional suite needs the full-grid
+    transform."""
+    registry, library = compositional_run
+    calls = []
+    real = ndimage.distance_transform_edt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "distance_transform_edt", counting)
+    for task in registry.compositional_tasks():
+        run_task_episode(task, 0, ExecutorConfig(chaining_m=6), library, registry)
+    assert len(calls) == 0

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from deco.costmap import (Bounds, CostMap, build_cost_map, cost_from_distance,
-                          distance_grid, occupancy_from_points)
+from deco.costmap import (Bounds, CostMap, _exact_window, _offset_cost_table, build_cost_map,
+                          cost_from_distance, distance_grid, occupancy_from_points)
 from deco.errors import DecoError, DegenerateBounds
+from deco.sim.scene import WORKSPACE
 
 BOUNDS = Bounds((0.0, 0.0, 0.0), (0.2, 0.2, 0.2))
 
@@ -196,22 +197,66 @@ def feature_transforms(monkeypatch):
     return lambda: len(calls)
 
 
-@pytest.mark.parametrize("read", [lambda cmap, tmp: cmap.cost_at([0.05, 0.05, 0.05]),
-                                  lambda cmap, tmp: cmap.cost,
-                                  lambda cmap, tmp: cmap.export(tmp / "h.json", tmp / "g.f32")],
-                         ids=["cost_at", "cost", "export"])
-def test_feature_transform_runs_once_on_the_first_cost_read(feature_transforms, tmp_path, read):
+NEAR = np.array([[0.09, 0.1, 0.1], [0.12, 0.1, 0.1], [0.03, 0.13, 0.07], [-1.0, 0.1, 0.1]])
+FAR = np.array([[0.05, 0.05, 0.05], [0.19, 0.01, 0.19]])
+
+
+@pytest.mark.parametrize("read, transforms", [
+    (lambda cmap, tmp: cmap.cost_at([0.05, 0.05, 0.05]), 1),
+    (lambda cmap, tmp: cmap.cost_at(NEAR), 0),
+    (lambda cmap, tmp: cmap.cost, 1),
+    (lambda cmap, tmp: cmap.export(tmp / "h.json", tmp / "g.f32"), 1)],
+    ids=["cost_at", "cost_at_near_obstacles", "cost", "export"])
+def test_feature_transform_runs_once_on_the_first_cost_read(feature_transforms, tmp_path, read,
+                                                            transforms):
+    """``cost_at`` near an obstacle answers from the occupancy window without the
+    transform; a point with no occupied voxel within the exact offsets, ``cost``
+    and ``export`` run it once, and every later read reuses the grid."""
     cmap = build_cost_map([[0.1, 0.1, 0.1], [0.03, 0.15, 0.07]], BOUNDS, 0.02)
     assert cmap.is_free([0.01, 0.01, 0.01]) and not cmap.is_free([0.1, 0.1, 0.1])
     assert not cmap.segment_free([0.01, 0.1, 0.1], [0.19, 0.1, 0.1])
     assert cmap.segment_free([0.01, 0.01, 0.01], [0.19, 0.01, 0.01])
     assert feature_transforms() == 0
     read(cmap, tmp_path)
-    assert feature_transforms() == 1
-    cmap.cost_at(np.array([[0.05, 0.05, 0.05], [0.1, 0.1, 0.1]]))
+    assert feature_transforms() == transforms
+    near = cmap.cost_at(NEAR)
+    assert [cmap.cost_at(p) for p in NEAR] == near.tolist()
+    assert feature_transforms() == transforms
+    cmap.cost_at(FAR)
     cmap.export(tmp_path / "h2.json", tmp_path / "g2.f32")
     assert cmap.cost[5, 5, 5] == 1.0
     assert feature_transforms() == 1
+    assert cmap.cost_at(NEAR).tobytes() == near.tobytes()
+
+
+def test_exact_window_limit_at_the_executor_parameters():
+    """Equally near offsets share one table cost up to n = 8 at 0.02 m voxels
+    and 0.05 m inflation; (3, 0, 0) and (2, 2, 1), at n = 9, differ."""
+    dims = occupancy_from_points(np.zeros((0, 3)), WORKSPACE, 0.02)[2]
+    assert _exact_window(dims, 0.02, 0.05)[0] == 8
+    table = _offset_cost_table(dims, 0.02, 0.05)[1].reshape(dims)
+    assert table[3, 0, 0] != table[2, 2, 1]
+
+
+def test_window_defers_to_the_grid_where_equally_near_offsets_differ(feature_transforms):
+    """At 0.033 m voxels the offsets of squared length 6 differ in their last
+    bits, so the exact-window limit is 5: a point whose two nearest occupied
+    voxels are both at n = 6 is answered from the full grid, whichever of them
+    the feature transform picks."""
+    voxel, inflation = 0.033, 0.05
+    bounds = Bounds((0.0, 0.0, 0.0), (10 * voxel,) * 3)
+    assert _exact_window((10, 10, 10), voxel, inflation)[0] == 5
+    table = _offset_cost_table((10, 10, 10), voxel, inflation)[1].reshape(10, 10, 10)
+    assert table[1, 1, 2] != table[2, 1, 1]
+    centre = np.array([5.5, 5.5, 5.5]) * voxel
+    for near in ([1, 1, 2], [1, -1, -2], [-2, 1, 1]):
+        for other in ([2, 1, 1], [-1, 2, 1]):
+            points = centre + np.array([near, other]) * voxel
+            before = feature_transforms()
+            cost = build_cost_map(points, bounds, voxel, inflation).cost_at(centre)
+            assert feature_transforms() == before + 1
+            forced = build_cost_map(points, bounds, voxel, inflation)
+            assert cost.hex() == forced.cost[5, 5, 5].hex()
 
 
 @pytest.mark.parametrize("make", [

@@ -235,6 +235,8 @@ def test_geometry_caches_are_keyed_by_constants_not_episodes(library, registry, 
     """The fixed-geometry and cost-table caches see only geometry constants and
     map parameters, so repeated episodes cannot turn into cache hits."""
     cached = {"table": (deco.costmap, "_offset_cost_table"),
+              "runs": (deco.costmap, "_blocking_runs"),
+              "window": (deco.costmap, "_exact_window"),
               "rows": (deco.sim.scene, "_fixed_rows")}
     originals, keys = {}, {}
     for name, (module, attr) in cached.items():
@@ -251,7 +253,8 @@ def test_geometry_caches_are_keyed_by_constants_not_episodes(library, registry, 
         run_task_episode(task, 0, ExecutorConfig(chaining_m=6), library, registry)
 
     dims = tuple(int(np.ceil(e / 0.02)) for e in WORKSPACE.upper - WORKSPACE.lower)
-    assert keys["table"] == {(dims, 0.02, 0.05)}
+    assert keys["table"] == keys["window"] == {(dims, 0.02, 0.05)}
+    assert keys["runs"] == {(dims, 0.02, 0.05, 0.5)}
     assert 1 < len(keys["rows"]) <= 8
     assert all(type(flag) is bool for key in keys["rows"] for flag in key)
     for name, fn in originals.items():

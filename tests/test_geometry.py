@@ -19,6 +19,14 @@ def test_pose_arrays_read_only():
         p.orientation[0] = 9.0
 
 
+def test_pose_copies_the_callers_array():
+    a = np.array([0.3, 0, 0.3])
+    p = Pose(a)
+    a[0] = 0.5
+    assert p.position.tolist() == [0.3, 0.0, 0.3]
+    assert a.flags.writeable
+
+
 def test_pose_rejects_bad_shapes_and_nonfinite():
     with pytest.raises(ValueError):
         Pose([0.1, 0.2])

@@ -11,14 +11,16 @@ are derandomized, so every run checks the same cases.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from deco.chaining import rrt_path
-from deco.costmap import (Bounds, CostMap, build_cost_map, cost_from_distance, distance_grid,
-                          occupancy_from_points)
+from deco.costmap import (Bounds, CostMap, _exact_window, build_cost_map, cost_from_distance,
+                          distance_grid, occupancy_from_points)
 from deco.geometry import Pose
 from deco.sim.scene import (CABINET, CABINET_HI, CABINET_LO, CLOUD_DENSITY, CUPBOARD_WALLS,
                             DRAWER_TRAVEL, DRAWER_WALL, DRAWER_WALL_TOP, DUSTPAN_FLOOR, DUSTPAN_HI,
@@ -260,6 +262,55 @@ def test_blocked_grid_is_the_cost_grid_at_the_threshold(cloud, threshold):
     inner = np.zeros(blocked.shape, dtype=bool)
     inner[1:-1, 1:-1, 1:-1] = True
     assert blocked[~inner].all()
+
+
+@st.composite
+def window_probes(draw, cmap, occupied):
+    """``probe_points`` plus points up to three voxels from an occupied voxel:
+    inside the 5x5x5 window, just beyond it, and across the map's border."""
+    points = draw(probe_points(cmap)).tolist()
+    if len(occupied):
+        for _ in range(draw(st.integers(1, 12))):
+            voxel = occupied[draw(st.integers(0, len(occupied) - 1))]
+            point = []
+            for axis in range(3):
+                index = voxel[axis] + draw(st.integers(-3, 3))
+                frac = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True))
+                point.append(cmap.origin[axis] + (index + frac) * cmap.voxel_size)
+            points.append(point)
+    return np.array(points)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(clouds(), THRESHOLDS, st.data())
+def test_cost_at_before_the_cost_grid_is_built_gives_its_bytes(cloud, threshold, data):
+    """A built map answers ``cost_at`` from its occupancy window without the
+    feature transform exactly when the point is outside the map or its nearest
+    occupied voxel is at a squared voxel offset up to the exact-window limit;
+    either way the answer is the bytes of the forced cost grid."""
+    points, bounds, voxel, inflation = cloud
+
+    def build():
+        return build_cost_map(points, bounds, voxel, inflation, threshold)
+
+    forced = build()
+    forced.cost
+    occ = occupancy_from_points(points, bounds, voxel)[0]
+    probes = data.draw(window_probes(forced, np.argwhere(occ)))
+    expected = forced.cost_at(probes)
+    assert build().cost_at(probes).tobytes() == expected.tobytes()
+    limit = _exact_window(forced.dims, forced.voxel_size, forced.inflation_radius)[0]
+    # squared offset, in voxels, from each voxel to its nearest occupied voxel
+    nearest = np.rint(np.square(distance_grid(occ, 1.0)))
+    for point, cost in zip(probes, expected.tolist()):
+        idx = [math.floor((float(p) - float(o)) / voxel) for p, o in zip(point, forced.origin)]
+        inside = all(0 <= i < d for i, d in zip(idx, forced.dims))
+        window = not inside or nearest[tuple(idx)] <= limit
+        with mock.patch.object(ndimage, "distance_transform_edt",
+                               wraps=ndimage.distance_transform_edt) as transform:
+            got = build().cost_at(point)
+        assert type(got) is float and got.hex() == cost.hex()
+        assert transform.call_count == (0 if window or not occ.any() else 1)
 
 
 def reference_tray_boxes(scene) -> list[Bounds]:
