@@ -21,6 +21,10 @@ MAX_INTERPOLANT_DEVIATION = 0.15
 RRT_STEP = 0.03
 RRT_MAX_ITERS = 5000
 
+# the six central-difference probe directions: +x, +y, +z, then -x, -y, -z
+_PROBE_DIRECTIONS = np.vstack([np.eye(3), -np.eye(3)])
+_PROBE_DIRECTIONS.flags.writeable = False
+
 
 @dataclass
 class ChainingResult:
@@ -31,7 +35,7 @@ class ChainingResult:
 def _cost_gradient(cmap: CostMap, point: np.ndarray) -> np.ndarray:
     """Central differences along each axis, one voxel either side."""
     h = cmap.voxel_size
-    cost = cmap.cost_at(point + np.vstack([np.eye(3) * h, np.eye(3) * -h]))
+    cost = cmap.cost_at(point + _PROBE_DIRECTIONS * h)
     return (cost[:3] - cost[3:]) / (2 * h)
 
 

@@ -20,8 +20,8 @@ from .registry import load_registry
 from .sim.oracle import record_demo
 from .sim.scene import WORKSPACE, point_cloud
 from .sim.tasks import reset
-from .trajectory import (InstructionLibrary, load_demos, save_atomic_tasks,
-                         save_demos)
+from .trajectory import (InstructionLibrary, load_annotations, load_demos,
+                         save_atomic_tasks, save_demos)
 from .vlm import EndpointConfig, plan_vlm
 
 
@@ -64,15 +64,13 @@ def _out_dir(ctx) -> Path:
 @click.pass_context
 def decompose(ctx, demos_path, annotations_path, mode):
     """Segment demonstrations into atomic tasks and build the skill library."""
-    out = _out_dir(ctx)
-    demos = load_demos(demos_path)
-    with open(annotations_path) as fh:
-        annotations = json.load(fh)
-    cfg = DecompositionConfig(mode=mode, annotations=annotations)
     try:
+        demos = load_demos(demos_path)
+        cfg = DecompositionConfig(mode=mode, annotations=load_annotations(annotations_path))
         tasks, library = build_atomic_dataset(demos, cfg)
     except DecoError as exc:
         raise click.ClickException(str(exc))
+    out = _out_dir(ctx)
     save_atomic_tasks(tasks, out / "atomic_tasks.jsonl")
     library.save(out / "library.json")
     keyframes = sum(len(t.keyframes) for t in tasks)
@@ -250,6 +248,11 @@ def ablate(ctx, axis, values, config_path):
         casted = [caster(v) for v in parsed]
     except ValueError:
         raise click.ClickException(f"invalid value for axis {axis}: {values!r}")
+    # a repeated value would run its arm twice and overwrite its result CSV
+    repeated = sorted({v for v in casted if casted.count(v) > 1})
+    if repeated:
+        _config_errors([f"values must not repeat, got {axis} value {v} more than once"
+                        for v in repeated])
     comparison = []
     for value in casted:
         config = _load_config(ctx, config_path)

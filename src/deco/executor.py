@@ -24,7 +24,7 @@ from .errors import (DecoError, NoFreeChain, PlanningFailure, PreconditionUnmet,
 from .geometry import Pose, is_goal_reached
 from .planning import ItemLocation, Plan, SceneSummary, plan_mock
 from .registry import TaskRegistry, TaskSpec, load_registry
-from .sim.oracle import OraclePolicy, record_demo
+from .sim.oracle import noised_action, oracle_policy, record_demo
 from .sim.scene import (CUPBOARD_INTERIOR, DUSTPAN_VOLUME, WORKSPACE, Action,
                         GripperCommand, Scene, point_cloud, step)
 from .sim.tasks import reset, success
@@ -140,15 +140,20 @@ def _execute_transition(scene: Scene, start_pose: Pose, config: ExecutorConfig,
     return scene
 
 
-def run_episode(task: TaskSpec, scene: Scene, plan: Plan, policy, config: ExecutorConfig,
+def run_episode(task: TaskSpec, scene: Scene, plan: Plan, config: ExecutorConfig,
                 seed: int) -> EpisodeResult:
-    """Run the plan from ``scene``, the task's initial scene for ``seed``."""
+    """Run the plan from ``scene``, the task's initial scene for ``seed``.
+
+    Each skill is dry-run without noise to predict its goal and, before the
+    transition into it, its start pose; its actions are then drawn with
+    ``config.noise_sigma``.
+    """
     result = EpisodeResult(task_id=task.id, seed=seed, success=False)
     rng = np.random.default_rng([seed, zlib.crc32(task.id.encode())])
     completed_all = True
     for i, instruction in enumerate(plan.steps):
         try:
-            dry = policy.dry_run(instruction, scene)
+            dry = oracle_policy(instruction, scene)
         except (PreconditionUnmet, UnknownInstruction) as exc:
             result.skills.append(SkillOutcome(instruction, False, 0, str(exc)))
             completed_all = False
@@ -164,7 +169,7 @@ def run_episode(task: TaskSpec, scene: Scene, plan: Plan, policy, config: Execut
                 result.skills.append(SkillOutcome(instruction, False, 0, f"chaining: {exc}"))
                 completed_all = False
                 break
-        actions = policy(instruction, scene, seed * 101 + i)
+        actions = oracle_policy(instruction, scene, config.noise_sigma, seed * 101 + i)
         used = 0
         for action in actions:
             scene = step(scene, action)
@@ -172,11 +177,7 @@ def run_episode(task: TaskSpec, scene: Scene, plan: Plan, policy, config: Execut
         verdict = monitor(scene, goal, used)
         while verdict is MonitorVerdict.CONTINUE:
             offset = rng.normal(0.0, config.noise_sigma, 3) if config.noise_sigma > 0 else 0.0
-            position = np.clip(goal.position + offset,
-                               WORKSPACE.lower + 1e-6, WORKSPACE.upper - 1e-6)
-            retry = Action(Pose(position, goal.orientation),
-                           actions[-1].gripper_command)
-            scene = step(scene, retry)
+            scene = step(scene, noised_action(goal, actions[-1].gripper_command, offset))
             used += 1
             verdict = monitor(scene, goal, used)
         outcome = SkillOutcome(instruction, verdict is MonitorVerdict.COMPLETE,
@@ -198,14 +199,13 @@ def run_task_episode(task: TaskSpec, seed: int, config: ExecutorConfig,
     """Plan from the initial scene summary, then run one closed-loop episode."""
     registry = registry or load_registry()
     initial = reset(task, seed)
-    policy = OraclePolicy(noise_sigma=config.noise_sigma)
     try:
         plan = plan_mock(task.instruction, scene_summary(initial), library, registry)
     except DecoError as exc:
         result = EpisodeResult(task_id=task.id, seed=seed, success=False)
         result.skills.append(SkillOutcome("<planning>", False, 0, str(exc)))
         return result
-    return run_episode(task, initial, plan, policy, config, seed)
+    return run_episode(task, initial, plan, config, seed)
 
 
 @dataclass

@@ -256,6 +256,13 @@ _SKILLS = {
 ATOMIC_SKILLS = tuple(_SKILLS)
 
 
+def noised_action(target: Pose, command: GripperCommand, offset) -> Action:
+    """An action to ``target`` moved by ``offset``, clipped just inside the workspace."""
+    position = np.clip(target.position + offset,
+                       WORKSPACE.lower + 1e-6, WORKSPACE.upper - 1e-6)
+    return Action(Pose(position, target.orientation), command)
+
+
 def oracle_policy(instruction: str, scene: Scene, noise_sigma: float = 0.0,
                   seed: int = 0) -> list[Action]:
     """Keyframe action sequence for one skill, optionally position-noised."""
@@ -264,28 +271,10 @@ def oracle_policy(instruction: str, scene: Scene, noise_sigma: float = 0.0,
     actions = _SKILLS[instruction](scene)
     if noise_sigma > 0:
         rng = np.random.default_rng([seed, zlib.crc32(instruction.encode())])
-        noisy = []
-        for action in actions:
-            offset = rng.normal(0.0, noise_sigma, size=3)
-            position = np.clip(action.target.position + offset,
-                               WORKSPACE.lower + 1e-6, WORKSPACE.upper - 1e-6)
-            noisy.append(Action(Pose(position, action.target.orientation),
-                                action.gripper_command))
-        actions = noisy
+        actions = [noised_action(a.target, a.gripper_command,
+                                 rng.normal(0.0, noise_sigma, size=3))
+                   for a in actions]
     return actions
-
-
-class OraclePolicy:
-    """Callable policy facade: noisy action sequences plus noiseless dry runs."""
-
-    def __init__(self, noise_sigma: float = 0.0):
-        self.noise_sigma = noise_sigma
-
-    def __call__(self, instruction: str, scene: Scene, seed: int = 0) -> list[Action]:
-        return oracle_policy(instruction, scene, self.noise_sigma, seed)
-
-    def dry_run(self, instruction: str, scene: Scene) -> list[Action]:
-        return oracle_policy(instruction, scene, 0.0, 0)
 
 
 def record_demo(task: TaskSpec, seed: int) -> Demonstration:

@@ -1,4 +1,10 @@
-"""Benchmark scene initializers and success predicates.
+"""Benchmark scene layouts and success predicates.
+
+Every initial scene is one row of ``INITIALIZERS``, a ``Layout``: the drawer's
+open fraction (``None`` for no drawer), whether the cupboard and the dustpan
+are present, and the object placements.  ``reset`` builds the scene from the
+row, then jitters each placement's nominal position in x and y, in row order,
+by up to its half-width from a generator seeded by the task id and the seed.
 
 The drawer thresholds live in ``deco.registry``: the drawer counts as open at
 fraction >= 0.8 and closed below 0.2.  A sweep succeeds once at least 80% of
@@ -8,6 +14,7 @@ the rubbish sits in the dustpan (``RUBBISH_FRACTION_THRESHOLD``, fixed here).
 from __future__ import annotations
 
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +25,7 @@ from .scene import CUPBOARD_INTERIOR, Scene, SimObject
 
 RUBBISH_FRACTION_THRESHOLD = 0.8
 
-# nominal placements (meters); initializers jitter these per seed
+# nominal placements (meters); reset jitters these per seed
 ITEM_TABLE = np.array([0.42, 0.05, 0.02])
 ITEM2_TABLE = np.array([0.44, 0.09, 0.02])
 ITEM_IN_CLOSED_DRAWER = np.array([0.62, -0.28, 0.05])
@@ -38,148 +45,81 @@ _CLUSTER_OFFSETS = np.array([(0.012, 0.0, 0.0), (-0.012, 0.008, 0.0),
                              (0.0, -0.012, 0.0), (-0.006, -0.004, 0.0)])
 
 
+class Layout(NamedTuple):
+    drawer: float | None       # the drawer's open fraction; None: no drawer
+    cupboard: bool
+    dustpan: bool
+    placements: tuple          # (name, kind, nominal position, jitter half-width)
+
+
+_CLUSTER = tuple((f"rubbish_{i}", "rubbish", RUBBISH_CLUSTER + offset, 0.006)
+                 for i, offset in enumerate(_CLUSTER_OFFSETS))
+
+INITIALIZERS = {
+    "drawer_closed": Layout(0.0, False, False, ()),
+    "drawer_open": Layout(1.0, False, False, ()),
+    "item_on_table_drawer_open": Layout(1.0, False, False, (
+        ("item", "block", ITEM_TABLE, 0.01),)),
+    "item_on_table_drawer_closed": Layout(0.0, False, False, (
+        ("item", "block", ITEM_TABLE, 0.01),)),
+    "item_in_open_drawer": Layout(1.0, False, False, (
+        ("item", "block", ITEM_IN_OPEN_DRAWER, 0.008),)),
+    "item_in_closed_drawer": Layout(0.0, False, False, (
+        ("item", "block", ITEM_IN_CLOSED_DRAWER, 0.008),)),
+    "box_in_open_drawer": Layout(1.0, False, False, (
+        ("box", "box", BOX_IN_OPEN_DRAWER, 0.008),)),
+    "box_in_closed_drawer": Layout(0.0, True, False, (
+        ("box", "box", BOX_IN_CLOSED_DRAWER, 0.008),)),
+    "box_on_table": Layout(None, True, False, (
+        ("box", "box", BOX_TABLE, 0.01),)),
+    "box_in_cupboard": Layout(None, True, False, (
+        ("box", "box", BOX_IN_CUPBOARD, 0.008),)),
+    "broom_in_cupboard": Layout(None, True, False, (
+        ("broom", "broom", BROOM_IN_CUPBOARD, 0.008),)),
+    "cleanup_scene": Layout(None, False, True, (
+        ("broom", "broom", BROOM_TABLE, 0.008),
+        *_CLUSTER,
+        ("rubbish_4", "rubbish", RUBBISH_OUTLIER, 0.008))),
+    "single_rubbish": Layout(None, False, True, (
+        ("rubbish_0", "rubbish", SINGLE_RUBBISH, 0.008),)),
+    "exchange_boxes": Layout(None, True, False, (
+        ("box_a", "box", BOX_IN_CUPBOARD, 0.008),
+        ("box_b", "box", BOX_TABLE, 0.01))),
+    "retrieve_scene": Layout(None, True, True, (
+        ("broom", "broom", BROOM_IN_CUPBOARD, 0.008),
+        *_CLUSTER)),
+    "two_items_on_table_drawer_closed": Layout(0.0, False, False, (
+        ("item", "block", ITEM_TABLE, 0.008),
+        ("item2", "block", ITEM2_TABLE, 0.008))),
+    "two_items_in_closed_drawer": Layout(0.0, False, False, (
+        ("item", "block", ITEM_IN_CLOSED_DRAWER, 0.006),
+        ("item2", "block", ITEM2_IN_CLOSED_DRAWER, 0.006))),
+    # obstacle fixture: the item sits so the straight handle-to-item transition
+    # scrapes the open drawer's protruding front corner
+    "drawer_front_obstacle": Layout(0.0, False, False, (
+        ("item", "block", np.array([0.60, 0.10, 0.02]), 0.004),)),
+}
+
+
 def _rng(task_id: str, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(task_id.encode())])
 
 
-def _jitter(rng, base, scale=0.01):
+def _jitter(rng, base, scale):
     return np.asarray(base, dtype=float) + np.array(
         [rng.uniform(-scale, scale), rng.uniform(-scale, scale), 0.0])
-
-
-def _add_cluster(scene: Scene, rng):
-    for i, offset in enumerate(_CLUSTER_OFFSETS):
-        scene.objects[f"rubbish_{i}"] = SimObject(
-            "rubbish", _jitter(rng, RUBBISH_CLUSTER + offset, 0.006))
-
-
-def _init_drawer_closed(scene, rng):
-    scene.drawer_present = True
-    scene.open_fraction = 0.0
-
-
-def _init_drawer_open(scene, rng):
-    scene.drawer_present = True
-    scene.open_fraction = 1.0
-
-
-def _init_item_on_table_drawer_open(scene, rng):
-    _init_drawer_open(scene, rng)
-    scene.objects["item"] = SimObject("block", _jitter(rng, ITEM_TABLE))
-
-
-def _init_item_on_table_drawer_closed(scene, rng):
-    _init_drawer_closed(scene, rng)
-    scene.objects["item"] = SimObject("block", _jitter(rng, ITEM_TABLE))
-
-
-def _init_item_in_open_drawer(scene, rng):
-    _init_drawer_open(scene, rng)
-    scene.objects["item"] = SimObject("block", _jitter(rng, ITEM_IN_OPEN_DRAWER, 0.008))
-
-
-def _init_item_in_closed_drawer(scene, rng):
-    _init_drawer_closed(scene, rng)
-    scene.objects["item"] = SimObject("block", _jitter(rng, ITEM_IN_CLOSED_DRAWER, 0.008))
-
-
-def _init_box_in_open_drawer(scene, rng):
-    _init_drawer_open(scene, rng)
-    scene.objects["box"] = SimObject("box", _jitter(rng, BOX_IN_OPEN_DRAWER, 0.008))
-
-
-def _init_box_in_closed_drawer(scene, rng):
-    _init_drawer_closed(scene, rng)
-    scene.cupboard_present = True
-    scene.objects["box"] = SimObject("box", _jitter(rng, BOX_IN_CLOSED_DRAWER, 0.008))
-
-
-def _init_box_on_table(scene, rng):
-    scene.cupboard_present = True
-    scene.objects["box"] = SimObject("box", _jitter(rng, BOX_TABLE))
-
-
-def _init_box_in_cupboard(scene, rng):
-    scene.cupboard_present = True
-    scene.objects["box"] = SimObject("box", _jitter(rng, BOX_IN_CUPBOARD, 0.008))
-
-
-def _init_broom_in_cupboard(scene, rng):
-    scene.cupboard_present = True
-    scene.objects["broom"] = SimObject("broom", _jitter(rng, BROOM_IN_CUPBOARD, 0.008))
-
-
-def _init_cleanup_scene(scene, rng):
-    scene.dustpan_present = True
-    scene.objects["broom"] = SimObject("broom", _jitter(rng, BROOM_TABLE, 0.008))
-    _add_cluster(scene, rng)
-    scene.objects["rubbish_4"] = SimObject("rubbish", _jitter(rng, RUBBISH_OUTLIER, 0.008))
-
-
-def _init_single_rubbish(scene, rng):
-    scene.dustpan_present = True
-    scene.objects["rubbish_0"] = SimObject("rubbish", _jitter(rng, SINGLE_RUBBISH, 0.008))
-
-
-def _init_exchange_boxes(scene, rng):
-    scene.cupboard_present = True
-    scene.objects["box_a"] = SimObject("box", _jitter(rng, BOX_IN_CUPBOARD, 0.008))
-    scene.objects["box_b"] = SimObject("box", _jitter(rng, BOX_TABLE))
-
-
-def _init_retrieve_scene(scene, rng):
-    scene.cupboard_present = True
-    scene.dustpan_present = True
-    scene.objects["broom"] = SimObject("broom", _jitter(rng, BROOM_IN_CUPBOARD, 0.008))
-    _add_cluster(scene, rng)
-
-
-def _init_two_items_on_table_drawer_closed(scene, rng):
-    _init_drawer_closed(scene, rng)
-    scene.objects["item"] = SimObject("block", _jitter(rng, ITEM_TABLE, 0.008))
-    scene.objects["item2"] = SimObject("block", _jitter(rng, ITEM2_TABLE, 0.008))
-
-
-def _init_two_items_in_closed_drawer(scene, rng):
-    _init_drawer_closed(scene, rng)
-    scene.objects["item"] = SimObject("block", _jitter(rng, ITEM_IN_CLOSED_DRAWER, 0.006))
-    scene.objects["item2"] = SimObject("block", _jitter(rng, ITEM2_IN_CLOSED_DRAWER, 0.006))
-
-
-# obstacle fixture: the item sits so the straight handle-to-item transition
-# scrapes the open drawer's protruding front corner
-def _init_drawer_front_obstacle(scene, rng):
-    _init_drawer_closed(scene, rng)
-    scene.objects["item"] = SimObject("block", _jitter(rng, np.array([0.60, 0.10, 0.02]), 0.004))
-
-
-INITIALIZERS = {
-    "drawer_closed": _init_drawer_closed,
-    "drawer_open": _init_drawer_open,
-    "item_on_table_drawer_open": _init_item_on_table_drawer_open,
-    "item_on_table_drawer_closed": _init_item_on_table_drawer_closed,
-    "item_in_open_drawer": _init_item_in_open_drawer,
-    "item_in_closed_drawer": _init_item_in_closed_drawer,
-    "box_in_open_drawer": _init_box_in_open_drawer,
-    "box_in_closed_drawer": _init_box_in_closed_drawer,
-    "box_on_table": _init_box_on_table,
-    "box_in_cupboard": _init_box_in_cupboard,
-    "broom_in_cupboard": _init_broom_in_cupboard,
-    "cleanup_scene": _init_cleanup_scene,
-    "single_rubbish": _init_single_rubbish,
-    "exchange_boxes": _init_exchange_boxes,
-    "retrieve_scene": _init_retrieve_scene,
-    "two_items_on_table_drawer_closed": _init_two_items_on_table_drawer_closed,
-    "two_items_in_closed_drawer": _init_two_items_in_closed_drawer,
-    "drawer_front_obstacle": _init_drawer_front_obstacle,
-}
 
 
 def reset(task: TaskSpec, seed: int) -> Scene:
     if task.initializer not in INITIALIZERS:
         raise UnknownTask(f"task {task.id!r} has unknown initializer {task.initializer!r}")
-    scene = Scene()
-    INITIALIZERS[task.initializer](scene, _rng(task.id, seed))
+    layout = INITIALIZERS[task.initializer]
+    scene = Scene(drawer_present=layout.drawer is not None,
+                  open_fraction=0.0 if layout.drawer is None else layout.drawer,
+                  cupboard_present=layout.cupboard, dustpan_present=layout.dustpan)
+    rng = _rng(task.id, seed)
+    for name, kind, base, scale in layout.placements:
+        scene.objects[name] = SimObject(kind, _jitter(rng, base, scale))
     return scene
 
 

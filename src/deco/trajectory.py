@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyDemo, MalformedDemo
+from .errors import AnnotationMismatch, DecoError, EmptyDemo, MalformedDemo
 from .geometry import Pose
 
 
@@ -210,13 +210,33 @@ def save_demos(demos, path):
 
 
 def load_demos(path) -> list[Demonstration]:
+    """Demos of a JSONL file; raises MalformedDemo naming the line that fails."""
     demos = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 demos.append(Demonstration.from_dict(json.loads(line)))
+            except (DecoError, KeyError, TypeError, ValueError) as exc:
+                raise MalformedDemo(f"{path} line {number}: {type(exc).__name__}: {exc}") from exc
     return demos
+
+
+def load_annotations(path) -> dict[str, list[str]]:
+    """A JSON object mapping each demo id to its ordered instruction list."""
+    with open(path) as fh:
+        try:
+            annotations = json.load(fh)
+        except ValueError as exc:
+            raise AnnotationMismatch(f"{path}: {type(exc).__name__}: {exc}") from exc
+    if not (isinstance(annotations, dict) and all(
+            isinstance(labels, list) and all(isinstance(v, str) for v in labels)
+            for labels in annotations.values())):
+        raise AnnotationMismatch(f"{path}: annotations must be a JSON object mapping each "
+                                 "demo id to a list of instruction strings")
+    return annotations
 
 
 def save_atomic_tasks(tasks, path):

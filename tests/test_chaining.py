@@ -11,7 +11,7 @@ from deco.errors import NoFreeChain, PlanningFailure
 from deco.executor import ExecutorConfig, build_library, run_task_episode
 from deco.geometry import Pose
 from deco.registry import load_registry
-from deco.sim.oracle import OraclePolicy
+from deco.sim.oracle import oracle_policy
 from deco.sim.scene import WORKSPACE, point_cloud, step
 from deco.sim.tasks import drawer_front_obstacle_task, reset
 
@@ -177,10 +177,9 @@ def test_searched_rrt_paths_are_pinned_bit_for_bit():
 def test_fixture_chain_path_is_pinned_bit_for_bit():
     """The open-drawer to put-in-drawer transition of the obstacle fixture."""
     scene = reset(drawer_front_obstacle_task(), 0)
-    policy = OraclePolicy()
-    for action in policy("open drawer", scene, 0):
+    for action in oracle_policy("open drawer", scene):
         scene = step(scene, action)
-    start = policy.dry_run("put item in drawer", scene)[0].target
+    start = oracle_policy("put item in drawer", scene)[0].target
     cmap = build_cost_map(point_cloud(scene), WORKSPACE)
     chain = chain_skills(scene.gripper_pose(), start, cmap, 6, 0)
     # 8 anchors; more waypoints than that means at least one searched leg

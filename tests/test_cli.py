@@ -67,6 +67,47 @@ def test_decompose_malformed_demo_names_it(runner, tmp_path):
     assert "broken_demo" in result.output
 
 
+@pytest.fixture()
+def recorded(runner, tmp_path):
+    out = tmp_path / "demos"
+    invoke(runner, ["--out-dir", str(out), "--seed-list", "0", "record-demos",
+                    "--tasks", "put_in_wo_close"])
+    return out / "demos.jsonl", out / "annotations.json"
+
+
+def _decompose(tmp_path, demos, annotations):
+    return CliRunner().invoke(main, ["--out-dir", str(tmp_path / "ds"), "decompose",
+                                     str(demos), "--annotations", str(annotations)])
+
+
+@pytest.mark.parametrize("content", [[["open drawer"]], {"put_in_wo_close-s0": "open drawer"},
+                                     {"put_in_wo_close-s0": [1]}])
+def test_decompose_rejects_annotations_that_are_not_an_object(tmp_path, recorded, content):
+    demos, annotations = recorded
+    annotations.write_text(json.dumps(content))
+    result = _decompose(tmp_path, demos, annotations)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ")
+    assert str(annotations) in result.output and "JSON object" in result.output
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("line, cause", [
+    ('{"id": "d", "steps": []}', "KeyError: 'instruction'"),
+    ("not json", "JSONDecodeError"),
+])
+def test_decompose_names_the_demo_line_that_fails(tmp_path, recorded, line, cause):
+    demos, annotations = recorded
+    demos.write_text(demos.read_text() + line + "\n")
+    result = _decompose(tmp_path, demos, annotations)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ")
+    assert f"{demos} line 2: {cause}" in result.output
+    assert not (tmp_path / "ds").exists()
+
+
 def test_record_demos_unknown_task(runner, tmp_path):
     result = CliRunner().invoke(main, ["--out-dir", str(tmp_path),
                                        "record-demos", "--tasks", "nope"])
@@ -123,6 +164,16 @@ def test_ablate_empty_values(runner, tmp_path):
                                        "--axis", "chaining-m", "--values", ","])
     assert result.exit_code != 0
     assert "empty value list" in result.output
+
+
+@pytest.mark.parametrize("values, repeated", [("0,0", "0"), ("0,6,00", "0")])
+def test_ablate_repeated_values_exit_2_before_any_run(runner, tmp_path, values, repeated):
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path), "ablate",
+                                       "--axis", "chaining-m", "--values", values])
+    assert result.exit_code == 2
+    assert (f"config error: values must not repeat, got chaining-m value {repeated} "
+            "more than once") in result.output
+    assert not list(tmp_path.iterdir())
 
 
 def test_ablate_chaining_sweep(runner, tmp_path):

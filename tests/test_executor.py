@@ -14,7 +14,6 @@ from deco.errors import NoFreeChain
 from deco.geometry import Pose
 from deco.planning import ItemLocation, Plan, PlanSource
 from deco.registry import load_registry
-from deco.sim.oracle import OraclePolicy
 from deco.sim.scene import WORKSPACE
 from deco.sim.tasks import drawer_front_obstacle_task, reset
 
@@ -69,7 +68,7 @@ def test_half_mode_library_doubles_segments(registry):
 def test_run_episode_atomic_success(registry):
     task = registry.get("open_drawer")
     plan = Plan(steps=task.plan, source=PlanSource.MOCK)
-    result = run_episode(task, reset(task, 0), plan, OraclePolicy(), ExecutorConfig(), 0)
+    result = run_episode(task, reset(task, 0), plan, ExecutorConfig(), 0)
     assert result.success
     assert [s.completed for s in result.skills] == [True]
 
@@ -78,7 +77,7 @@ def test_run_episode_precondition_failure(registry):
     # drawer starts open: "open drawer" is refused and the episode fails
     task = registry.get("close_drawer")
     plan = Plan(steps=("open drawer",), source=PlanSource.MOCK)
-    result = run_episode(task, reset(task, 0), plan, OraclePolicy(), ExecutorConfig(), 0)
+    result = run_episode(task, reset(task, 0), plan, ExecutorConfig(), 0)
     assert not result.success
     assert not result.skills[0].completed
     assert "open" in result.skills[0].reason
@@ -87,7 +86,7 @@ def test_run_episode_precondition_failure(registry):
 def test_run_episode_skill_advance_soundness(registry):
     task = registry.get("put_in_and_close")
     plan = Plan(steps=task.plan, source=PlanSource.MOCK)
-    result = run_episode(task, reset(task, 0), plan, OraclePolicy(), ExecutorConfig(), 0)
+    result = run_episode(task, reset(task, 0), plan, ExecutorConfig(), 0)
     assert result.success
     assert all(s.completed for s in result.skills)
     assert len(result.skills) == len(plan.steps)
@@ -97,8 +96,7 @@ def test_run_episode_noise_can_time_out(registry):
     task = registry.get("open_drawer")
     plan = Plan(steps=task.plan, source=PlanSource.MOCK)
     cfg = ExecutorConfig(noise_sigma=0.05)
-    results = [run_episode(task, reset(task, s), plan, OraclePolicy(noise_sigma=0.05), cfg, s)
-               for s in range(8)]
+    results = [run_episode(task, reset(task, s), plan, cfg, s) for s in range(8)]
     assert any(not r.success for r in results)
     assert any(r.skills[0].reason == "timeout" for r in results)
 
@@ -107,7 +105,7 @@ def test_run_episode_small_noise_recovers(registry):
     task = registry.get("open_drawer")
     plan = Plan(steps=task.plan, source=PlanSource.MOCK)
     cfg = ExecutorConfig(noise_sigma=0.004)
-    result = run_episode(task, reset(task, 0), plan, OraclePolicy(noise_sigma=0.004), cfg, 0)
+    result = run_episode(task, reset(task, 0), plan, cfg, 0)
     assert result.skills[0].completed
 
 
