@@ -10,30 +10,33 @@ import click
 import numpy as np
 
 from .config import ExperimentConfig, print_defaults, repeated_seed_errors
-from .costmap import build_cost_map
 from .decompose import DecompositionConfig, build_atomic_dataset
 from .errors import ConfigError, DecoError
 from .executor import (ExecutorConfig, build_library, run_suite, scene_summary,
-                       write_suite_csv)
+                       transition_cost_map, write_suite_csv)
 from .planning import plan_mock
 from .registry import load_registry
 from .sim.oracle import record_demo
-from .sim.scene import WORKSPACE, point_cloud
 from .sim.tasks import reset
 from .trajectory import (InstructionLibrary, load_annotations, load_demos,
                          save_atomic_tasks, save_demos)
 from .vlm import EndpointConfig, plan_vlm
 
 
-def _parse_seed_list(text: str) -> list[int]:
+def _parse_seed_list(ctx, param, text: str | None) -> list[int] | None:
+    if text is None:
+        return None
     try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
+        seeds = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise click.BadParameter(f"seed list must be comma-separated integers: {text!r}")
+    if not seeds:
+        raise click.BadParameter(f"seed list must name at least one seed: {text!r}")
+    return seeds
 
 
 @click.group()
-@click.option("--seed-list", default=None,
+@click.option("--seed-list", default=None, callback=_parse_seed_list,
               help="Comma-separated random seeds.  [default: 0,1,2]")
 @click.option("--out-dir", default=".", show_default=True, type=click.Path(),
               help="Directory for output files.")
@@ -43,7 +46,7 @@ def _parse_seed_list(text: str) -> list[int]:
 def main(ctx, seed_list, out_dir, audit_log):
     """Demonstration decomposition, skill chaining and benchmark evaluation."""
     ctx.ensure_object(dict)
-    ctx.obj["seeds"] = _parse_seed_list(seed_list) if seed_list else [0, 1, 2]
+    ctx.obj["seeds"] = seed_list if seed_list is not None else [0, 1, 2]
     ctx.obj["seeds_given"] = seed_list is not None
     ctx.obj["out_dir"] = Path(out_dir)
     ctx.obj["audit_log"] = audit_log
@@ -279,12 +282,10 @@ def export_costmap(ctx, task_id):
         scene = reset(registry.get(task_id), ctx.obj["seeds"][0])
     except DecoError as exc:
         raise click.ClickException(str(exc))
-    cloud = point_cloud(scene)
-    cmap = build_cost_map(cloud, WORKSPACE)
+    cmap = transition_cost_map(scene)
     out = _out_dir(ctx)
     cmap.export(out / "costmap.json", out / "costmap.f32")
-    click.echo(f"exported {cmap.dims[0]}x{cmap.dims[1]}x{cmap.dims[2]} grid "
-               f"({len(cloud)} points)")
+    click.echo(f"exported {cmap.dims[0]}x{cmap.dims[1]}x{cmap.dims[2]} grid")
 
 
 if __name__ == "__main__":

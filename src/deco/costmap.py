@@ -14,6 +14,12 @@ table cost reaches the threshold: the nearest occupied voxel is at least as
 near, and cost does not rise as distance falls.  ``build_cost_map`` answers
 free/blocked by dilating the occupancy with that set of offsets.
 
+Most of a cloud never moves.  A ``FixedLayer`` holds that part of the cloud,
+its occupancy and its dilated ``blocked`` grid, built once; ``build_cost_map``
+voxelises and dilates only the points after it and ORs them into copies of
+its grids.  Dilation distributes over union, so the map is byte for byte the
+map of the whole cloud.
+
 Cost values are read near obstacles, by the chaining-pose gradient.  Until the
 cost grid is built, ``cost_at`` answers a point from the 5x5x5 window of the
 occupancy around its voxel: every offset of squared voxel length n <= 8 lies in
@@ -34,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import ndimage
 
-from .errors import DecoError, DegenerateBounds
+from .errors import DecoError, DegenerateBounds, InvalidMapParameter
 from .geometry import vector_norm
 
 
@@ -90,7 +96,8 @@ class CostMap:
     A one-voxel border of cost 1.0, blocked, answers every point outside the
     map: lookups clip their index into it instead of masking.  A map built from
     an explicit grid (``load``, tests) derives ``blocked`` from it.  A map from
-    ``build_cost_map`` is given ``blocked`` and keeps its occupancy: ``cost_at``
+    ``build_cost_map`` is given ``blocked`` and keeps its occupancy, each the
+    union of its fixed layer's grid and that of the moving points: ``cost_at``
     answers from the occupancy window around each point while it can, and the
     first read that it cannot answer, or of ``cost`` or ``export``, computes the
     cost grid from the occupancy.  The grids are read-only, so they cannot
@@ -238,17 +245,21 @@ class CostMap:
 
 
 def occupancy_from_points(points, bounds: Bounds, voxel_size: float) -> tuple[np.ndarray, np.ndarray, tuple]:
-    extent = bounds.upper - bounds.lower
-    if np.any(extent < voxel_size):
+    """Occupancy grid of the voxels of ``bounds`` that hold a point, its origin
+    and its dims; points outside the bounds, or not finite, are left out."""
+    x0, y0, z0, x1, y1, z1 = bounds._corners
+    extent = (x1 - x0, y1 - y0, z1 - z0)
+    if min(extent) < voxel_size:
         raise DegenerateBounds(f"bounds extent {extent} smaller than voxel size {voxel_size}")
-    dims = tuple(int(np.ceil(e / voxel_size)) for e in extent)
+    dims = tuple(math.ceil(e / voxel_size) for e in extent)
     occ = np.zeros(dims, dtype=bool)
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts):
-        idx = np.floor((pts - bounds.lower) / voxel_size).astype(int)
-        inside = np.all((idx >= 0) & (idx < np.asarray(dims)), axis=1)
-        idx = idx[inside]
-        occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+        # integral float indices: the comparisons also drop NaN and infinity
+        i, j, k = np.floor((pts - bounds.lower) / voxel_size).T
+        inside = (i >= 0) & (i < dims[0]) & (j >= 0) & (j < dims[1]) & (k >= 0) & (k < dims[2])
+        flat = (i * dims[1] + j) * dims[2] + k
+        occ.ravel()[flat[inside].astype(np.intp)] = True
     return occ, bounds.lower.copy(), dims
 
 
@@ -298,20 +309,29 @@ def _offset_cost_table(dims: tuple, voxel_size: float,
 
 
 @lru_cache(maxsize=4)
-def _blocking_runs(dims: tuple, voxel_size: float, inflation_radius: float,
-                   collision_threshold: float) -> tuple[tuple[int, int, int], ...]:
-    """The offsets at which an occupied voxel blocks a voxel, as x-runs.
+def _blocking_offsets(dims: tuple, voxel_size: float, inflation_radius: float,
+                      collision_threshold: float) -> tuple[tuple[int, int, int], np.ndarray]:
+    """The offsets at which an occupied voxel blocks a voxel, as flat shifts in
+    a grid padded by ``pad`` voxels on each side.
 
     An offset blocks when its table cost is at least the threshold.  Cost does
-    not rise with any ``|offset|``, so for each ``(dy, dz)`` the blocking offsets
-    are ``|dx| < run``; the result lists ``(run, dy, dz)`` for every signed
-    ``(dy, dz)`` with a run, in C order.
+    not rise with any ``|offset|``, so the largest blocking ``|offset|`` along
+    an axis lies on the axis itself; ``pad`` is that reach, and at least one
+    voxel for the map's border.  Keyed only by map parameters; the shifts are
+    read-only.
     """
     table = _offset_cost_table(dims, voxel_size, inflation_radius)[1].reshape(dims)
-    dy, dz = np.arange(1 - dims[1], dims[1]), np.arange(1 - dims[2], dims[2])
-    runs = (table >= collision_threshold).sum(axis=0)[np.abs(dy)[:, None], np.abs(dz)]
-    iy, iz = np.nonzero(runs)
-    return tuple(zip(runs[iy, iz].tolist(), dy[iy].tolist(), dz[iz].tolist()))
+    blocking = table >= collision_threshold
+    reach = [int(blocking[:, 0, 0].sum()) - 1, int(blocking[0, :, 0].sum()) - 1,
+             int(blocking[0, 0, :].sum()) - 1]
+    signed = [np.arange(-r, r + 1) for r in reach]
+    offsets = np.nonzero(blocking[np.ix_(*map(np.abs, signed))])
+    pad = tuple(max(r, 1) for r in reach)
+    shape = [n + 2 * p for n, p in zip(dims, pad)]
+    dx, dy, dz = (s[o] for s, o in zip(signed, offsets))
+    shifts = (dx * shape[1] + dy) * shape[2] + dz
+    shifts.flags.writeable = False
+    return pad, shifts
 
 
 @lru_cache(maxsize=4)
@@ -358,44 +378,36 @@ def _exact_window(dims: tuple, voxel_size: float, inflation_radius: float):
     return limit, shifts, costs, centres, tail
 
 
-def _dilate(occupancy: np.ndarray, runs) -> np.ndarray:
-    """``occupancy`` dilated by the offsets of ``runs``, with a one-voxel blocked border.
+# bound on the indices one scatter of ``_dilate`` sets
+_SCATTER_INDICES = 1 << 20
 
-    Shift-and-OR on the flattened copy of a zero-padded grid: a shift by
-    ``(dx, dy, dz)`` is one shift of the flat index, and the padding keeps the
-    shifts read for the map and its border inside their own rows, so every OR
-    runs over one contiguous slice.  The grid is grown along x first, once per
-    run length, then shifted by every ``(dy, dz)``.
+
+def _dilate(occupancy: np.ndarray, parameters: tuple, base: np.ndarray) -> np.ndarray:
+    """``base``, a grid padded by one voxel, OR ``occupancy`` dilated by the
+    offsets that block at the map ``parameters``.
+
+    Every occupied voxel plus every offset is set in one scatter into a grid
+    padded by the offsets' reach, so no shift wraps into a neighbouring row;
+    the result is that grid's window of one voxel around the map, read-only.
+    Voxels are scattered in chunks that bound the index array.
     """
     dims = occupancy.shape
-    # one voxel beyond the offsets' reach on each side holds the border
-    pad = (max(run for run, _, _ in runs), max(abs(dy) for _, dy, _ in runs) + 1,
-           max(abs(dz) for _, _, dz in runs) + 1)
+    pad, shifts = _blocking_offsets(dims, *parameters[1:])
     shape = tuple(n + 2 * p for n, p in zip(dims, pad))
     grid = np.zeros(shape, dtype=bool)
-    grid[pad[0]:pad[0] + dims[0], pad[1]:pad[1] + dims[1], pad[2]:pad[2] + dims[2]] = occupancy
+    window = grid[pad[0] - 1:pad[0] + dims[0] + 1,
+                  pad[1] - 1:pad[1] + dims[1] + 1,
+                  pad[2] - 1:pad[2] + dims[2] + 1]
+    window[...] = base
+    rest, k = np.divmod(np.flatnonzero(occupancy), dims[2])
+    i, j = np.divmod(rest, dims[1])
+    starts = ((i + pad[0]) * shape[1] + j + pad[1]) * shape[2] + k + pad[2]
     flat = grid.ravel()
-    size, sx, sy = flat.size, shape[1] * shape[2], shape[2]
-    xr = (pad[0] - 1) * sx
-    along_x = {1: flat[xr:size - xr]}
-    for run in range(2, pad[0] + 1):
-        shift = (run - 1) * sx
-        grown = along_x[run - 1] | flat[xr + shift:size - xr + shift]
-        along_x[run] = np.logical_or(grown, flat[xr - shift:size - xr - shift], out=grown)
-    yz = (pad[1] - 1) * sy + pad[2] - 1
-    out = np.zeros(size, dtype=bool)
-    target = out[xr + yz:size - xr - yz]
-    for run, dy, dz in runs:
-        start = yz + dy * sy + dz
-        np.logical_or(target, along_x[run][start:start + target.size], out=target)
-    blocked = out.reshape(shape)[pad[0] - 1:pad[0] + dims[0] + 1,
-                                 pad[1] - 1:pad[1] + dims[1] + 1,
-                                 pad[2] - 1:pad[2] + dims[2] + 1]
-    blocked[[0, -1]] = True
-    blocked[:, [0, -1]] = True
-    blocked[:, :, [0, -1]] = True
-    blocked.flags.writeable = False
-    return blocked
+    chunk = max(1, _SCATTER_INDICES // len(shifts))
+    for first in range(0, len(starts), chunk):
+        flat[starts[first:first + chunk, None] + shifts] = True
+    window.flags.writeable = False
+    return window
 
 
 def _nearest_voxel_cost(occupancy: np.ndarray, voxel_size: float,
@@ -419,22 +431,82 @@ def _nearest_voxel_cost(occupancy: np.ndarray, voxel_size: float,
     return table.take(flat)
 
 
+def _map_parameters(bounds: Bounds, voxel_size, inflation_radius,
+                    collision_threshold) -> tuple:
+    """The parameters a map is built with, checked, as one comparable tuple."""
+    if not (math.isfinite(voxel_size) and voxel_size > 0):
+        raise InvalidMapParameter(f"voxel_size must be positive and finite, got {voxel_size}")
+    if not (math.isfinite(inflation_radius) and inflation_radius >= 0):
+        raise InvalidMapParameter(
+            f"inflation_radius must be non-negative and finite, got {inflation_radius}")
+    if not 0 < collision_threshold <= 1:
+        raise InvalidMapParameter(
+            f"collision_threshold must be in (0, 1], got {collision_threshold}")
+    return (bounds._corners, float(voxel_size), float(inflation_radius),
+            float(collision_threshold))
+
+
+@dataclass(frozen=True, eq=False)
+class FixedLayer:
+    """The part of a cloud that never moves, voxelised and dilated once.
+
+    ``points`` is the read-only block every cloud it serves starts with;
+    ``occupancy`` and ``blocked`` (padded, border included) are its read-only
+    grids for the map parameters in ``parameters``.
+    """
+
+    points: np.ndarray
+    parameters: tuple
+    occupancy: np.ndarray
+    blocked: np.ndarray
+
+
+def fixed_layer(points, bounds: Bounds, voxel_size: float = 0.02,
+                inflation_radius: float = 0.05,
+                collision_threshold: float = 0.5) -> FixedLayer:
+    """The fixed part of the maps built with these parameters from clouds that
+    start with ``points``; ``build_cost_map`` adds the rest of each cloud."""
+    parameters = _map_parameters(bounds, voxel_size, inflation_radius, collision_threshold)
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    if points.flags.writeable:
+        points = points.copy()
+        points.flags.writeable = False
+    occ, _, dims = occupancy_from_points(points, bounds, voxel_size)
+    border = np.ones(tuple(n + 2 for n in dims), dtype=bool)
+    border[1:-1, 1:-1, 1:-1] = False
+    blocked = _dilate(occ, parameters, border)
+    occ.flags.writeable = False
+    return FixedLayer(points, parameters, occ, blocked)
+
+
 def build_cost_map(points, bounds: Bounds, voxel_size: float = 0.02,
-                   inflation_radius: float = 0.05,
-                   collision_threshold: float = 0.5) -> CostMap:
+                   inflation_radius: float = 0.05, collision_threshold: float = 0.5,
+                   fixed: FixedLayer | None = None) -> CostMap:
     """Cost map of a point cloud: voxelise it and dilate the occupancy by the
     offsets whose table cost reaches ``collision_threshold`` into the map's
     ``blocked`` grid.  Cost values come from the occupancy window near
     obstacles; the cost grid itself is computed only when a read needs it.
+
+    ``fixed`` is the part of the cloud that never moves, built by
+    ``fixed_layer`` with the same parameters; the cloud must start with its
+    points.  Only the points after them are voxelised and dilated, and ORed
+    into copies of its grids: dilation distributes over union, so the map is
+    the map of the whole cloud.  Without ``fixed`` the fixed part is empty.
     """
-    if voxel_size <= 0:
-        raise ValueError("voxel_size must be positive")
-    if inflation_radius < 0:
-        raise ValueError("inflation_radius must be non-negative")
-    if not 0 < collision_threshold <= 1:
-        raise ValueError(f"collision_threshold must be in (0, 1], got {collision_threshold}")
-    occ, origin, dims = occupancy_from_points(points, bounds, voxel_size)
-    runs = _blocking_runs(dims, float(voxel_size), float(inflation_radius),
-                          float(collision_threshold))
-    return CostMap._from_occupancy(origin, voxel_size, occ, _dilate(occ, runs),
+    parameters = _map_parameters(bounds, voxel_size, inflation_radius, collision_threshold)
+    if fixed is None:
+        fixed = fixed_layer(np.zeros((0, 3)), bounds, voxel_size, inflation_radius,
+                            collision_threshold)
+    elif fixed.parameters != parameters:
+        raise DecoError(f"fixed layer built with map parameters {fixed.parameters}, "
+                        f"not {parameters}")
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    count = len(fixed.points)
+    if not np.array_equal(pts[:count], fixed.points):
+        raise DecoError(f"point cloud does not start with the {count} points "
+                        "of its fixed layer")
+    occ, origin, _ = occupancy_from_points(pts[count:], bounds, voxel_size)
+    blocked = _dilate(occ, parameters, fixed.blocked)
+    np.logical_or(occ, fixed.occupancy, out=occ)
+    return CostMap._from_occupancy(origin, voxel_size, occ, blocked,
                                    collision_threshold, inflation_radius)

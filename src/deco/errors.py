@@ -57,6 +57,10 @@ class DegenerateBounds(DecoError, ValueError):
     pass
 
 
+class InvalidMapParameter(DecoError, ValueError):
+    """A cost-map parameter outside its range, or not finite."""
+
+
 class NoFreeChain(DecoError):
     pass
 

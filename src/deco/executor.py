@@ -13,11 +13,12 @@ import csv
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .chaining import chain_skills
-from .costmap import build_cost_map
+from .costmap import CostMap, FixedLayer, build_cost_map, fixed_layer
 from .decompose import DecompositionConfig, build_atomic_dataset
 from .errors import (DecoError, NoFreeChain, PlanningFailure, PreconditionUnmet,
                      UnknownInstruction)
@@ -26,7 +27,7 @@ from .planning import ItemLocation, Plan, SceneSummary, plan_mock
 from .registry import TaskRegistry, TaskSpec, load_registry
 from .sim.oracle import noised_action, oracle_policy, record_demo
 from .sim.scene import (CUPBOARD_INTERIOR, DUSTPAN_VOLUME, WORKSPACE, Action,
-                        GripperCommand, Scene, point_cloud, step)
+                        GripperCommand, Scene, fixed_samples, point_cloud, step)
 from .sim.tasks import reset, success
 from .trajectory import InstructionLibrary
 
@@ -129,10 +130,26 @@ def build_library(registry: TaskRegistry | None = None,
     return demos, tasks, library
 
 
+@lru_cache(maxsize=8)
+def _fixed_layer(drawer_present: bool, cupboard_present: bool,
+                 dustpan_present: bool) -> FixedLayer:
+    """The fixed boxes' part of every transition map of a scene layout."""
+    return fixed_layer(fixed_samples(drawer_present, cupboard_present, dustpan_present),
+                       WORKSPACE)
+
+
+def transition_cost_map(scene: Scene) -> CostMap:
+    """The cost map the executor plans a transition on: the scene's whole
+    point cloud over the workspace, with its fixed part voxelised and dilated
+    once per scene layout."""
+    fixed = _fixed_layer(scene.drawer_present, scene.cupboard_present, scene.dustpan_present)
+    return build_cost_map(point_cloud(scene), WORKSPACE, fixed=fixed)
+
+
 def _execute_transition(scene: Scene, start_pose: Pose, config: ExecutorConfig,
                         seed: int, result: EpisodeResult) -> Scene:
     """Drive the gripper to ``start_pose``; raises NoFreeChain or PlanningFailure."""
-    cmap = build_cost_map(point_cloud(scene), WORKSPACE)
+    cmap = transition_cost_map(scene)
     chain = chain_skills(scene.gripper_pose(), start_pose, cmap, config.chaining_m, seed)
     for waypoint in chain.path[1:]:
         scene = step(scene, Action(Pose(waypoint), GripperCommand.HOLD))

@@ -29,6 +29,7 @@ SWEEP_RADIUS = 0.05
 SEGMENT_SAMPLE_RES = 0.005
 SLAM_FRACTION = 0.15
 CLOUD_DENSITY = 10000.0     # point-cloud surface samples per square metre
+_CELLS_PER_METRE = math.sqrt(CLOUD_DENSITY)
 
 # drawer unit: cabinet fixed, tray slides out toward -x
 CABINET_LO = np.array([0.55, -0.35, 0.0])
@@ -291,26 +292,31 @@ def _fixed_rows(drawer_present: bool, cupboard_present: bool,
     return rows
 
 
+@lru_cache(maxsize=8)
+def fixed_samples(drawer_present: bool, cupboard_present: bool,
+                  dustpan_present: bool) -> np.ndarray:
+    """Read-only (N, 3) face samples of the fixed boxes of a scene with these
+    parts, in the order of ``_fixed_rows``: cabinet, cupboard walls, dustpan floor."""
+    rows = _fixed_rows(drawer_present, cupboard_present, dustpan_present)
+    samples = np.vstack([np.zeros((0, 3))] + [_sample_box_faces(lower, upper)
+                                              for lower, upper in rows])
+    samples.flags.writeable = False
+    return samples
+
+
 def point_cloud(scene: Scene) -> np.ndarray:
     """Stratified surface sampling of every geometry box, plus rubbish points.
 
-    Boxes come in a fixed order: cabinet, drawer tray, cupboard walls, dustpan
-    floor, objects by name.  The fixed boxes (cabinet, cupboard walls, dustpan
-    floor) are sampled once, at import; the tray and the objects are sampled
-    on every call.
+    The fixed boxes' samples come first, as the block ``fixed_samples`` keeps
+    for the scene's layout.  The parts that move follow, sampled on every
+    call: the drawer tray, the unheld objects by name, then one point per
+    rubbish item.
     """
-    points = []
-    if scene.drawer_present:
-        points.append(_CABINET_SAMPLES)
-        points += [_sample_box_faces(lower, upper) for lower, upper in scene.drawer_rows()]
-    if scene.cupboard_present:
-        points.append(_CUPBOARD_SAMPLES)
-    if scene.dustpan_present:
-        points.append(_DUSTPAN_SAMPLES)
-    points += [_sample_box_faces(lower, upper) for lower, upper in scene.object_rows()]
+    moving = np.concatenate((scene.drawer_rows(), scene.object_rows()))
+    points = [fixed_samples(scene.drawer_present, scene.cupboard_present,
+                            scene.dustpan_present)]
+    points += [_sample_box_faces(lower, upper) for lower, upper in moving]
     points += [scene.objects[name].position[None, :] for name in scene.rubbish_names()]
-    if not points:
-        return np.zeros((0, 3))
     return np.vstack(points)
 
 
@@ -319,30 +325,20 @@ def _sample_box_faces(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     ``upper``, CLOUD_DENSITY cells per square metre: the faces normal to x,
     then y, then z, lower face first, points in (u, v) row-major order."""
     size = upper - lower
-    counts = [max(1, int(round(s * np.sqrt(CLOUD_DENSITY)))) for s in size]
+    counts = [max(1, round(s * _CELLS_PER_METRE)) for s in size.tolist()]
+    # the cell midpoints along each axis, shared by the four faces parallel to it
+    half = np.arange(max(counts)) + 0.5
+    mids = [lower[axis] + half[:n] * size[axis] / n for axis, n in enumerate(counts)]
     pairs = [counts[(axis + 1) % 3] * counts[(axis + 2) % 3] for axis in range(3)]
     out = np.empty((2 * sum(pairs), 3))
     row = 0
     for axis in range(3):
         u, v = (axis + 1) % 3, (axis + 2) % 3
-        nu, nv = counts[u], counts[v]
         # both faces of the pair in one block, indexed [face, i, j, coordinate]
-        faces = out[row:row + 2 * pairs[axis]].reshape(2, nu, nv, 3)
+        faces = out[row:row + 2 * pairs[axis]].reshape(2, counts[u], counts[v], 3)
         faces[0, :, :, axis] = lower[axis]
         faces[1, :, :, axis] = upper[axis]
-        faces[:, :, :, u] = (lower[u] + (np.arange(nu) + 0.5) * size[u] / nu)[:, None]
-        faces[:, :, :, v] = lower[v] + (np.arange(nv) + 0.5) * size[v] / nv
+        faces[:, :, :, u] = mids[u][:, None]
+        faces[:, :, :, v] = mids[v]
         row += 2 * pairs[axis]
     return out
-
-
-def _read_only(samples: np.ndarray) -> np.ndarray:
-    samples.flags.writeable = False
-    return samples
-
-
-# face samples of the boxes that never move, shared by every cloud
-_CABINET_SAMPLES = _read_only(_sample_box_faces(CABINET.lower, CABINET.upper))
-_CUPBOARD_SAMPLES = _read_only(np.vstack([_sample_box_faces(b.lower, b.upper)
-                                          for b in CUPBOARD_WALLS]))
-_DUSTPAN_SAMPLES = _read_only(_sample_box_faces(DUSTPAN_FLOOR.lower, DUSTPAN_FLOOR.upper))

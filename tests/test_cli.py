@@ -4,6 +4,10 @@ import pytest
 from click.testing import CliRunner
 
 from deco.cli import main
+from deco.costmap import build_cost_map
+from deco.registry import load_registry
+from deco.sim.scene import WORKSPACE, point_cloud
+from deco.sim.tasks import reset
 from deco.trajectory import load_demos
 
 
@@ -218,6 +222,31 @@ def test_export_costmap(runner, tmp_path):
     assert header["voxel_size"] == 0.02
     assert header["inflation_radius"] == 0.05
     assert header["collision_threshold"] == 0.5
+
+
+def test_exported_grid_is_the_map_of_the_whole_cloud(runner, tmp_path):
+    # the executor's map has its fixed part cached; the export must not differ
+    invoke(runner, ["--out-dir", str(tmp_path), "--seed-list", "4", "export-costmap",
+                    "--task", "put_in_and_close"])
+    scene = reset(load_registry().get("put_in_and_close"), 4)
+    uncached = build_cost_map(point_cloud(scene), WORKSPACE)
+    uncached.export(tmp_path / "uncached.json", tmp_path / "uncached.f32")
+    for suffix in ("json", "f32"):
+        exported = (tmp_path / f"costmap.{suffix}").read_bytes()
+        assert exported == (tmp_path / f"uncached.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("seed_list", [",,", "", " , "])
+@pytest.mark.parametrize("command", [["export-costmap", "--task", "put_in_wo_close"],
+                                     ["plan", "put the item in the drawer"],
+                                     ["record-demos", "--tasks", "open_drawer"]])
+def test_an_empty_seed_list_is_a_usage_error(tmp_path, seed_list, command):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["--out-dir", str(out), "--seed-list", seed_list]
+                                + command)
+    assert result.exit_code == 2
+    assert "Invalid value for '--seed-list'" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, named", [

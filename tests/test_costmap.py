@@ -5,8 +5,8 @@ import pytest
 from scipy import ndimage
 
 from deco.costmap import (Bounds, CostMap, _exact_window, _offset_cost_table, build_cost_map,
-                          cost_from_distance, distance_grid, occupancy_from_points)
-from deco.errors import DecoError, DegenerateBounds
+                          cost_from_distance, distance_grid, fixed_layer, occupancy_from_points)
+from deco.errors import DecoError, DegenerateBounds, InvalidMapParameter
 from deco.sim.scene import WORKSPACE
 
 BOUNDS = Bounds((0.0, 0.0, 0.0), (0.2, 0.2, 0.2))
@@ -164,10 +164,18 @@ def test_distance_matches_brute_force_small_grids():
 
 
 def test_build_cost_map_validates_params():
-    with pytest.raises(ValueError):
-        build_cost_map([], BOUNDS, 0.0)
-    with pytest.raises(ValueError):
-        build_cost_map([], BOUNDS, 0.02, inflation_radius=-0.1)
+    # the same check guards the fixed layer a map is built on
+    bad = [("voxel_size", 0.0), ("voxel_size", -0.02), ("voxel_size", float("nan")),
+           ("voxel_size", float("inf")), ("inflation_radius", -0.1),
+           ("inflation_radius", float("nan")), ("inflation_radius", float("inf")),
+           ("collision_threshold", float("nan"))]
+    for build in (build_cost_map, fixed_layer):
+        for name, value in bad:
+            params = {"voxel_size": 0.02, "inflation_radius": 0.05,
+                      "collision_threshold": 0.5, name: value}
+            with pytest.raises(InvalidMapParameter, match=name) as raised:
+                build([[0.1, 0.1, 0.1]], BOUNDS, **params)
+            assert isinstance(raised.value, DecoError) and isinstance(raised.value, ValueError)
 
 
 @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
@@ -259,9 +267,52 @@ def test_window_defers_to_the_grid_where_equally_near_offsets_differ(feature_tra
             assert cost.hex() == forced.cost[5, 5, 5].hex()
 
 
+FIXED = np.array([[0.05, 0.05, 0.05], [0.05, 0.15, 0.05]])
+
+
+def test_fixed_layer_gives_the_map_of_the_whole_cloud():
+    cloud = np.vstack([FIXED, [[0.15, 0.1, 0.1], [0.15, 0.1, 0.1], [9.0, 0.1, 0.1]]])
+    cmap = build_cost_map(cloud, BOUNDS, 0.02, fixed=fixed_layer(FIXED, BOUNDS, 0.02))
+    whole = build_cost_map(cloud, BOUNDS, 0.02)
+    assert cmap.blocked.tobytes() == whole.blocked.tobytes()
+    assert cmap.cost.tobytes() == whole.cost.tobytes()
+
+
+@pytest.mark.parametrize("cloud", [FIXED[::-1], FIXED[:1], FIXED + 1e-9,
+                                   np.vstack([[[0.1, 0.1, 0.1]], FIXED])],
+                         ids=["reordered", "short", "moved", "after-a-point"])
+def test_cloud_must_start_with_the_fixed_points(cloud):
+    with pytest.raises(DecoError, match="does not start with the 2 points"):
+        build_cost_map(cloud, BOUNDS, 0.02, fixed=fixed_layer(FIXED, BOUNDS, 0.02))
+
+
+@pytest.mark.parametrize("other", [
+    {"bounds": Bounds((0.0, 0.0, 0.0), (0.2, 0.2, 0.22))}, {"voxel_size": 0.025},
+    {"inflation_radius": 0.04}, {"collision_threshold": 0.6}])
+def test_fixed_layer_must_have_the_map_parameters(other):
+    params = {"bounds": BOUNDS, "voxel_size": 0.02, "inflation_radius": 0.05,
+              "collision_threshold": 0.5}
+    fixed = fixed_layer(FIXED, **{**params, **other})
+    with pytest.raises(DecoError, match="fixed layer built with map parameters"):
+        build_cost_map(FIXED, fixed=fixed, **params)
+
+
+def test_fixed_layer_is_read_only_and_keeps_no_caller_array():
+    points = FIXED.copy()
+    fixed = fixed_layer(points, BOUNDS, 0.02)
+    points[0] = 0.1
+    assert fixed.points.tobytes() == FIXED.tobytes()
+    for grid in (fixed.points, fixed.occupancy, fixed.blocked):
+        with pytest.raises(ValueError):
+            grid[0] = 1
+
+
 @pytest.mark.parametrize("make", [
     lambda: build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02),
-    lambda: CostMap([0, 0, 0], 0.1, np.zeros((2, 2, 2)), 0.5, 0.05)], ids=["built", "grid"])
+    lambda: build_cost_map(np.vstack([FIXED, [[0.1, 0.1, 0.1]]]), BOUNDS, 0.02,
+                           fixed=fixed_layer(FIXED, BOUNDS, 0.02)),
+    lambda: CostMap([0, 0, 0], 0.1, np.zeros((2, 2, 2)), 0.5, 0.05)],
+    ids=["built", "built-on-a-fixed-layer", "grid"])
 def test_cost_and_blocked_grids_are_read_only(make):
     cmap = make()
     for grid in (cmap.blocked, cmap.cost):

@@ -233,9 +233,11 @@ def test_geometry_caches_are_keyed_by_constants_not_episodes(library, registry, 
     """The fixed-geometry and cost-table caches see only geometry constants and
     map parameters, so repeated episodes cannot turn into cache hits."""
     cached = {"table": (deco.costmap, "_offset_cost_table"),
-              "runs": (deco.costmap, "_blocking_runs"),
+              "offsets": (deco.costmap, "_blocking_offsets"),
               "window": (deco.costmap, "_exact_window"),
-              "rows": (deco.sim.scene, "_fixed_rows")}
+              "rows": (deco.sim.scene, "_fixed_rows"),
+              "samples": (deco.sim.scene, "fixed_samples"),
+              "layers": (deco.executor, "_fixed_layer")}
     originals, keys = {}, {}
     for name, (module, attr) in cached.items():
         originals[name] = fn = getattr(module, attr)
@@ -252,8 +254,12 @@ def test_geometry_caches_are_keyed_by_constants_not_episodes(library, registry, 
 
     dims = tuple(int(np.ceil(e / 0.02)) for e in WORKSPACE.upper - WORKSPACE.lower)
     assert keys["table"] == keys["window"] == {(dims, 0.02, 0.05)}
-    assert keys["runs"] == {(dims, 0.02, 0.05, 0.5)}
+    assert keys["offsets"] == {(dims, 0.02, 0.05, 0.5)}
     assert 1 < len(keys["rows"]) <= 8
-    assert all(type(flag) is bool for key in keys["rows"] for flag in key)
+    # every layout seen by a transition map is one of the simulator's layouts
+    assert keys["layers"] <= keys["samples"] <= keys["rows"]
+    for name in ("rows", "samples", "layers"):
+        assert all(len(key) == 3 and all(type(flag) is bool for flag in key)
+                   for key in keys[name])
     for name, fn in originals.items():
         assert fn.cache_info().currsize == len(keys[name])

@@ -4,9 +4,10 @@ planner, the point cloud and the simulator's box test.
 Each property is checked against a reference written here with plain Python
 arithmetic on the cost grid, not against other ``CostMap`` methods; the
 planner's determinism is checked by comparing two calls byte for byte.  The
-cost-map table, the shared fixed-box samples and the one broadcast box test
-per step are gated byte for byte against references that recompute every
-distance, sample every box and test one ``Bounds`` at a time.  The examples
+cost-map table, the shared fixed-box samples, the maps built on a cached fixed
+layer and the one broadcast box test per step are gated byte for byte against
+references that recompute every distance, sample every box and test one
+``Bounds`` at a time.  The examples
 are derandomized, so every run checks the same cases.
 """
 
@@ -21,6 +22,7 @@ from scipy import ndimage
 from deco.chaining import rrt_path
 from deco.costmap import (Bounds, CostMap, _exact_window, build_cost_map, cost_from_distance,
                           distance_grid, occupancy_from_points)
+from deco.executor import transition_cost_map
 from deco.geometry import Pose
 from deco.sim.scene import (CABINET, CABINET_HI, CABINET_LO, CLOUD_DENSITY, CUPBOARD_WALLS,
                             DRAWER_TRAVEL, DRAWER_WALL, DRAWER_WALL_TOP, DUSTPAN_FLOOR, DUSTPAN_HI,
@@ -355,11 +357,10 @@ def reference_box_faces(box: Bounds) -> np.ndarray:
 
 
 def reference_point_cloud(scene) -> np.ndarray:
-    """Every box sampled on every call: cabinet, tray, cupboard walls, dustpan
-    floor, unheld objects by name, then one point per rubbish item."""
-    fixed = reference_fixed_boxes(scene)
-    # the tray is empty without a drawer, so it only ever follows the cabinet
-    boxes = fixed[:1] + reference_tray_boxes(scene) + fixed[1:]
+    """Every box sampled on every call: the fixed boxes (cabinet, cupboard
+    walls, dustpan floor), the tray, unheld objects by name, then one point
+    per rubbish item."""
+    boxes = reference_fixed_boxes(scene) + reference_tray_boxes(scene)
     for _name, obj in sorted(scene.objects.items()):
         half = OBJECT_HALF[obj.kind]
         if not obj.held and half > 0:
@@ -402,6 +403,24 @@ def test_point_cloud_is_byte_identical_to_per_box_sampling(scene):
     assert point_cloud(scene).tobytes() == expected.tobytes()
     # the shared fixed samples are not changed by a call
     assert point_cloud(scene).tobytes() == expected.tobytes()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(scenes(), st.booleans(), st.data())
+def test_transition_map_is_the_map_of_the_whole_cloud(scene, cached, data):
+    """The map the executor plans on, with the fixed part cached per scene
+    layout, or with an empty fixed part, answers as the map of the whole cloud
+    built from scratch: its ``blocked`` grid, ``cost_at`` from the occupancy
+    window, then the cost grid."""
+    occ = occupancy_from_points(reference_point_cloud(scene), WORKSPACE, 0.02)[0]
+    cost = cost_from_distance(distance_grid(occ, 0.02), 0.05)
+    cmap = (transition_cost_map(scene) if cached
+            else build_cost_map(point_cloud(scene), WORKSPACE))
+    assert cmap.blocked.tobytes() == (np.pad(cost, 1, constant_values=1.0) >= 0.5).tobytes()
+    probes = data.draw(window_probes(cmap, np.argwhere(occ)))
+    expected = [reference_cost(cost, cmap.origin, cmap.voxel_size, p) for p in probes]
+    assert cmap.cost_at(probes).tobytes() == np.array(expected).tobytes()
+    assert cmap.cost.tobytes() == cost.tobytes()
 
 
 def reference_box_hit(samples: np.ndarray, box: Bounds) -> bool:
