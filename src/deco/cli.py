@@ -130,10 +130,6 @@ def record_demos(ctx, task_ids):
 def plan(ctx, instruction, planner, library_path, task_id):
     """Plan a skill sequence for an instruction."""
     registry = load_registry()
-    if library_path:
-        library = InstructionLibrary.load(library_path)
-    else:
-        _, _, library = build_library(registry)
     if task_id is None:
         spec = registry.find_by_instruction(instruction)
         if spec is None:
@@ -141,6 +137,8 @@ def plan(ctx, instruction, planner, library_path, task_id):
                                        "pass --task to supply a scene")
         task_id = spec.id
     try:
+        library = (InstructionLibrary.load(library_path) if library_path
+                   else build_library(registry)[2])
         scene = reset(registry.get(task_id), ctx.obj["seeds"][0])
         summary = scene_summary(scene)
         if planner == "mock":
@@ -175,11 +173,16 @@ def _load_config(ctx, config_path, chaining_m=None, noise_sigma=None, episodes=N
     return config
 
 
+def _validate(configs: list[ExperimentConfig]):
+    """Exit 2 with every problem of every config before anything runs."""
+    registry = load_registry()
+    errors = [err for config in configs for err in config.validate(registry)]
+    if errors:
+        _config_errors(list(dict.fromkeys(errors)))
+
+
 def _run_eval(ctx, config: ExperimentConfig, csv_name: str) -> tuple[list, float]:
     registry = load_registry()
-    errors = config.validate(registry)
-    if errors:
-        _config_errors(errors)
     tasks = config.resolve_tasks(registry)
     _, _, library = build_library(registry, mode=config.mode)
     exec_config = ExecutorConfig(chaining_m=config.chaining_m,
@@ -221,6 +224,7 @@ def cmd_eval(ctx, config_path, **overrides):
         click.echo(print_defaults(), nl=False)
         return
     config = _load_config(ctx, config_path, **overrides)
+    _validate([config])
     rows, mean_rate = _run_eval(ctx, config, "results.csv")
     lines = _summary_lines(config, rows, mean_rate)
     out = _out_dir(ctx)
@@ -256,10 +260,13 @@ def ablate(ctx, axis, values, config_path):
     if repeated:
         _config_errors([f"values must not repeat, got {axis} value {v} more than once"
                         for v in repeated])
-    comparison = []
+    configs = []
     for value in casted:
-        config = _load_config(ctx, config_path)
-        setattr(config, field_name, value)
+        configs.append(_load_config(ctx, config_path))
+        setattr(configs[-1], field_name, value)
+    _validate(configs)
+    comparison = []
+    for value, config in zip(casted, configs):
         rows, mean_rate = _run_eval(ctx, config, f"results_{axis}_{value}.csv")
         comparison.append((value, mean_rate, sum(r.collisions for r in rows)))
     out = _out_dir(ctx)

@@ -7,6 +7,7 @@ broken config fails with the full list, not the first hit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -31,8 +32,8 @@ _RULES = {
               "a non-empty list of task ids and selectors"),
     "mode": (lambda v: v in ("full", "half"), "'full' or 'half'"),
     "chaining_m": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    "noise_sigma": (lambda v: (_is_int(v) or isinstance(v, float)) and v >= 0,
-                    "a non-negative number"),
+    "noise_sigma": (lambda v: (_is_int(v) or isinstance(v, float) and math.isfinite(v))
+                    and v >= 0, "a finite non-negative number"),
     "episodes": (lambda v: _is_int(v) and v >= 1, "an integer of at least 1"),
     "seeds": (lambda v: _is_list_of(v, _is_int), "a non-empty list of integers"),
 }

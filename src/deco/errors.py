@@ -15,7 +15,11 @@ class EmptyDemo(DecoError):
     pass
 
 
-class MalformedDemo(DecoError):
+class MalformedData(DecoError):
+    """A data file (demos, atomic tasks, a skill library) that does not parse."""
+
+
+class MalformedDemo(MalformedData):
     pass
 
 

@@ -1,9 +1,11 @@
 """Instruction planning: canonical task templates plus precondition repair.
 
 The mock planner resolves an instruction against the benchmark hierarchy and
-emits an ordered list of library skills.  Repair is deliberately small: it
-only tracks the symbolic drawer state, inserting "open drawer" where a skill
-needs the drawer open and dropping template opens that are already satisfied.
+emits an ordered list of library skills.  Each step's scene parts and objects
+are checked against ``deco.registry.SKILL_NEEDS``, the table the scripted
+oracle checks too.  Repair is deliberately small: it only tracks the symbolic
+drawer state, inserting "open drawer" where the table says a skill needs the
+drawer open and dropping template opens that are already satisfied.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import UnknownTask, UnsatisfiablePlan
-from .registry import (DRAWER_OPEN_THRESHOLD, OPEN_DRAWER_REQUIRED,
-                       TaskRegistry, load_registry)
+from .registry import SKILL_NEEDS, DrawerNeed, TaskRegistry, load_registry
 from .trajectory import InstructionLibrary
 
 
@@ -60,9 +61,12 @@ class SceneSummary:
                 raise ValueError(f"location given for unknown object {name!r}")
         self.locations = {k: ItemLocation(v) for k, v in self.locations.items()}
 
+    @property
+    def drawer_present(self) -> bool:
+        return self.drawer_open_fraction is not None
+
     def drawer_open(self) -> bool:
-        return (self.drawer_open_fraction is not None
-                and self.drawer_open_fraction >= DRAWER_OPEN_THRESHOLD)
+        return self.drawer_present and DrawerNeed.OPEN.holds(self.drawer_open_fraction)
 
     def to_dict(self) -> dict:
         return {"inventory": list(self.inventory),
@@ -72,34 +76,11 @@ class SceneSummary:
                 "locations": {k: v.value for k, v in self.locations.items()}}
 
 
-# object-name prefixes each skill needs to see in the inventory
-_SKILL_REQUIREMENTS = {
-    "open drawer": ("drawer",),
-    "close drawer": ("drawer",),
-    "put item in drawer": ("drawer", "item"),
-    "take item out of drawer": ("drawer", "item"),
-    "take box out of drawer": ("drawer", "box"),
-    "put box in cupboard": ("cupboard", "box"),
-    "take box out of cupboard": ("cupboard", "box"),
-    "take broom out of cupboard": ("cupboard", "broom"),
-    "sweep rubbish to dustpan": ("broom", "dustpan", "rubbish"),
-    "put rubbish in dustpan": ("dustpan", "rubbish"),
-}
-
-
 def _check_requirements(step: str, scene: SceneSummary):
-    for prefix in _SKILL_REQUIREMENTS.get(step, ()):
-        if prefix == "drawer":
-            if scene.drawer_open_fraction is None:
-                raise UnsatisfiablePlan(f"step {step!r} needs a drawer, none present")
-        elif prefix == "cupboard":
-            if not scene.cupboard_present:
-                raise UnsatisfiablePlan(f"step {step!r} needs a cupboard, none present")
-        elif prefix == "dustpan":
-            if not scene.dustpan_present:
-                raise UnsatisfiablePlan(f"step {step!r} needs a dustpan, none present")
-        elif not any(name.startswith(prefix) for name in scene.inventory):
-            raise UnsatisfiablePlan(f"step {step!r} needs a {prefix!r}, none in inventory")
+    needs = SKILL_NEEDS.get(step)
+    lacking = needs and needs.lacking(scene, scene.inventory)
+    if lacking:
+        raise UnsatisfiablePlan(f"step {step!r} needs a {lacking!r}, none in the scene")
 
 
 def repair_preconditions(template, scene: SceneSummary) -> list[str]:
@@ -107,19 +88,15 @@ def repair_preconditions(template, scene: SceneSummary) -> list[str]:
     drawer_open = scene.drawer_open()
     steps = []
     for step in template:
-        if step == "open drawer":
-            if drawer_open:
-                continue
-            steps.append(step)
+        if step == "open drawer" and drawer_open:
+            continue
+        needs = SKILL_NEEDS.get(step)
+        if needs and needs.drawer is DrawerNeed.OPEN and not drawer_open:
+            steps.append("open drawer")
             drawer_open = True
-        elif step == "close drawer":
-            steps.append(step)
-            drawer_open = False
-        else:
-            if step in OPEN_DRAWER_REQUIRED and not drawer_open:
-                steps.append("open drawer")
-                drawer_open = True
-            steps.append(step)
+        steps.append(step)
+        if step in ("open drawer", "close drawer"):
+            drawer_open = step == "open drawer"
     return steps
 
 

@@ -1,24 +1,70 @@
-"""Versioned benchmark task registry loaded from the packaged JSON asset."""
+"""Versioned benchmark task registry loaded from the packaged JSON asset, and
+``SKILL_NEEDS``, what each atomic skill needs of the scene: both the planner
+and the scripted oracle check it (planning must not import the simulator).
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from enum import Enum
 from functools import cache
 from importlib import resources
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import UnknownTask
 
-# atomic skills that only make sense with the drawer pulled open
-OPEN_DRAWER_REQUIRED = {
-    "put item in drawer",
-    "take item out of drawer",
-    "take box out of drawer",
-}
-
 DRAWER_OPEN_THRESHOLD = 0.8
 DRAWER_CLOSED_THRESHOLD = 0.2
+
+
+class DrawerNeed(str, Enum):
+    """The drawer state a skill needs before it starts."""
+
+    OPEN = "open"               # open fraction >= DRAWER_OPEN_THRESHOLD
+    NOT_OPEN = "not open"       # open fraction < DRAWER_OPEN_THRESHOLD
+    NOT_CLOSED = "not closed"   # open fraction > DRAWER_CLOSED_THRESHOLD
+
+    def holds(self, fraction: float) -> bool:
+        if self is DrawerNeed.NOT_CLOSED:
+            return fraction > DRAWER_CLOSED_THRESHOLD
+        return (fraction >= DRAWER_OPEN_THRESHOLD) == (self is DrawerNeed.OPEN)
+
+
+class SkillNeeds(NamedTuple):
+    parts: tuple[str, ...]          # scene parts: "drawer", "cupboard", "dustpan"
+    objects: tuple[str, ...] = ()   # object-name prefixes
+    drawer: DrawerNeed | None = None
+
+    def lacking(self, scene, names) -> str | None:
+        """The first needed part (read as ``scene.<part>_present``) or object
+        prefix (matched against ``names``) that the scene lacks, or None."""
+        for part in self.parts:
+            if not getattr(scene, part + "_present"):
+                return part
+        for prefix in self.objects:
+            # a plain loop: oracle_policy runs this check before every script
+            for name in names:
+                if name.startswith(prefix):
+                    break
+            else:
+                return prefix
+        return None
+
+
+SKILL_NEEDS = MappingProxyType({
+    "open drawer": SkillNeeds(("drawer",), drawer=DrawerNeed.NOT_OPEN),
+    "close drawer": SkillNeeds(("drawer",), drawer=DrawerNeed.NOT_CLOSED),
+    "put item in drawer": SkillNeeds(("drawer",), ("item",), DrawerNeed.OPEN),
+    "take item out of drawer": SkillNeeds(("drawer",), ("item",), DrawerNeed.OPEN),
+    "take box out of drawer": SkillNeeds(("drawer",), ("box",), DrawerNeed.OPEN),
+    "put box in cupboard": SkillNeeds(("cupboard",), ("box",)),
+    "take box out of cupboard": SkillNeeds(("cupboard",), ("box",)),
+    "take broom out of cupboard": SkillNeeds(("cupboard",), ("broom",)),
+    "sweep rubbish to dustpan": SkillNeeds(("dustpan",), ("broom", "rubbish")),
+    "put rubbish in dustpan": SkillNeeds(("dustpan",), ("rubbish",)),
+})
 
 
 @dataclass(frozen=True)

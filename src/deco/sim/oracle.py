@@ -2,18 +2,22 @@
 
 Each skill emits the canonical keyframe sequence (approach, grasp, transit,
 place, release, retreat) computed from the current scene, with exactly one
-close and one open command, ending at the skill's goal pose.
+close and one open command, ending at the skill's goal pose.  ``oracle_policy``
+checks the skill's row of ``deco.registry.SKILL_NEEDS`` and an empty gripper
+first; a script checks only its own choice of object.
 """
 
 from __future__ import annotations
 
 import zlib
+from functools import partial
 
 import numpy as np
 
+from ..costmap import Bounds
 from ..errors import PreconditionUnmet, UnknownInstruction
 from ..geometry import Pose, vector_norm
-from ..registry import DRAWER_CLOSED_THRESHOLD, DRAWER_OPEN_THRESHOLD, TaskSpec
+from ..registry import SKILL_NEEDS, TaskSpec
 from ..trajectory import Demonstration, GripperState, TimeStep
 from .scene import (CUPBOARD_INTERIOR, DRAWER_TRAVEL, DUSTPAN_VOLUME, HOME, WORKSPACE,
                     Action, GripperCommand, Scene, step)
@@ -32,38 +36,50 @@ CUPBOARD_EXTRACT_X = 0.44
 CUPBOARD_PLACE = np.array([0.64, 0.25, 0.23])
 
 
-def _hold(position) -> Action:
-    return Action(Pose(np.asarray(position, dtype=float)), GripperCommand.HOLD)
+def _action(command: GripperCommand, position) -> Action:
+    return Action(Pose(position), command)
 
 
-def _close(position) -> Action:
-    return Action(Pose(np.asarray(position, dtype=float)), GripperCommand.CLOSE)
+_hold = partial(_action, GripperCommand.HOLD)
+_close = partial(_action, GripperCommand.CLOSE)
+_open = partial(_action, GripperCommand.OPEN)
 
 
-def _open(position) -> Action:
-    return Action(Pose(np.asarray(position, dtype=float)), GripperCommand.OPEN)
+def check_needs(instruction: str, scene: Scene):
+    """Raise PreconditionUnmet unless the scene has the parts, objects and
+    drawer state ``SKILL_NEEDS`` lists for the skill, and the gripper is empty."""
+    needs = SKILL_NEEDS[instruction]
+    lacking = needs.lacking(scene, scene.objects)
+    if lacking is not None:
+        raise PreconditionUnmet(f"no {lacking} in the scene")
+    if needs.drawer is not None and not needs.drawer.holds(scene.open_fraction):
+        raise PreconditionUnmet(f"{instruction!r} needs the drawer {needs.drawer.value}")
+    if scene.held_object is not None:
+        raise PreconditionUnmet("gripper is already holding something")
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise PreconditionUnmet(message)
+def _choose(scene: Scene, prefix: str, region: Bounds, inside: bool, where: str,
+            near=None) -> np.ndarray:
+    """Position of an unheld ``prefix`` object inside (or outside) ``region``:
+    the one nearest ``near``, or without ``near`` the first by name."""
+    candidates = sorted(n for n, o in scene.objects.items()
+                        if n.startswith(prefix) and not o.held
+                        and region.contains(o.position) == inside)
+    if not candidates:
+        raise PreconditionUnmet(f"no {prefix} {'inside' if inside else 'outside'} the {where}")
+    if near is not None:
+        # a stable sort: equally near candidates keep their name order
+        candidates.sort(key=lambda n: vector_norm(scene.objects[n].position - near))
+    return scene.objects[candidates[0]].position
 
 
-def _require_empty(scene: Scene):
-    _require(scene.held_object is None, "gripper is already holding something")
-
-
-def _items(scene: Scene, prefix: str) -> list[str]:
-    return sorted(n for n, o in scene.objects.items()
-                  if n.startswith(prefix) and not o.held)
-
-
-def _free_spot(scene: Scene, base: np.ndarray) -> np.ndarray:
+def _free_spot(scene: Scene, base: np.ndarray, radius: float = 0.05,
+               shift: float = 0.07) -> np.ndarray:
     """Shift a nominal drop spot sideways past objects already parked there."""
     occupied = sum(1 for o in scene.objects.values()
-                   if not o.held and vector_norm(o.position[:2] - base[:2]) < 0.05)
+                   if not o.held and vector_norm(o.position[:2] - base[:2]) < radius)
     spot = np.array(base)
-    spot[1] += 0.07 * occupied
+    spot[1] += shift * occupied
     return spot
 
 
@@ -71,92 +87,43 @@ def _drawer_put_target(scene: Scene) -> np.ndarray:
     interior = scene.drawer_interior()
     # center of the part of the tray sticking out from under the cabinet
     hi_x = min(interior.upper[0], 0.54)
-    base = np.array([(interior.lower[0] + hi_x) / 2.0, -0.25, 0.06])
-    occupied = sum(1 for o in scene.objects.values()
-                   if not o.held and vector_norm(o.position[:2] - base[:2]) < 0.04)
-    base[1] += 0.05 * occupied
-    return base
+    return _free_spot(scene, np.array([(interior.lower[0] + hi_x) / 2.0, -0.25, 0.06]),
+                      0.04, 0.05)
 
 
-def _open_drawer(scene: Scene) -> list[Action]:
-    _require(scene.drawer_present, "no drawer in the scene")
-    _require(scene.open_fraction < DRAWER_OPEN_THRESHOLD, "drawer is already open")
-    _require_empty(scene)
+def _pick_and_place(grasp, approach, lift, drop, carry_z: float,
+                    retreat_z: float) -> list[Action]:
+    """Approach, grasp at ``grasp``, lift, carry over ``drop`` at height
+    ``carry_z``, release at ``drop`` and retreat up to ``retreat_z``."""
+    return [_hold(approach), _close(grasp), _hold(lift), _hold([drop[0], drop[1], carry_z]),
+            _open(drop), _hold([drop[0], drop[1], retreat_z])]
+
+
+def _slide_drawer(scene: Scene, target: float) -> list[Action]:
+    """Grasp the handle, slide the drawer to open fraction ``target``, let go
+    and back off."""
     handle = scene.handle_position()
-    pull = DRAWER_TRAVEL * (1.0 - scene.open_fraction)
-    pulled = handle - np.array([pull, 0.0, 0.0])
-    return [_hold(handle + np.array([-0.05, 0.0, 0.0])),
-            _hold(handle),
-            _close(handle),
-            _hold(pulled),
-            _open(pulled),
-            _hold(pulled + np.array([-0.05, 0.0, 0.03]))]
-
-
-def _close_drawer(scene: Scene) -> list[Action]:
-    _require(scene.drawer_present, "no drawer in the scene")
-    _require(scene.open_fraction > DRAWER_CLOSED_THRESHOLD, "drawer is already closed")
-    _require_empty(scene)
-    handle = scene.handle_position()
-    push = DRAWER_TRAVEL * scene.open_fraction
-    pushed = handle + np.array([push, 0.0, 0.0])
-    return [_hold(handle + np.array([-0.05, 0.0, 0.0])),
-            _hold(handle),
-            _close(handle),
-            _hold(pushed),
-            _open(pushed),
-            _hold(pushed + np.array([-0.05, 0.0, 0.03]))]
+    slid = handle + np.array([DRAWER_TRAVEL * (scene.open_fraction - target), 0.0, 0.0])
+    return [_hold(handle + np.array([-0.05, 0.0, 0.0])), _hold(handle), _close(handle),
+            _hold(slid), _open(slid), _hold(slid + np.array([-0.05, 0.0, 0.03]))]
 
 
 def _put_in_drawer(scene: Scene, prefix: str) -> list[Action]:
-    _require(scene.drawer_present, "no drawer in the scene")
-    _require(scene.open_fraction >= DRAWER_OPEN_THRESHOLD, "drawer is not open")
-    _require_empty(scene)
-    interior = scene.drawer_interior()
     target = _drawer_put_target(scene)
-    candidates = [n for n in _items(scene, prefix)
-                  if not interior.contains(scene.objects[n].position)]
-    _require(bool(candidates), f"no {prefix} outside the drawer")
-    name = min(candidates,
-               key=lambda n: (vector_norm(scene.objects[n].position - target), n))
-    pos = scene.objects[name].position
-    return [_hold([pos[0], pos[1], pos[2] + 0.14]),
-            _close(pos),
-            _hold([pos[0], pos[1], SAFE_Z]),
-            _hold([target[0], target[1], SAFE_Z]),
-            _open([target[0], target[1], target[2]]),
-            _hold([target[0], target[1], SAFE_Z])]
+    pos = _choose(scene, prefix, scene.drawer_interior(), False, "drawer", near=target)
+    return _pick_and_place(pos, [pos[0], pos[1], pos[2] + 0.14], [pos[0], pos[1], SAFE_Z],
+                           target, SAFE_Z, SAFE_Z)
 
 
 def _take_out_of_drawer(scene: Scene, prefix: str, drop_base: np.ndarray) -> list[Action]:
-    _require(scene.drawer_present, "no drawer in the scene")
-    _require(scene.open_fraction >= DRAWER_OPEN_THRESHOLD, "drawer is not open")
-    _require_empty(scene)
-    interior = scene.drawer_interior()
-    candidates = [n for n in _items(scene, prefix)
-                  if interior.contains(scene.objects[n].position)]
-    _require(bool(candidates), f"no {prefix} inside the drawer")
-    name = candidates[0]
-    pos = scene.objects[name].position
-    drop = _free_spot(scene, drop_base)
-    return [_hold([pos[0], pos[1], pos[2] + 0.16]),
-            _close(pos),
-            _hold([pos[0], pos[1], SAFE_Z]),
-            _hold([drop[0], drop[1], 0.20]),
-            _open(drop),
-            _hold([drop[0], drop[1], 0.12])]
+    pos = _choose(scene, prefix, scene.drawer_interior(), True, "drawer")
+    return _pick_and_place(pos, [pos[0], pos[1], pos[2] + 0.16], [pos[0], pos[1], SAFE_Z],
+                           _free_spot(scene, drop_base), 0.20, 0.12)
 
 
 def _put_box_in_cupboard(scene: Scene) -> list[Action]:
-    _require(scene.cupboard_present, "no cupboard in the scene")
-    _require_empty(scene)
-    candidates = [n for n in _items(scene, "box")
-                  if not CUPBOARD_INTERIOR.contains(scene.objects[n].position)]
-    _require(bool(candidates), "no box outside the cupboard")
     center = (CUPBOARD_INTERIOR.lower + CUPBOARD_INTERIOR.upper) / 2.0
-    name = min(candidates,
-               key=lambda n: (vector_norm(scene.objects[n].position - center), n))
-    pos = scene.objects[name].position
+    pos = _choose(scene, "box", CUPBOARD_INTERIOR, False, "cupboard", near=center)
     place = CUPBOARD_PLACE
     return [_hold([pos[0], pos[1], pos[2] + 0.15]),
             _close(pos),
@@ -168,43 +135,35 @@ def _put_box_in_cupboard(scene: Scene) -> list[Action]:
 
 
 def _take_out_of_cupboard(scene: Scene, prefix: str, drop_base: np.ndarray) -> list[Action]:
-    _require(scene.cupboard_present, "no cupboard in the scene")
-    _require_empty(scene)
-    candidates = [n for n in _items(scene, prefix)
-                  if CUPBOARD_INTERIOR.contains(scene.objects[n].position)]
-    _require(bool(candidates), f"no {prefix} inside the cupboard")
-    name = candidates[0]
-    pos = scene.objects[name].position
-    drop = _free_spot(scene, drop_base)
-    return [_hold([CUPBOARD_FRONT_X, pos[1], pos[2]]),
-            _close(pos),
-            _hold([CUPBOARD_EXTRACT_X, pos[1], pos[2]]),
-            _hold([drop[0], drop[1], 0.15]),
-            _open(drop),
-            _hold([drop[0], drop[1], 0.12])]
+    pos = _choose(scene, prefix, CUPBOARD_INTERIOR, True, "cupboard")
+    return _pick_and_place(pos, [CUPBOARD_FRONT_X, pos[1], pos[2]],
+                           [CUPBOARD_EXTRACT_X, pos[1], pos[2]],
+                           _free_spot(scene, drop_base), 0.15, 0.12)
+
+
+def _rubbish_outside_pan(scene: Scene) -> list[str]:
+    return [n for n in scene.rubbish_names()
+            if not DUSTPAN_VOLUME.contains(scene.objects[n].position)]
 
 
 def _rubbish_cluster(scene: Scene) -> list[str]:
-    eligible = [n for n in scene.rubbish_names()
-                if not DUSTPAN_VOLUME.contains(scene.objects[n].position)]
+    eligible = _rubbish_outside_pan(scene)
     if not eligible:
         return []
     positions = {n: scene.objects[n].position for n in eligible}
-    best, best_members = eligible[0], [eligible[0]]
+    best = [eligible[0]]
     for n in eligible:
         members = [m for m in eligible
                    if vector_norm(positions[m][:2] - positions[n][:2]) <= 0.06]
-        if len(members) > len(best_members):
-            best, best_members = n, members
-    return best_members
+        if len(members) > len(best):
+            best = members
+    return best
 
 
 def _sweep_to_dustpan(scene: Scene) -> list[Action]:
-    _require(scene.dustpan_present, "no dustpan in the scene")
-    _require("broom" in scene.objects, "no broom in the scene")
-    _require_empty(scene)
     cluster = _rubbish_cluster(scene)
-    _require(bool(cluster), "no rubbish left to sweep")
+    if not cluster:
+        raise PreconditionUnmet("no rubbish left to sweep")
     centroid = np.mean([scene.objects[n].position for n in cluster], axis=0)
     pan_center = (DUSTPAN_VOLUME.lower + DUSTPAN_VOLUME.upper) / 2.0
     direction = pan_center[:2] - centroid[:2]
@@ -226,23 +185,17 @@ def _sweep_to_dustpan(scene: Scene) -> list[Action]:
 
 
 def _put_rubbish_in_dustpan(scene: Scene) -> list[Action]:
-    _require(scene.dustpan_present, "no dustpan in the scene")
-    _require_empty(scene)
-    eligible = [n for n in scene.rubbish_names()
-                if not DUSTPAN_VOLUME.contains(scene.objects[n].position)]
-    _require(bool(eligible), "all rubbish is already in the dustpan")
+    eligible = _rubbish_outside_pan(scene)
+    if not eligible:
+        raise PreconditionUnmet("all rubbish is already in the dustpan")
     pos = scene.objects[eligible[0]].position
-    return [_hold([pos[0], pos[1], 0.13]),
-            _close(pos),
-            _hold([pos[0], pos[1], 0.13]),
-            _hold([DUSTPAN_DROP[0], DUSTPAN_DROP[1], 0.13]),
-            _open(DUSTPAN_DROP),
-            _hold([DUSTPAN_DROP[0], DUSTPAN_DROP[1], 0.13])]
+    return _pick_and_place(pos, [pos[0], pos[1], 0.13], [pos[0], pos[1], 0.13],
+                           DUSTPAN_DROP, 0.13, 0.13)
 
 
 _SKILLS = {
-    "open drawer": _open_drawer,
-    "close drawer": _close_drawer,
+    "open drawer": lambda s: _slide_drawer(s, 1.0),
+    "close drawer": lambda s: _slide_drawer(s, 0.0),
     "put item in drawer": lambda s: _put_in_drawer(s, "item"),
     "take item out of drawer": lambda s: _take_out_of_drawer(s, "item", ITEM_DROP_SPOT),
     "take box out of drawer": lambda s: _take_out_of_drawer(s, "box", BOX_DROP_SPOT),
@@ -266,9 +219,11 @@ def noised_action(target: Pose, command: GripperCommand, offset) -> Action:
 def oracle_policy(instruction: str, scene: Scene, noise_sigma: float = 0.0,
                   seed: int = 0) -> list[Action]:
     """Keyframe action sequence for one skill, optionally position-noised."""
-    if instruction not in _SKILLS:
+    script = _SKILLS.get(instruction)
+    if script is None:
         raise UnknownInstruction(f"no scripted skill for instruction {instruction!r}")
-    actions = _SKILLS[instruction](scene)
+    check_needs(instruction, scene)
+    actions = script(scene)
     if noise_sigma > 0:
         rng = np.random.default_rng([seed, zlib.crc32(instruction.encode())])
         actions = [noised_action(a.target, a.gripper_command,

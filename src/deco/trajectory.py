@@ -1,7 +1,10 @@
 """Demonstration trajectories and the atomic-task data model.
 
-Serialization is JSONL: one demonstration per line with schema
+Demonstrations and atomic tasks are stored as JSONL, one record per line; a
+demonstration line has the schema
 ``{"id", "instruction", "steps": [{"t", "pos", "quat", "gripper", "joint_speed"}]}``.
+A skill library is one JSON object.  A file that does not parse raises a
+``MalformedData`` naming the file, and the line for JSONL.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AnnotationMismatch, DecoError, EmptyDemo, MalformedDemo
+from .errors import AnnotationMismatch, DecoError, EmptyDemo, MalformedData, MalformedDemo
 from .geometry import Pose
 
 
@@ -199,29 +202,47 @@ class InstructionLibrary:
 
     @classmethod
     def load(cls, path) -> "InstructionLibrary":
+        """The library of a JSON file; raises MalformedData naming the file."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+                if isinstance(data, dict):
+                    return cls.from_dict(data)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedData(f"{path}: {type(exc).__name__}: {exc}") from exc
+        raise MalformedData(f"{path}: a library is a JSON object, got {type(data).__name__}")
 
 
-def save_demos(demos, path):
+def _save_jsonl(records, path):
     with open(path, "w") as fh:
-        for demo in demos:
-            fh.write(json.dumps(demo.to_dict()) + "\n")
+        for record in records:
+            fh.write(json.dumps(record.to_dict()) + "\n")
 
 
-def load_demos(path) -> list[Demonstration]:
-    """Demos of a JSONL file; raises MalformedDemo naming the line that fails."""
-    demos = []
+def _load_jsonl(path, from_dict, error) -> list:
+    """``from_dict`` of each non-blank line; raises ``error`` naming the line that fails."""
+    records = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                demos.append(Demonstration.from_dict(json.loads(line)))
+                records.append(from_dict(json.loads(line)))
             except (DecoError, KeyError, TypeError, ValueError) as exc:
-                raise MalformedDemo(f"{path} line {number}: {type(exc).__name__}: {exc}") from exc
-    return demos
+                raise error(f"{path} line {number}: {type(exc).__name__}: {exc}") from exc
+    return records
+
+
+save_demos = save_atomic_tasks = _save_jsonl
+
+
+def load_demos(path) -> list[Demonstration]:
+    return _load_jsonl(path, Demonstration.from_dict, MalformedDemo)
+
+
+def load_atomic_tasks(path) -> list[AtomicTask]:
+    return _load_jsonl(path, AtomicTask.from_dict, MalformedData)
 
 
 def load_annotations(path) -> dict[str, list[str]]:
@@ -237,19 +258,3 @@ def load_annotations(path) -> dict[str, list[str]]:
         raise AnnotationMismatch(f"{path}: annotations must be a JSON object mapping each "
                                  "demo id to a list of instruction strings")
     return annotations
-
-
-def save_atomic_tasks(tasks, path):
-    with open(path, "w") as fh:
-        for task in tasks:
-            fh.write(json.dumps(task.to_dict()) + "\n")
-
-
-def load_atomic_tasks(path) -> list[AtomicTask]:
-    tasks = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                tasks.append(AtomicTask.from_dict(json.loads(line)))
-    return tasks

@@ -62,9 +62,11 @@ def extract_json_array(text: str) -> list:
     while start != -1:
         try:
             value, _ = decoder.raw_decode(text, start)
-        except json.JSONDecodeError:
+        except ValueError:
             start = text.find("[", start + 1)
             continue
+        except RecursionError:
+            raise ParseError("response nests JSON too deeply to parse") from None
         if isinstance(value, list):
             return value
         start = text.find("[", start + 1)
@@ -72,17 +74,18 @@ def extract_json_array(text: str) -> list:
 
 
 def _response_text(body: str) -> str:
+    """The first choice's message content of a chat-completions body; any
+    other body, JSON or not, is searched as it is."""
     try:
         data = json.loads(body)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         return body
     if isinstance(data, dict):
         choices = data.get("choices")
-        if isinstance(choices, list) and choices:
-            message = choices[0].get("message", {})
-            content = message.get("content")
-            if isinstance(content, str):
-                return content
+        if isinstance(choices, list) and choices and isinstance(choices[0], dict):
+            message = choices[0].get("message")
+            if isinstance(message, dict) and isinstance(message.get("content"), str):
+                return message["content"]
     return body
 
 

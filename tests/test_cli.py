@@ -267,6 +267,38 @@ def test_bad_config_exits_2_with_config_errors(runner, tmp_path, text, named, co
     assert errors and any(named in line for line in errors)
 
 
+@pytest.mark.parametrize("command, yaml_sigma", [
+    (["eval"], "noise_sigma: .inf\n"),
+    (["eval", "--noise-sigma", "inf"], ""),
+    (["ablate", "--axis", "noise", "--values", "inf"], ""),
+    (["ablate", "--axis", "noise", "--values", "0,inf"], ""),
+])
+def test_an_infinite_noise_sigma_exits_2_before_any_run(runner, tmp_path, command, yaml_sigma):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("tasks: [open_drawer]\nepisodes: 1\nseeds: [0]\n" + yaml_sigma)
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path)] + command
+                                + ["--config", str(cfg)])
+    assert result.exit_code == 2
+    assert ("config error: noise_sigma must be a finite non-negative number, got inf"
+            in result.output)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("content, cause", [
+    ("not json", "JSONDecodeError"),
+    ('{"open drawer": {"instruction": "open drawer"}}', "KeyError: 'kinds'"),
+    ("[]", "a library is a JSON object, got list"),
+])
+def test_plan_names_a_malformed_library(tmp_path, content, cause):
+    library = tmp_path / "bad.json"
+    library.write_text(content)
+    result = CliRunner().invoke(main, ["plan", "open drawer", "--library", str(library)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ")
+    assert f"{library}: " in result.output and cause in result.output
+
+
 @pytest.mark.parametrize("seed_list, seeds", [(["--seed-list", "0,0"], "[0, 1]"),
                                               ([], "[0, 0]")])
 @pytest.mark.parametrize("command", [["eval"], ["ablate", "--axis", "noise", "--values", "0"]])

@@ -89,8 +89,9 @@ def test_from_yaml_rejects_a_document_that_is_not_a_mapping(tmp_path, text):
 
 
 def test_validation_rejects_wrong_types(registry):
-    cfg = ExperimentConfig(tasks="compositional", mode=["full"], chaining_m=2.5,
-                           noise_sigma="low", episodes="ten", seeds=[0, True])
-    errors = cfg.validate(registry)
-    for name in ("tasks", "mode", "chaining_m", "noise_sigma", "episodes", "seeds"):
-        assert sum(e.startswith(name) for e in errors) == 1, (name, errors)
+    for noise_sigma in ("low", float("inf")):
+        cfg = ExperimentConfig(tasks="compositional", mode=["full"], chaining_m=2.5,
+                               noise_sigma=noise_sigma, episodes="ten", seeds=[0, True])
+        errors = cfg.validate(registry)
+        for name in ("tasks", "mode", "chaining_m", "noise_sigma", "episodes", "seeds"):
+            assert sum(e.startswith(name) for e in errors) == 1, (name, errors)

@@ -4,9 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from deco.errors import PreconditionUnmet, UnknownInstruction, UnknownTask
-from deco.registry import load_registry
-from deco.sim.oracle import ATOMIC_SKILLS, oracle_policy, record_demo
+from deco.errors import PreconditionUnmet, UnknownInstruction, UnknownTask, UnsatisfiablePlan
+from deco.executor import scene_summary
+from deco.planning import _check_requirements
+from deco.registry import SKILL_NEEDS, DrawerNeed, load_registry
+from deco.sim.oracle import ATOMIC_SKILLS, check_needs, oracle_policy, record_demo
 from deco.sim.scene import CUPBOARD_INTERIOR, GripperCommand, Scene, SimObject, step
 from deco.sim.tasks import drawer_front_obstacle_task, reset, success
 from deco.trajectory import GripperState
@@ -161,7 +163,37 @@ def test_noise_perturbs_targets_deterministically():
 
 
 def test_atomic_skill_names_cover_registry(registry):
-    assert sorted(ATOMIC_SKILLS) == sorted(t.instruction for t in registry.atomic_tasks())
+    atomic = sorted(t.instruction for t in registry.atomic_tasks())
+    assert sorted(ATOMIC_SKILLS) == sorted(SKILL_NEEDS) == atomic
+
+
+def _rejects(check, error, *args) -> bool:
+    try:
+        check(*args)
+    except error:
+        return True
+    return False
+
+
+def test_planner_and_oracle_reject_a_skill_for_the_same_missing_parts(registry):
+    """On every initial scene at seed 0, the planner rejects a skill for a
+    missing scene part or object exactly when the oracle's table check does."""
+    verdicts = []
+    for task in list(registry) + [drawer_front_obstacle_task()]:
+        scene = reset(task, 0)
+        summary = scene_summary(scene)
+        for skill in ATOMIC_SKILLS:
+            # give the drawer the state the skill needs, so that only a missing
+            # part or object can fail the oracle's check
+            probe = scene.copy()
+            need = SKILL_NEEDS[skill].drawer
+            if need is not None:
+                probe.open_fraction = 0.0 if need is DrawerNeed.NOT_OPEN else 1.0
+            planner = _rejects(_check_requirements, UnsatisfiablePlan, skill, summary)
+            oracle = _rejects(check_needs, PreconditionUnmet, skill, probe)
+            assert planner == oracle, (task.id, skill, planner)
+            verdicts.append(planner)
+    assert len(verdicts) == 230 and 0 < sum(verdicts) < len(verdicts)
 
 
 def test_record_demo_structure(registry):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deco.errors import EmptyDemo, MalformedDemo
+from deco.errors import EmptyDemo, MalformedData, MalformedDemo
 from deco.geometry import Pose
 from deco.trajectory import (AtomicTask, Demonstration, GripperState,
                              InstructionLibrary, InteractionSegment,
@@ -82,6 +82,22 @@ def test_atomic_tasks_jsonl_round_trip(tmp_path):
     assert loaded[0].instruction == "grab"
     assert loaded[0].keyframes == (1, 2, 3)
     assert len(loaded[0].steps) == 4
+
+
+@pytest.mark.parametrize("line, cause", [
+    ('{"segment": {"start": 0, "end": 3, "kind": "full"}}', "KeyError: 'demo_id'"),
+    ("not json", "JSONDecodeError"),
+    ("[]", "TypeError"),
+])
+def test_load_atomic_tasks_names_the_line_that_fails(tmp_path, line, cause):
+    demo = make_demo("occo")
+    task = AtomicTask(segment=InteractionSegment(demo.id, 0, 3, SegmentKind.FULL),
+                      instruction="grab", goal_pose=demo.steps[3].pose, keyframes=(3,))
+    path = tmp_path / "atomic.jsonl"
+    save_atomic_tasks([task], path)
+    path.write_text(path.read_text() + "\n" + line + "\n")
+    with pytest.raises(MalformedData, match=f"{path} line 3: {cause}"):
+        load_atomic_tasks(path)
 
 
 def test_library_aggregation_and_centroid():

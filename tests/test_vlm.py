@@ -2,8 +2,10 @@ import json
 
 import pytest
 import requests
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from deco.errors import HallucinatedStep, ParseError, TransportError
+from deco.errors import DecoError, HallucinatedStep, ParseError, TransportError
 from deco.executor import build_library
 from deco.planning import PlanSource, SceneSummary
 from deco.registry import load_registry
@@ -97,6 +99,37 @@ def test_parse_rejects_all_bad_fixtures(library):
     for body, err in FIXTURE_BAD_RESPONSES:
         with pytest.raises(err):
             parse_plan_response(body, library)
+
+
+# JSON values whose strings are sometimes library skills, so that some bodies parse
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8) | st.sampled_from(["open drawer", "close drawer"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12)
+_BODIES = st.one_of(
+    _JSON,
+    _JSON.map(lambda v: {"choices": v}),
+    _JSON.map(lambda v: {"choices": [v]}),
+    _JSON.map(lambda v: {"choices": [{"message": v}]}),
+    _JSON.map(lambda v: {"choices": [{"message": {"content": v}}]}),
+    _JSON.map(lambda v: {"choices": [{"message": {"content": json.dumps(v)}}]}),
+).map(json.dumps)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(body=_BODIES)
+@example(body='{"choices": ["x"]}')
+@example(body='{"choices": [{"message": "hi"}]}')
+@example(body="[" + "1" * 5000 + "]")
+@example(body="[" * 100_000)
+def test_parse_returns_a_plan_or_raises_a_deco_error(library, body):
+    try:
+        plan = parse_plan_response(body, library)
+    except DecoError:
+        return
+    assert plan.steps and all(step in library for step in plan.steps)
 
 
 class FakeResponse:
