@@ -10,8 +10,7 @@ from .executor import (ExecutorConfig, EpisodeResult, MonitorVerdict,
                        build_library, monitor, run_episode, run_suite,
                        scene_summary, write_suite_csv)
 from .geometry import Pose, is_goal_reached, pose_distance, quat_slerp
-from .planning import (ItemLocation, Plan, PlanSource, SceneSummary, plan_mock,
-                       repair_preconditions)
+from .planning import ItemLocation, SceneSummary, plan_mock, repair_preconditions
 from .registry import TaskRegistry, TaskSpec, load_registry
 from .trajectory import (AtomicTask, Demonstration, GripperState,
                          InstructionLibrary, InteractionSegment, SegmentKind,

@@ -32,6 +32,8 @@ def _parse_seed_list(ctx, param, text: str | None) -> list[int] | None:
         raise click.BadParameter(f"seed list must be comma-separated integers: {text!r}")
     if not seeds:
         raise click.BadParameter(f"seed list must name at least one seed: {text!r}")
+    if min(seeds) < 0:
+        raise click.BadParameter(f"seeds must be non-negative, got {min(seeds)}")
     return seeds
 
 
@@ -81,8 +83,8 @@ def decompose(ctx, demos_path, annotations_path, mode):
     click.echo(f"segments: {len(tasks)}")
     click.echo(f"keyframes: {keyframes}")
     click.echo(f"library instructions: {len(library)}")
-    for name in sorted(library.instructions()):
-        click.echo(f"  {name} x{library.entries[name].count}")
+    for name, count in sorted(library.counts.items()):
+        click.echo(f"  {name} x{count}")
 
 
 @main.command("record-demos")
@@ -148,7 +150,7 @@ def plan(ctx, instruction, planner, library_path, task_id):
             result = plan_vlm(instruction, summary, library, endpoint)
     except DecoError as exc:
         raise click.ClickException(str(exc))
-    click.echo(json.dumps(list(result.steps)))
+    click.echo(json.dumps(list(result)))
 
 
 def _config_errors(errors: list[str]):
@@ -184,7 +186,7 @@ def _validate(configs: list[ExperimentConfig]):
 def _run_eval(ctx, config: ExperimentConfig, csv_name: str) -> tuple[list, float]:
     registry = load_registry()
     tasks = config.resolve_tasks(registry)
-    _, _, library = build_library(registry, mode=config.mode)
+    _, _, library = build_library(registry)
     exec_config = ExecutorConfig(chaining_m=config.chaining_m,
                                  noise_sigma=config.noise_sigma)
     rows = run_suite(tasks, config.seeds, exec_config, library, registry,
@@ -235,7 +237,6 @@ def cmd_eval(ctx, config_path, **overrides):
 
 
 _AXES = {"chaining-m": ("chaining_m", int),
-         "interaction-mode": ("mode", str),
          "noise": ("noise_sigma", float)}
 
 

@@ -30,19 +30,18 @@ def _is_list_of(value, valid) -> bool:
 _RULES = {
     "tasks": (lambda v: _is_list_of(v, lambda t: isinstance(t, str)),
               "a non-empty list of task ids and selectors"),
-    "mode": (lambda v: v in ("full", "half"), "'full' or 'half'"),
     "chaining_m": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "noise_sigma": (lambda v: (_is_int(v) or isinstance(v, float) and math.isfinite(v))
                     and v >= 0, "a finite non-negative number"),
     "episodes": (lambda v: _is_int(v) and v >= 1, "an integer of at least 1"),
-    "seeds": (lambda v: _is_list_of(v, _is_int), "a non-empty list of integers"),
+    "seeds": (lambda v: _is_list_of(v, lambda s: _is_int(s) and s >= 0),
+              "a non-empty list of non-negative integers"),
 }
 
 
 @dataclass
 class ExperimentConfig:
     tasks: list[str] = field(default_factory=lambda: ["compositional"])
-    mode: str = "full"
     chaining_m: int = 6
     noise_sigma: float = 0.0
     episodes: int = 20
@@ -53,10 +52,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 data = yaml.safe_load(fh) or {}
-            except yaml.YAMLError as exc:
+            except (UnicodeDecodeError, yaml.YAMLError) as exc:
                 raise ConfigError(f"{path} is not valid YAML: {exc}")
         if not isinstance(data, dict):
             raise ConfigError(f"{path} must hold a mapping of config keys, "

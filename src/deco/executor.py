@@ -23,7 +23,7 @@ from .decompose import DecompositionConfig, build_atomic_dataset
 from .errors import (DecoError, NoFreeChain, PlanningFailure, PreconditionUnmet,
                      UnknownInstruction)
 from .geometry import Pose, is_goal_reached
-from .planning import ItemLocation, Plan, SceneSummary, plan_mock
+from .planning import ItemLocation, SceneSummary, plan_mock
 from .registry import TaskRegistry, TaskSpec, load_registry
 from .sim.oracle import noised_action, oracle_policy, record_demo
 from .sim.scene import (CUPBOARD_INTERIOR, DUSTPAN_VOLUME, WORKSPACE, Action,
@@ -113,20 +113,13 @@ def scene_summary(scene: Scene) -> SceneSummary:
         locations=locations)
 
 
-def build_library(registry: TaskRegistry | None = None,
-                  mode: str = "full") -> tuple[list, list, InstructionLibrary]:
+def build_library(registry: TaskRegistry | None = None) -> tuple[list, list, InstructionLibrary]:
     """Record the source demos at seed 0, decompose them, aggregate the skill library."""
     registry = registry or load_registry()
     demos = [record_demo(registry.get(tid), 0) for tid in SOURCE_DEMO_TASKS]
-    annotations = {}
-    for demo, tid in zip(demos, SOURCE_DEMO_TASKS):
-        labels = list(registry.get(tid).plan)
-        if mode == "half":
-            # each full interaction splits into two labeled halves
-            labels = [label for label in labels for _ in range(2)]
-        annotations[demo.id] = labels
-    cfg = DecompositionConfig(mode=mode, annotations=annotations)
-    tasks, library = build_atomic_dataset(demos, cfg)
+    annotations = {demo.id: list(registry.get(tid).plan)
+                   for demo, tid in zip(demos, SOURCE_DEMO_TASKS)}
+    tasks, library = build_atomic_dataset(demos, DecompositionConfig(annotations=annotations))
     return demos, tasks, library
 
 
@@ -157,9 +150,10 @@ def _execute_transition(scene: Scene, start_pose: Pose, config: ExecutorConfig,
     return scene
 
 
-def run_episode(task: TaskSpec, scene: Scene, plan: Plan, config: ExecutorConfig,
+def run_episode(task: TaskSpec, scene: Scene, plan: tuple[str, ...], config: ExecutorConfig,
                 seed: int) -> EpisodeResult:
-    """Run the plan from ``scene``, the task's initial scene for ``seed``.
+    """Run the plan, a sequence of library skills, from ``scene``, the task's
+    initial scene for ``seed``.
 
     Each skill is dry-run without noise to predict its goal and, before the
     transition into it, its start pose; its actions are then drawn with
@@ -168,7 +162,7 @@ def run_episode(task: TaskSpec, scene: Scene, plan: Plan, config: ExecutorConfig
     result = EpisodeResult(task_id=task.id, seed=seed, success=False)
     rng = np.random.default_rng([seed, zlib.crc32(task.id.encode())])
     completed_all = True
-    for i, instruction in enumerate(plan.steps):
+    for i, instruction in enumerate(plan):
         try:
             dry = oracle_policy(instruction, scene)
         except (PreconditionUnmet, UnknownInstruction) as exc:
@@ -205,7 +199,7 @@ def run_episode(task: TaskSpec, scene: Scene, plan: Plan, config: ExecutorConfig
             break
     result.collisions = scene.collision_count
     result.drawer_slams = scene.drawer_slams
-    result.success = (completed_all and len(result.skills) == len(plan.steps)
+    result.success = (completed_all and len(result.skills) == len(plan)
                       and success(task, scene))
     return result
 

@@ -18,21 +18,6 @@ from .registry import SKILL_NEEDS, DrawerNeed, TaskRegistry, load_registry
 from .trajectory import InstructionLibrary
 
 
-class PlanSource(str, Enum):
-    MOCK = "mock"
-    VLM = "vlm"
-
-
-@dataclass(frozen=True)
-class Plan:
-    steps: tuple[str, ...]
-    source: PlanSource
-
-    # plan_mock and parse_plan_response reject empty plans and unknown steps
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-
-
 class ItemLocation(str, Enum):
     ON_TABLE = "on_table"
     IN_DRAWER = "in_drawer"
@@ -101,7 +86,8 @@ def repair_preconditions(template, scene: SceneSummary) -> list[str]:
 
 
 def plan_mock(instruction: str, scene: SceneSummary, library: InstructionLibrary,
-              registry: TaskRegistry | None = None) -> Plan:
+              registry: TaskRegistry | None = None) -> tuple[str, ...]:
+    """The library skills that carry out ``instruction`` in ``scene``, in order."""
     registry = registry or load_registry()
     task = registry.find_by_instruction(instruction)
     if task is not None:
@@ -115,4 +101,4 @@ def plan_mock(instruction: str, scene: SceneSummary, library: InstructionLibrary
         _check_requirements(step, scene)
         if step not in library:
             raise UnsatisfiablePlan(f"required skill {step!r} missing from library")
-    return Plan(steps=tuple(steps), source=PlanSource.MOCK)
+    return tuple(steps)

@@ -3,14 +3,15 @@
 Demonstrations and atomic tasks are stored as JSONL, one record per line; a
 demonstration line has the schema
 ``{"id", "instruction", "steps": [{"t", "pos", "quat", "gripper", "joint_speed"}]}``.
-A skill library is one JSON object.  A file that does not parse raises a
-``MalformedData`` naming the file, and the line for JSONL.
+A skill library is one JSON object mapping each instruction to its number of
+atomic tasks.  A file that does not parse raises a ``MalformedData`` naming
+the file, and the line for JSONL.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -133,84 +134,45 @@ class AtomicTask:
                    steps=tuple(TimeStep.from_dict(s) for s in data.get("steps", [])))
 
 
-@dataclass
-class LibraryEntry:
-    instruction: str
-    kinds: list[str] = field(default_factory=list)
-    demo_ids: list[str] = field(default_factory=list)
-    count: int = 0
-    goal_positions: list[list[float]] = field(default_factory=list)
-    goal_quat: list[float] | None = None
-
-    def add(self, task: AtomicTask):
-        self.count += 1
-        if task.segment.kind.value not in self.kinds:
-            self.kinds.append(task.segment.kind.value)
-        if task.segment.demo_id not in self.demo_ids:
-            self.demo_ids.append(task.segment.demo_id)
-        self.goal_positions.append([float(v) for v in task.goal_pose.position])
-        if self.goal_quat is None:
-            self.goal_quat = [float(v) for v in task.goal_pose.orientation]
-
-    def to_dict(self) -> dict:
-        return {"instruction": self.instruction, "kinds": self.kinds,
-                "demo_ids": self.demo_ids, "count": self.count,
-                "goal_positions": self.goal_positions, "goal_quat": self.goal_quat}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LibraryEntry":
-        return cls(instruction=data["instruction"], kinds=list(data["kinds"]),
-                   demo_ids=list(data["demo_ids"]), count=int(data["count"]),
-                   goal_positions=[list(p) for p in data["goal_positions"]],
-                   goal_quat=data.get("goal_quat"))
-
-
 class InstructionLibrary:
-    """Per-instruction metadata aggregated across atomic tasks."""
+    """The skill library: each instruction's number of atomic tasks.
 
-    def __init__(self):
-        self.entries: dict[str, LibraryEntry] = {}
+    Saved as one JSON object, ``{"open drawer": 2, ...}``; the goal poses,
+    segment kinds and demo ids of the atomic tasks live in their own JSONL.
+    """
+
+    def __init__(self, counts: dict[str, int] | None = None):
+        self.counts: dict[str, int] = dict(counts or {})
 
     def add(self, task: AtomicTask):
-        entry = self.entries.get(task.instruction)
-        if entry is None:
-            entry = self.entries[task.instruction] = LibraryEntry(task.instruction)
-        entry.add(task)
+        self.counts[task.instruction] = self.counts.get(task.instruction, 0) + 1
 
     def __contains__(self, instruction: str) -> bool:
-        return instruction in self.entries
+        return instruction in self.counts
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def instructions(self) -> list[str]:
-        return list(self.entries)
-
-    def to_dict(self) -> dict:
-        return {name: e.to_dict() for name, e in self.entries.items()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InstructionLibrary":
-        lib = cls()
-        for name, entry in data.items():
-            lib.entries[name] = LibraryEntry.from_dict(entry)
-        return lib
+        return len(self.counts)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.counts, fh, indent=2)
 
     @classmethod
     def load(cls, path) -> "InstructionLibrary":
-        """The library of a JSON file; raises MalformedData naming the file."""
-        with open(path) as fh:
+        """The library of a JSON file; raises MalformedData naming the file
+        and, for an entry that is not a count of at least 1, its key."""
+        with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-                if isinstance(data, dict):
-                    return cls.from_dict(data)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (RecursionError, ValueError) as exc:
                 raise MalformedData(f"{path}: {type(exc).__name__}: {exc}") from exc
-        raise MalformedData(f"{path}: a library is a JSON object, got {type(data).__name__}")
+        if not isinstance(data, dict):
+            raise MalformedData(f"{path}: a library is a JSON object, got {type(data).__name__}")
+        for name, count in data.items():
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise MalformedData(f"{path}: entry {name!r} must map to an atomic-task "
+                                    f"count of at least 1, got {count!r}")
+        return cls(data)
 
 
 def _save_jsonl(records, path):
@@ -222,14 +184,14 @@ def _save_jsonl(records, path):
 def _load_jsonl(path, from_dict, error) -> list:
     """``from_dict`` of each non-blank line; raises ``error`` naming the line that fails."""
     records = []
-    with open(path) as fh:
+    # read as bytes so that a line that is not UTF-8 fails inside the try
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                records.append(from_dict(json.loads(line)))
-            except (DecoError, KeyError, TypeError, ValueError) as exc:
+                records.append(from_dict(json.loads(line.decode("utf-8"))))
+            except (DecoError, KeyError, RecursionError, TypeError, ValueError) as exc:
                 raise error(f"{path} line {number}: {type(exc).__name__}: {exc}") from exc
     return records
 
@@ -247,7 +209,7 @@ def load_atomic_tasks(path) -> list[AtomicTask]:
 
 def load_annotations(path) -> dict[str, list[str]]:
     """A JSON object mapping each demo id to its ordered instruction list."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             annotations = json.load(fh)
         except ValueError as exc:

@@ -17,7 +17,7 @@ from importlib import resources
 import requests
 
 from .errors import HallucinatedStep, ParseError, TransportError
-from .planning import Plan, PlanSource, SceneSummary
+from .planning import SceneSummary
 from .trajectory import InstructionLibrary
 
 ENDPOINT_ENV = "DECO_VLM_ENDPOINT"
@@ -52,7 +52,7 @@ def build_prompt(instruction: str, scene: SceneSummary, library: InstructionLibr
     return prompt_template().format(
         instruction=instruction,
         scene=json.dumps(scene.to_dict(), indent=2),
-        library=json.dumps(library.instructions(), indent=2))
+        library=json.dumps(list(library.counts), indent=2))
 
 
 def extract_json_array(text: str) -> list:
@@ -89,7 +89,7 @@ def _response_text(body: str) -> str:
     return body
 
 
-def parse_plan_response(body: str, library: InstructionLibrary) -> Plan:
+def parse_plan_response(body: str, library: InstructionLibrary) -> tuple[str, ...]:
     steps = extract_json_array(_response_text(body))
     if not steps:
         raise ParseError("planner returned an empty array")
@@ -98,7 +98,7 @@ def parse_plan_response(body: str, library: InstructionLibrary) -> Plan:
     for step in steps:
         if step not in library:
             raise HallucinatedStep(step)
-    return Plan(steps=tuple(steps), source=PlanSource.VLM)
+    return tuple(steps)
 
 
 def _audit(path: str | None, record: dict):
@@ -122,7 +122,7 @@ def _post(config: EndpointConfig, payload: dict) -> str:
 
 
 def plan_vlm(instruction: str, scene: SceneSummary, library: InstructionLibrary,
-             config: EndpointConfig) -> Plan:
+             config: EndpointConfig) -> tuple[str, ...]:
     """One planning request; a single retry on transport failure only."""
     if len(library) == 0:
         raise ParseError("instruction library is empty")

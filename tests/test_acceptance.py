@@ -220,15 +220,15 @@ def test_criterion_8_planner_correctness(registry, library):
                              drawer_open_fraction=0.0 if needs_drawer else None,
                              cupboard_present=True, dustpan_present=True)
         plan = plan_mock(task.instruction, scene, library, registry)
-        assert plan.steps == tuple(repair_preconditions(list(task.plan), scene)), task.id
+        assert plan == tuple(repair_preconditions(list(task.plan), scene)), task.id
 
     # precondition repair on the motivating example
     closed = SceneSummary(inventory=("item",), drawer_open_fraction=0.0)
     plan = plan_mock("put item in drawer and close", closed, library, registry)
-    assert plan.steps == ("open drawer", "put item in drawer", "close drawer")
+    assert plan == ("open drawer", "put item in drawer", "close drawer")
     opened = SceneSummary(inventory=("item",), drawer_open_fraction=1.0)
     plan = plan_mock("put item in drawer and close", opened, library, registry)
-    assert plan.steps == ("put item in drawer", "close drawer")
+    assert plan == ("put item in drawer", "close drawer")
 
     bad_responses = [
         ("[]", ParseError),

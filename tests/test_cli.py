@@ -1,14 +1,18 @@
 import json
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
+from deco import cli
 from deco.cli import main
+from deco.config import ExperimentConfig
 from deco.costmap import build_cost_map
 from deco.registry import load_registry
 from deco.sim.scene import WORKSPACE, point_cloud
 from deco.sim.tasks import reset
-from deco.trajectory import load_demos
+from deco.trajectory import InstructionLibrary, load_demos
 
 
 @pytest.fixture()
@@ -208,6 +212,10 @@ def test_ablate_honours_seed_list(runner, tmp_path):
 def test_removed_flags_are_rejected(runner):
     assert CliRunner().invoke(main, ["--workers", "2", "eval"]).exit_code == 2
     assert CliRunner().invoke(main, ["eval", "--planner", "vlm"]).exit_code == 2
+    ablate = CliRunner().invoke(main, ["ablate", "--axis", "interaction-mode",
+                                       "--values", "full,half"])
+    assert ablate.exit_code == 2
+    assert "Invalid value for '--axis'" in ablate.output
 
 
 def test_export_costmap(runner, tmp_path):
@@ -251,6 +259,7 @@ def test_an_empty_seed_list_is_a_usage_error(tmp_path, seed_list, command):
 
 @pytest.mark.parametrize("text, named", [
     ("planner: vlm\n", "planner"),
+    ("mode: half\n", "unknown config keys: mode"),
     ("- tasks: [open_drawer]\n", "mapping"),
     ("episodes: ten\n", "episodes"),
     ("tasks\n", "mapping"),
@@ -286,8 +295,11 @@ def test_an_infinite_noise_sigma_exits_2_before_any_run(runner, tmp_path, comman
 
 @pytest.mark.parametrize("content, cause", [
     ("not json", "JSONDecodeError"),
-    ('{"open drawer": {"instruction": "open drawer"}}', "KeyError: 'kinds'"),
+    ('{"open drawer": {"instruction": "open drawer"}}',
+     "entry 'open drawer' must map to an atomic-task count of at least 1, got {"),
+    ('{"open drawer": 0}', "entry 'open drawer' must map to an atomic-task count"),
     ("[]", "a library is a JSON object, got list"),
+    ('"open drawer"', "a library is a JSON object, got str"),
 ])
 def test_plan_names_a_malformed_library(tmp_path, content, cause):
     library = tmp_path / "bad.json"
@@ -334,3 +346,90 @@ def test_export_costmap_has_no_map_settings(runner, tmp_path, flag):
                                        "--task", "put_in_and_close", flag, "0.05"])
     assert result.exit_code == 2
     assert "No such option" in result.output
+
+
+def test_decompose_writes_a_library_that_plan_accepts(runner, tmp_path, recorded):
+    demos, annotations = recorded
+    invoke(runner, ["--out-dir", str(tmp_path / "ds"), "decompose", str(demos),
+                    "--annotations", str(annotations)])
+    library = tmp_path / "ds" / "library.json"
+    assert json.loads(library.read_text()) == {"open drawer": 1, "put item in drawer": 1}
+    result = invoke(runner, ["plan", "put item in drawer without close",
+                             "--library", str(library)])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == ["open drawer", "put item in drawer"]
+
+
+@pytest.mark.parametrize("command", [["eval", "--episodes", "1"],
+                                     ["ablate", "--axis", "noise", "--values", "0"],
+                                     ["export-costmap", "--task", "put_in_wo_close"],
+                                     ["plan", "put the item in the drawer"],
+                                     ["record-demos", "--tasks", "open_drawer"]])
+@pytest.mark.parametrize("seed_list", ["-1", "0,-2"])
+def test_a_negative_seed_is_a_usage_error(tmp_path, seed_list, command):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["--out-dir", str(out), f"--seed-list={seed_list}"]
+                                + command)
+    assert result.exit_code == 2
+    assert "Invalid value for '--seed-list'" in result.output
+    assert "seeds must be non-negative" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["eval"], ["ablate", "--axis", "noise", "--values", "0"]])
+def test_a_negative_seed_in_the_config_exits_2(tmp_path, command):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("tasks: [open_drawer]\nepisodes: 1\nseeds: [-1]\n")
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path)] + command
+                                + ["--config", str(cfg)])
+    assert result.exit_code == 2
+    assert ("config error: seeds must be a non-empty list of non-negative integers, "
+            "got [-1]") in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_decompose_names_the_demo_line_that_is_not_utf8(tmp_path, recorded):
+    demos, annotations = recorded
+    demos.write_bytes(demos.read_bytes() + b'{"id": "d\xff"}\n')
+    result = _decompose(tmp_path, demos, annotations)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ")
+    assert f"{demos} line 2: UnicodeDecodeError" in result.output
+    assert not (tmp_path / "ds").exists()
+
+
+def test_eval_names_a_config_that_is_not_utf8(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(b"tasks: [open_drawer]\nepisodes: \xff\n")
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path), "eval",
+                                       "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"config error: {cfg} is not valid YAML: 'utf-8' codec" in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_every_config_field_changes_what_eval_runs(monkeypatch, tmp_path):
+    # a field that changes neither the library build nor the suite run changes
+    # no outcome, and would be a knob that does nothing
+    library, calls = InstructionLibrary(), []
+
+    def record(result):
+        return lambda *args, **kwargs: calls.append((args, kwargs)) or result
+
+    monkeypatch.setattr(cli, "build_library", record(([], [], library)))
+    monkeypatch.setattr(cli, "run_suite", record([]))
+
+    def arguments(config):
+        calls.clear()
+        cli._run_eval(SimpleNamespace(obj={"out_dir": tmp_path}), config, "results.csv")
+        return list(calls)
+
+    changed = {"tasks": ["atomic"], "chaining_m": 0, "noise_sigma": 0.01,
+               "episodes": 3, "seeds": [4]}
+    assert set(changed) == {f.name for f in fields(ExperimentConfig)}
+    default = arguments(ExperimentConfig())
+    assert len(default) == 2 and arguments(ExperimentConfig()) == default
+    for name, value in changed.items():
+        assert arguments(replace(ExperimentConfig(), **{name: value})) != default, name

@@ -41,9 +41,10 @@ def test_from_yaml_rejects_unknown_keys(tmp_path):
         ExperimentConfig.from_yaml(path)
 
 
-@pytest.mark.parametrize("key", ["planner: vlm", "out_dir: results", "workers: 2"])
+@pytest.mark.parametrize("key", ["planner: vlm", "out_dir: results", "workers: 2", "mode: full"])
 def test_from_yaml_rejects_removed_keys(tmp_path, key):
-    # eval always plans with the mock planner and writes to the global --out-dir
+    # eval always plans with the mock planner, writes to the global --out-dir,
+    # and builds one library whatever the segmentation mode
     path = tmp_path / "cfg.yaml"
     path.write_text(key + "\n")
     with pytest.raises(ValueError, match="unknown config keys: " + key.split(":")[0]):
@@ -51,12 +52,12 @@ def test_from_yaml_rejects_removed_keys(tmp_path, key):
 
 
 def test_validation_lists_all_errors(registry):
-    cfg = ExperimentConfig(tasks=["no_such_task", "also_missing"], mode="quarter",
+    cfg = ExperimentConfig(tasks=["no_such_task", "also_missing"], chaining_m=-1,
                            episodes=0, seeds=[])
     errors = cfg.validate(registry)
     assert any("no_such_task" in e for e in errors)
     assert any("also_missing" in e for e in errors)
-    assert any("mode" in e for e in errors)
+    assert any("chaining_m" in e for e in errors)
     assert any("episodes" in e for e in errors)
     assert any("seeds" in e for e in errors)
 
@@ -90,8 +91,14 @@ def test_from_yaml_rejects_a_document_that_is_not_a_mapping(tmp_path, text):
 
 def test_validation_rejects_wrong_types(registry):
     for noise_sigma in ("low", float("inf")):
-        cfg = ExperimentConfig(tasks="compositional", mode=["full"], chaining_m=2.5,
+        cfg = ExperimentConfig(tasks="compositional", chaining_m=2.5,
                                noise_sigma=noise_sigma, episodes="ten", seeds=[0, True])
         errors = cfg.validate(registry)
-        for name in ("tasks", "mode", "chaining_m", "noise_sigma", "episodes", "seeds"):
+        for name in ("tasks", "chaining_m", "noise_sigma", "episodes", "seeds"):
             assert sum(e.startswith(name) for e in errors) == 1, (name, errors)
+
+
+@pytest.mark.parametrize("seeds", [[-1], [0, -3]])
+def test_validation_rejects_a_negative_seed(registry, seeds):
+    assert ExperimentConfig(seeds=seeds).validate(registry) == [
+        f"seeds must be a non-empty list of non-negative integers, got {seeds!r}"]

@@ -140,7 +140,7 @@ def test_build_dataset_annotations_and_ordering():
     tasks, library = build_atomic_dataset(demos, cfg)
     assert [(t.segment.demo_id, t.segment.start) for t in tasks] == \
         [("a", 0), ("b", 0), ("b", 4)]
-    assert sorted(library.instructions()) == ["s1", "s2", "s3"]
+    assert sorted(library.counts) == ["s1", "s2", "s3"]
     for t in tasks:
         assert t.keyframes[-1] == t.segment.end
         assert all(t.segment.start <= k <= t.segment.end for k in t.keyframes)

@@ -12,7 +12,7 @@ from deco.executor import (MAX_ACTIONS_PER_SKILL, ExecutorConfig, MonitorVerdict
 from deco.costmap import CostMap
 from deco.errors import NoFreeChain
 from deco.geometry import Pose
-from deco.planning import ItemLocation, Plan, PlanSource
+from deco.planning import ItemLocation
 from deco.registry import load_registry
 from deco.sim.scene import WORKSPACE
 from deco.sim.tasks import drawer_front_obstacle_task, reset
@@ -55,19 +55,12 @@ def test_library_has_ten_instructions_from_six_demos(registry):
     demos, tasks, lib = build_library(registry)
     assert len(demos) == len(SOURCE_DEMO_TASKS) == 6
     assert len(lib) == 10
-    assert sorted(lib.instructions()) == sorted(t.instruction for t in registry.atomic_tasks())
-
-
-def test_half_mode_library_doubles_segments(registry):
-    _, full_tasks, _ = build_library(registry, mode="full")
-    _, half_tasks, half_lib = build_library(registry, mode="half")
-    assert len(half_tasks) == 2 * len(full_tasks)
-    assert len(half_lib) == 10
+    assert sorted(lib.counts) == sorted(t.instruction for t in registry.atomic_tasks())
 
 
 def test_run_episode_atomic_success(registry):
     task = registry.get("open_drawer")
-    plan = Plan(steps=task.plan, source=PlanSource.MOCK)
+    plan = task.plan
     result = run_episode(task, reset(task, 0), plan, ExecutorConfig(), 0)
     assert result.success
     assert [s.completed for s in result.skills] == [True]
@@ -76,7 +69,7 @@ def test_run_episode_atomic_success(registry):
 def test_run_episode_precondition_failure(registry):
     # drawer starts open: "open drawer" is refused and the episode fails
     task = registry.get("close_drawer")
-    plan = Plan(steps=("open drawer",), source=PlanSource.MOCK)
+    plan = ("open drawer",)
     result = run_episode(task, reset(task, 0), plan, ExecutorConfig(), 0)
     assert not result.success
     assert not result.skills[0].completed
@@ -85,16 +78,16 @@ def test_run_episode_precondition_failure(registry):
 
 def test_run_episode_skill_advance_soundness(registry):
     task = registry.get("put_in_and_close")
-    plan = Plan(steps=task.plan, source=PlanSource.MOCK)
+    plan = task.plan
     result = run_episode(task, reset(task, 0), plan, ExecutorConfig(), 0)
     assert result.success
     assert all(s.completed for s in result.skills)
-    assert len(result.skills) == len(plan.steps)
+    assert len(result.skills) == len(plan)
 
 
 def test_run_episode_noise_can_time_out(registry):
     task = registry.get("open_drawer")
-    plan = Plan(steps=task.plan, source=PlanSource.MOCK)
+    plan = task.plan
     cfg = ExecutorConfig(noise_sigma=0.05)
     results = [run_episode(task, reset(task, s), plan, cfg, s) for s in range(8)]
     assert any(not r.success for r in results)
@@ -103,7 +96,7 @@ def test_run_episode_noise_can_time_out(registry):
 
 def test_run_episode_small_noise_recovers(registry):
     task = registry.get("open_drawer")
-    plan = Plan(steps=task.plan, source=PlanSource.MOCK)
+    plan = task.plan
     cfg = ExecutorConfig(noise_sigma=0.004)
     result = run_episode(task, reset(task, 0), plan, cfg, 0)
     assert result.skills[0].completed

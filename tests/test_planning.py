@@ -2,7 +2,7 @@ import pytest
 
 from deco.errors import UnknownTask, UnsatisfiablePlan
 from deco.executor import build_library
-from deco.planning import (ItemLocation, PlanSource, SceneSummary, plan_mock,
+from deco.planning import (ItemLocation, SceneSummary, plan_mock,
                            repair_preconditions)
 from deco.registry import load_registry
 
@@ -53,21 +53,20 @@ def test_plan_mock_motivating_example(library, registry):
     # closed drawer, item on the table: open, place, close
     plan = plan_mock("put item in drawer and close", drawer_scene(0.0), library,
                      registry)
-    assert plan.steps == ("open drawer", "put item in drawer", "close drawer")
-    assert plan.source is PlanSource.MOCK
+    assert plan == ("open drawer", "put item in drawer", "close drawer")
 
 
 def test_plan_mock_drops_open_when_drawer_already_open(library, registry):
     plan = plan_mock("put item in drawer and close", drawer_scene(1.0), library,
                      registry)
-    assert plan.steps == ("put item in drawer", "close drawer")
+    assert plan == ("put item in drawer", "close drawer")
 
 
 def test_plan_mock_atomic_passthrough(library, registry):
     plan = plan_mock("put rubbish in dustpan",
                      SceneSummary(inventory=("rubbish_0",), dustpan_present=True),
                      library, registry)
-    assert plan.steps == ("put rubbish in dustpan",)
+    assert plan == ("put rubbish in dustpan",)
 
 
 def test_plan_mock_unknown_instruction(library, registry):
@@ -93,7 +92,7 @@ def test_plan_mock_all_canonical_templates(library, registry):
     for task in registry.compositional_tasks():
         scene = _scene_for(task)
         plan = plan_mock(task.instruction, scene, library, registry)
-        assert plan.steps == repair_tuple(task.plan, scene), task.id
+        assert plan == repair_tuple(task.plan, scene), task.id
 
 
 def repair_tuple(template, scene):

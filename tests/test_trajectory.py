@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -100,16 +102,17 @@ def test_load_atomic_tasks_names_the_line_that_fails(tmp_path, line, cause):
         load_atomic_tasks(path)
 
 
-def test_library_aggregation_and_centroid():
+def test_library_counts_atomic_tasks_per_instruction():
     lib = InstructionLibrary()
-    for i, goal in enumerate(([0.4, 0.0, 0.1], [0.6, 0.2, 0.3])):
+    for i, (instruction, goal) in enumerate((("grab", [0.4, 0.0, 0.1]),
+                                             ("grab", [0.6, 0.2, 0.3]),
+                                             ("drop", [0.5, 0.1, 0.2]))):
         seg = InteractionSegment(f"d{i}", 0, 2, SegmentKind.FULL)
-        lib.add(AtomicTask(segment=seg, instruction="grab",
+        lib.add(AtomicTask(segment=seg, instruction=instruction,
                            goal_pose=Pose(goal), keyframes=(2,)))
-    assert "grab" in lib
-    assert len(lib) == 1
-    assert lib.entries["grab"].count == 2
-    assert lib.entries["grab"].goal_positions == [[0.4, 0.0, 0.1], [0.6, 0.2, 0.3]]
+    assert "grab" in lib and "drop" in lib and "lift" not in lib
+    assert len(lib) == 2
+    assert lib.counts == {"grab": 2, "drop": 1}
 
 
 def test_library_save_load(tmp_path):
@@ -119,6 +122,27 @@ def test_library_save_load(tmp_path):
                        goal_pose=Pose([0.4, 0, 0.1]), keyframes=(2,)))
     path = tmp_path / "lib.json"
     lib.save(path)
-    loaded = InstructionLibrary.load(path)
-    assert loaded.instructions() == ["grab"]
-    assert loaded.entries["grab"].kinds == ["half_open_to_closed"]
+    assert json.loads(path.read_text()) == {"grab": 1}
+    assert InstructionLibrary.load(path).counts == {"grab": 1}
+
+
+@pytest.mark.parametrize("entry", [
+    {"instruction": "grab", "kinds": "full", "demo_ids": ["d"], "count": 1,
+     "goal_positions": [[0.4, 0.0, 0.1]], "goal_quat": [1, 0, 0, 0]},
+    "2", True, False, 0, -1, 1.0, None, [1],
+])
+def test_library_load_names_the_entry_that_is_not_a_count(tmp_path, entry):
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps({"drop": 3, "grab": entry}))
+    with pytest.raises(MalformedData, match=f"{path}: entry 'grab' must map to an "
+                                            "atomic-task count of at least 1"):
+        InstructionLibrary.load(path)
+
+
+@pytest.mark.parametrize("load, error", [(load_demos, MalformedDemo),
+                                         (load_atomic_tasks, MalformedData)])
+def test_jsonl_that_is_not_utf8_names_the_line(tmp_path, load, error):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b"\n" + b'{"id": "d\xff"}\n')
+    with pytest.raises(error, match=f"{path} line 2: UnicodeDecodeError"):
+        load(path)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from deco.errors import DecoError, HallucinatedStep, ParseError, TransportError
 from deco.executor import build_library
-from deco.planning import PlanSource, SceneSummary
+from deco.planning import SceneSummary
 from deco.registry import load_registry
 from deco.vlm import (EndpointConfig, build_prompt, extract_json_array,
                       parse_plan_response, plan_vlm)
@@ -79,8 +79,7 @@ def test_parse_rejects_hallucinated_step(library):
 def test_parse_accepts_chat_wrapped_plan(library):
     body = chat_body('The plan:\n["open drawer", "put item in drawer"]')
     plan = parse_plan_response(body, library)
-    assert plan.steps == ("open drawer", "put item in drawer")
-    assert plan.source is PlanSource.VLM
+    assert plan == ("open drawer", "put item in drawer")
 
 
 FIXTURE_BAD_RESPONSES = [
@@ -129,7 +128,7 @@ def test_parse_returns_a_plan_or_raises_a_deco_error(library, body):
         plan = parse_plan_response(body, library)
     except DecoError:
         return
-    assert plan.steps and all(step in library for step in plan.steps)
+    assert plan and all(step in library for step in plan)
 
 
 class FakeResponse:
@@ -149,7 +148,7 @@ def test_plan_vlm_posts_and_parses(monkeypatch, library):
     cfg = EndpointConfig(url="http://example.test/v1", api_key="tok", model="m1")
     plan = plan_vlm("open the drawer", SceneSummary(drawer_open_fraction=0.0),
                     library, cfg)
-    assert plan.steps == ("open drawer",)
+    assert plan == ("open drawer",)
     assert captured["url"] == "http://example.test/v1"
     assert captured["payload"]["model"] == "m1"
     assert captured["headers"]["Authorization"] == "Bearer tok"
@@ -169,7 +168,7 @@ def test_plan_vlm_retries_transport_once(monkeypatch, library, tmp_path):
     audit = tmp_path / "audit.jsonl"
     cfg = EndpointConfig(url="http://example.test/v1", audit_log=str(audit))
     plan = plan_vlm("open the drawer", SceneSummary(), library, cfg)
-    assert plan.steps == ("open drawer",)
+    assert plan == ("open drawer",)
     assert len(calls) == 2
     records = [json.loads(line) for line in audit.read_text().splitlines()]
     assert any("error" in r for r in records)
