@@ -56,7 +56,12 @@ def main(ctx, seed_list, out_dir, audit_log):
 
 def _out_dir(ctx) -> Path:
     out = ctx.obj["out_dir"]
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # a file where the directory or one of its parents should be
+        raise click.BadParameter(f"cannot create directory {str(out)!r}: {exc.strerror}",
+                                 ctx=ctx, param_hint="'--out-dir'") from exc
     return out
 
 

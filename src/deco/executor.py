@@ -25,7 +25,7 @@ from .errors import (DecoError, NoFreeChain, PlanningFailure, PreconditionUnmet,
 from .geometry import Pose, is_goal_reached
 from .planning import ItemLocation, SceneSummary, plan_mock
 from .registry import TaskRegistry, TaskSpec, load_registry
-from .sim.oracle import noised_action, oracle_policy, record_demo
+from .sim.oracle import noised_action, noised_script, oracle_policy, record_demo
 from .sim.scene import (CUPBOARD_INTERIOR, DUSTPAN_VOLUME, WORKSPACE, Action,
                         GripperCommand, Scene, fixed_samples, point_cloud, step)
 from .sim.tasks import reset, success
@@ -157,7 +157,9 @@ def run_episode(task: TaskSpec, scene: Scene, plan: tuple[str, ...], config: Exe
 
     Each skill is dry-run without noise to predict its goal and, before the
     transition into it, its start pose; its actions are then drawn with
-    ``config.noise_sigma``.
+    ``config.noise_sigma``.  After a transition the skill is scripted again
+    on the scene the transition left; without one, the dry run's script is
+    the skill's script, and only the noise is drawn.
     """
     result = EpisodeResult(task_id=task.id, seed=seed, success=False)
     rng = np.random.default_rng([seed, zlib.crc32(task.id.encode())])
@@ -180,7 +182,10 @@ def run_episode(task: TaskSpec, scene: Scene, plan: tuple[str, ...], config: Exe
                 result.skills.append(SkillOutcome(instruction, False, 0, f"chaining: {exc}"))
                 completed_all = False
                 break
-        actions = oracle_policy(instruction, scene, config.noise_sigma, seed * 101 + i)
+            actions = oracle_policy(instruction, scene, config.noise_sigma, seed * 101 + i)
+        else:
+            # no transition ran, so the scene is the one the dry run scripted
+            actions = noised_script(instruction, dry, config.noise_sigma, seed * 101 + i)
         used = 0
         for action in actions:
             scene = step(scene, action)

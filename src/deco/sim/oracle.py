@@ -216,6 +216,19 @@ def noised_action(target: Pose, command: GripperCommand, offset) -> Action:
     return Action(Pose(position, target.orientation), command)
 
 
+def noised_script(instruction: str, actions: list[Action], noise_sigma: float,
+                  seed: int) -> list[Action]:
+    """The skill's script ``actions`` with each target moved by a normal draw of
+    ``noise_sigma`` from a generator seeded by ``seed`` and the instruction;
+    ``actions`` itself without noise."""
+    if noise_sigma > 0:
+        rng = np.random.default_rng([seed, zlib.crc32(instruction.encode())])
+        actions = [noised_action(a.target, a.gripper_command,
+                                 rng.normal(0.0, noise_sigma, size=3))
+                   for a in actions]
+    return actions
+
+
 def oracle_policy(instruction: str, scene: Scene, noise_sigma: float = 0.0,
                   seed: int = 0) -> list[Action]:
     """Keyframe action sequence for one skill, optionally position-noised."""
@@ -223,13 +236,7 @@ def oracle_policy(instruction: str, scene: Scene, noise_sigma: float = 0.0,
     if script is None:
         raise UnknownInstruction(f"no scripted skill for instruction {instruction!r}")
     check_needs(instruction, scene)
-    actions = script(scene)
-    if noise_sigma > 0:
-        rng = np.random.default_rng([seed, zlib.crc32(instruction.encode())])
-        actions = [noised_action(a.target, a.gripper_command,
-                                 rng.normal(0.0, noise_sigma, size=3))
-                   for a in actions]
-    return actions
+    return noised_script(instruction, script(scene), noise_sigma, seed)
 
 
 def record_demo(task: TaskSpec, seed: int) -> Demonstration:

@@ -86,14 +86,20 @@ class Action:
     gripper_command: GripperCommand = GripperCommand.HOLD
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimObject:
+    """One object of a scene.  Scenes share the objects that did not move, so
+    neither the fields nor the position can be written: a move is a new
+    ``SimObject``.  The position is a read-only float copy of the one given."""
+
     kind: str
     position: np.ndarray
     held: bool = False
 
-    def copy(self) -> "SimObject":
-        return SimObject(self.kind, np.array(self.position, dtype=float), self.held)
+    def __post_init__(self):
+        position = np.array(self.position, dtype=float)
+        position.setflags(write=False)
+        object.__setattr__(self, "position", position)
 
 
 @dataclass
@@ -110,40 +116,27 @@ class Scene:
     drawer_slams: int = 0
 
     def copy(self) -> "Scene":
-        """Every field, with the objects and the gripper position copied."""
+        """Every field, with the ``objects`` dict and the gripper position
+        copied.  The frozen objects themselves are shared with this scene."""
         out = object.__new__(Scene)
         out.__dict__.update(self.__dict__)
-        out.objects = {k: v.copy() for k, v in self.objects.items()}
+        out.objects = dict(self.objects)
         out.gripper_position = np.array(self.gripper_position, dtype=float)
         return out
 
     # --- derived geometry ---
 
-    def drawer_front_x(self) -> float:
-        return CABINET_LO[0] - DRAWER_TRAVEL * self.open_fraction
-
     def handle_position(self) -> np.ndarray:
-        return np.array([self.drawer_front_x() - 0.025, HANDLE_Y, HANDLE_Z])
+        return np.array([_drawer_front_x(self.open_fraction) - 0.025, HANDLE_Y, HANDLE_Z])
 
     def drawer_interior(self) -> Bounds:
-        shift = DRAWER_TRAVEL * self.open_fraction
-        return Bounds((CABINET_LO[0] + 0.01 - shift, CABINET_LO[1] + 0.01, 0.02),
-                      (CABINET_HI[0] - 0.02 - shift, CABINET_HI[1] - 0.01, DRAWER_WALL_TOP))
+        return _drawer_interior(self.open_fraction)
 
     def drawer_rows(self) -> np.ndarray:
-        """(K, 2, 3) lower and upper corners of the tray part protruding from
-        the cabinet: front wall, two side walls, floor; K is 0 while the tray
-        is in."""
-        if not self.drawer_present or self.open_fraction < 0.03:
-            return _NO_BOXES
-        front = self.drawer_front_x()
-        return np.array([
-            [(front - DRAWER_WALL, CABINET_LO[1], 0.0), (front, CABINET_HI[1], DRAWER_WALL_TOP)],
-            [(front - DRAWER_WALL, CABINET_LO[1], 0.0),
-             (CABINET_LO[0], CABINET_LO[1] + DRAWER_WALL, DRAWER_WALL_TOP)],
-            [(front - DRAWER_WALL, CABINET_HI[1] - DRAWER_WALL, 0.0),
-             (CABINET_LO[0], CABINET_HI[1], DRAWER_WALL_TOP)],
-            [(front - DRAWER_WALL, CABINET_LO[1], 0.0), (CABINET_LO[0], CABINET_HI[1], 0.02)]])
+        """Read-only (K, 2, 3) lower and upper corners of the tray part
+        protruding from the cabinet: front wall, two side walls, floor; K is 0
+        while the tray is in or there is no drawer."""
+        return _drawer_rows(self.open_fraction) if self.drawer_present else _NO_BOXES
 
     def object_rows(self) -> np.ndarray:
         """(K, 2, 3) lower and upper corners of the unheld objects that have a
@@ -189,18 +182,43 @@ def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> floa
     return vector_norm(p - (a + t * ab))
 
 
-def _shift_drawer_contents(scene: Scene, old_fraction: float, new_fraction: float):
+def _shift_drawer_contents(scene: Scene, new_fraction: float):
     """Objects sitting in the tray translate with it."""
     interior = scene.drawer_interior()
-    dx = -DRAWER_TRAVEL * (new_fraction - old_fraction)
-    for obj in scene.objects.values():
+    dx = -DRAWER_TRAVEL * (new_fraction - scene.open_fraction)
+    for name, obj in list(scene.objects.items()):
         if not obj.held and interior.contains(obj.position):
-            obj.position[0] += dx
+            position = obj.position.copy()
+            position[0] += dx
+            scene.objects[name] = SimObject(obj.kind, position)
     scene.open_fraction = new_fraction
 
 
+def _near_boxes(corners, first: list[float], last: list[float]) -> list[int]:
+    """Indices of the boxes, given as (x0, y0, z0, x1, y1, z1) rows, that
+    overlap the closed axis-aligned extent of ``first`` and ``last``."""
+    (sx, sy, sz), (ex, ey, ez) = first, last
+    lx, hx = (sx, ex) if sx <= ex else (ex, sx)
+    ly, hy = (sy, ey) if sy <= ey else (ey, sy)
+    lz, hz = (sz, ez) if sz <= ez else (ez, sz)
+    return [k for k, (x0, y0, z0, x1, y1, z1) in enumerate(corners)
+            if x0 <= hx and lx <= x1 and y0 <= hy and ly <= y1 and z0 <= hz and lz <= z1]
+
+
 def step(scene: Scene, action: Action) -> Scene:
-    """Apply one keyframe action and return the successor scene."""
+    """Apply one keyframe action and return the successor scene.
+
+    The successor shares every object that did not move with ``scene``; the
+    ones that moved (the held object, swept rubbish, the tray contents, the
+    object grasped or released) are new ``SimObject``s in its own dict.
+
+    Collisions are tested in two phases.  The broad phase keeps the boxes that
+    overlap the segment's extent: its samples ``start + f * displacement``
+    run monotonically along each axis from ``start`` to ``start +
+    displacement``, so a box outside that closed extent holds none of them.
+    The narrow phase tests the samples of the segment, SEGMENT_SAMPLE_RES
+    apart, against the boxes left, tray rows first, in one broadcast.
+    """
     target = np.asarray(action.target.position, dtype=float)
     if not WORKSPACE.contains(target):
         raise OutOfBounds(f"action target {target} outside workspace")
@@ -208,38 +226,40 @@ def step(scene: Scene, action: Action) -> Scene:
     out = scene.copy()
     # the copy's own array: step replaces out.gripper_position, never writes it
     start = out.gripper_position
-    samples = _segment_samples(start, target)
     displacement = target - start
     holding_handle = out.held_object == HANDLE_NAME
 
-    # collision bookkeeping + drawer slam; a tray pulled by its handle is not hit.
-    # One broadcast tests every sample against every box, tray rows first
+    # collision bookkeeping + drawer slam; a tray pulled by its handle is not hit
     tray = _NO_BOXES if holding_handle else out.drawer_rows()
-    boxes = _fixed_rows(out.drawer_present, out.cupboard_present, out.dustpan_present)
-    if len(tray):
-        boxes = np.concatenate((tray, boxes))
-    s3 = samples[:, None, :]
-    hit = ((s3 >= boxes[:, 0]) & (s3 <= boxes[:, 1])).all(axis=2).any(axis=0).tolist()
-    hit_drawer = any(hit[:len(tray)])
-    if any(hit):
+    layout = (out.drawer_present, out.cupboard_present, out.dustpan_present)
+    near = _near_boxes(_box_corners(tray) + _fixed_corners(*layout),
+                       start.tolist(), (start + displacement).tolist())
+    hit_any = hit_drawer = False
+    if near:
+        boxes = np.concatenate((tray, _fixed_rows(*layout)))[near]
+        s3 = _segment_samples(start, target)[:, None, :]
+        hit = ((s3 >= boxes[:, 0]) & (s3 <= boxes[:, 1])).all(axis=2).any(axis=0).tolist()
+        hit_any = any(hit)
+        hit_drawer = any(h for k, h in zip(near, hit) if k < len(tray))
+    if hit_any:
         out.collision_count += 1
     if hit_drawer:
         direction = displacement / max(vector_norm(displacement), 1e-12)
         if abs(direction[2]) < 0.9 and out.open_fraction > SLAM_FRACTION:
-            _shift_drawer_contents(out, out.open_fraction, SLAM_FRACTION)
+            _shift_drawer_contents(out, SLAM_FRACTION)
             out.drawer_slams += 1
 
     # move the gripper; handle and held objects track it
     out.gripper_position = target
+    held = None
     if holding_handle:
-        new_fraction = _clip01(out.open_fraction - displacement[0] / DRAWER_TRAVEL)
-        _shift_drawer_contents(out, out.open_fraction, new_fraction)
+        _shift_drawer_contents(out, _clip01(out.open_fraction - displacement[0] / DRAWER_TRAVEL))
     elif out.held_object is not None:
-        out.objects[out.held_object].position = np.array(target)
+        held = out.objects[out.held_object]
+        out.objects[out.held_object] = held = SimObject(held.kind, target, held.held)
 
     # a held broom sweeps nearby rubbish along the horizontal motion
-    if out.held_object is not None and out.objects.get(out.held_object) is not None \
-            and out.objects[out.held_object].kind == "broom":
+    if held is not None and held.kind == "broom":
         horizontal = np.array([displacement[0], displacement[1], 0.0])
         if vector_norm(horizontal) > 0.01:
             for name in out.rubbish_names():
@@ -247,19 +267,21 @@ def step(scene: Scene, action: Action) -> Scene:
                 if obj.held:
                     continue
                 if _point_segment_distance(obj.position, start, target) <= SWEEP_RADIUS:
-                    obj.position = obj.position + horizontal
+                    out.objects[name] = SimObject(obj.kind, obj.position + horizontal)
 
     # gripper command
     if action.gripper_command is GripperCommand.CLOSE:
         if out.gripper_state is GripperState.OPEN:
             out.gripper_state = GripperState.CLOSED
             out.held_object = _nearest_graspable(out)
-            if out.held_object is not None and out.held_object != HANDLE_NAME:
-                out.objects[out.held_object].held = True
-                out.objects[out.held_object].position = np.array(out.gripper_position)
+            grasped = out.objects.get(out.held_object)
+            if grasped is not None:
+                out.objects[out.held_object] = SimObject(grasped.kind, out.gripper_position,
+                                                         True)
     elif action.gripper_command is GripperCommand.OPEN:
-        if out.held_object is not None and out.held_object != HANDLE_NAME:
-            out.objects[out.held_object].held = False
+        released = out.objects.get(out.held_object)
+        if released is not None:
+            out.objects[out.held_object] = SimObject(released.kind, released.position)
         out.held_object = None
         out.gripper_state = GripperState.OPEN
     return out
@@ -290,6 +312,47 @@ def _fixed_rows(drawer_present: bool, cupboard_present: bool,
     rows = np.array([(b.lower, b.upper) for b in boxes]).reshape(-1, 2, 3)
     rows.flags.writeable = False
     return rows
+
+
+@lru_cache(maxsize=8)
+def _fixed_corners(drawer_present: bool, cupboard_present: bool,
+                   dustpan_present: bool) -> tuple:
+    return _box_corners(_fixed_rows(drawer_present, cupboard_present, dustpan_present))
+
+
+def _box_corners(rows: np.ndarray) -> tuple:
+    """(K, 2, 3) corners as plain floats, one (x0, y0, z0, x1, y1, z1) per box."""
+    return tuple(map(tuple, rows.reshape(-1, 6).tolist()))
+
+
+def _drawer_front_x(open_fraction: float) -> float:
+    return CABINET_LO[0] - DRAWER_TRAVEL * open_fraction
+
+
+@lru_cache(maxsize=64)
+def _drawer_rows(open_fraction: float) -> np.ndarray:
+    """Read-only (K, 2, 3) corners of the tray rows at this open fraction;
+    K is 0 while the tray is in."""
+    if open_fraction < 0.03:
+        return _NO_BOXES
+    front = _drawer_front_x(open_fraction)
+    rows = np.array([
+        [(front - DRAWER_WALL, CABINET_LO[1], 0.0), (front, CABINET_HI[1], DRAWER_WALL_TOP)],
+        [(front - DRAWER_WALL, CABINET_LO[1], 0.0),
+         (CABINET_LO[0], CABINET_LO[1] + DRAWER_WALL, DRAWER_WALL_TOP)],
+        [(front - DRAWER_WALL, CABINET_HI[1] - DRAWER_WALL, 0.0),
+         (CABINET_LO[0], CABINET_HI[1], DRAWER_WALL_TOP)],
+        [(front - DRAWER_WALL, CABINET_LO[1], 0.0), (CABINET_LO[0], CABINET_HI[1], 0.02)]])
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=64)
+def _drawer_interior(open_fraction: float) -> Bounds:
+    """The tray's inside at this open fraction."""
+    shift = DRAWER_TRAVEL * open_fraction
+    return Bounds((CABINET_LO[0] + 0.01 - shift, CABINET_LO[1] + 0.01, 0.02),
+                  (CABINET_HI[0] - 0.02 - shift, CABINET_HI[1] - 0.01, DRAWER_WALL_TOP))
 
 
 @lru_cache(maxsize=8)

@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-import requests
-
 from .errors import HallucinatedStep, ParseError, TransportError
 from .planning import SceneSummary
 from .trajectory import InstructionLibrary
@@ -108,6 +106,9 @@ def _audit(path: str | None, record: dict):
 
 
 def _post(config: EndpointConfig, payload: dict) -> str:
+    # imported here: no episode posts a request, and the HTTP stack is large
+    import requests
+
     headers = {"Content-Type": "application/json"}
     if config.api_key:
         headers["Authorization"] = f"Bearer {config.api_key}"

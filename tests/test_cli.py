@@ -244,6 +244,17 @@ def test_exported_grid_is_the_map_of_the_whole_cloud(runner, tmp_path):
         assert exported == (tmp_path / f"uncached.{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+def test_an_out_dir_blocked_by_a_file_is_a_usage_error(tmp_path, out_dir):
+    (tmp_path / "afile").touch()
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path / out_dir), "--seed-list", "0",
+                                       "export-costmap", "--task", "open_drawer"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--out-dir'" in result.output
+    assert "cannot create directory" in result.output
+    assert result.exc_info[0] is SystemExit
+
+
 @pytest.mark.parametrize("seed_list", [",,", "", " , "])
 @pytest.mark.parametrize("command", [["export-costmap", "--task", "put_in_wo_close"],
                                      ["plan", "put the item in the drawer"],

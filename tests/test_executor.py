@@ -14,6 +14,7 @@ from deco.errors import NoFreeChain
 from deco.geometry import Pose
 from deco.planning import ItemLocation
 from deco.registry import load_registry
+from deco.sim.oracle import oracle_policy
 from deco.sim.scene import WORKSPACE
 from deco.sim.tasks import drawer_front_obstacle_task, reset
 
@@ -220,6 +221,29 @@ def test_run_task_episode_resets_once(library, registry, monkeypatch):
     assert result.success
     assert calls == [("put_in_and_close", 3)]
 
+
+
+@pytest.mark.parametrize("chaining_m", [0, 6])
+def test_a_skill_is_scripted_again_only_after_a_transition(registry, monkeypatch, chaining_m):
+    """Without a transition the dry run's script is executed, noised; after
+    one, the skill is scripted again, with noise, on the scene it left."""
+    calls = []
+
+    def recording_policy(instruction, scene, noise_sigma=0.0, seed=0):
+        calls.append((instruction, noise_sigma, seed))
+        return oracle_policy(instruction, scene, noise_sigma, seed)
+
+    monkeypatch.setattr(deco.executor, "oracle_policy", recording_policy)
+    task = registry.get("put_in_and_close")
+    result = run_episode(task, reset(task, 2), task.plan,
+                         ExecutorConfig(chaining_m=chaining_m, noise_sigma=0.005), 2)
+    assert [s.instruction for s in result.skills] == list(task.plan)
+    dry = [(instruction, 0.0, 0) for instruction in task.plan]
+    if chaining_m == 0:
+        assert calls == dry
+    else:
+        again = [(instruction, 0.005, 2 * 101 + i) for i, instruction in enumerate(task.plan)]
+        assert calls == [dry[0], dry[1], again[1], dry[2], again[2]]
 
 
 def test_geometry_caches_are_keyed_by_constants_not_episodes(library, registry, monkeypatch):

@@ -6,10 +6,13 @@ single 3- and 4-vectors once per action, so they work in plain floats; the
 property tests check them byte for byte against the numpy formulas they
 replace.  The digest pins the bytes of every final scene that the oracle
 policy's actions reach on the compositional tasks and the obstacle fixture.
+Scenes share their frozen objects: a copy's objects cannot be written, and
+``step`` makes new ones only for the objects that moved.
 """
 
 import hashlib
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -21,7 +24,8 @@ from deco.errors import PreconditionUnmet
 from deco.geometry import Pose
 from deco.registry import load_registry
 from deco.sim.oracle import oracle_policy
-from deco.sim.scene import SEGMENT_SAMPLE_RES, WORKSPACE, _segment_samples, step
+from deco.sim.scene import (SEGMENT_SAMPLE_RES, WORKSPACE, SimObject, _segment_samples,
+                            step)
 from deco.sim.tasks import drawer_front_obstacle_task, reset
 
 PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
@@ -133,6 +137,8 @@ def test_pose_default_orientation_is_the_normalised_identity():
 
 
 def test_mutating_a_scene_copy_leaves_the_original_unchanged():
+    """A copy's objects cannot be mutated; writing through the copy's dict or
+    fields leaves the original unchanged."""
     task = load_registry().get("retrieve_and_sweep")
     scene = reset(task, 0)
     scene.held_object, scene.open_fraction = "broom", 0.5
@@ -142,12 +148,42 @@ def test_mutating_a_scene_copy_leaves_the_original_unchanged():
     assert (copy.gripper_state, copy.drawer_present, copy.cupboard_present,
             copy.dustpan_present) == (scene.gripper_state, scene.drawer_present,
                                       scene.cupboard_present, scene.dustpan_present)
-    copy.gripper_position[0] += 0.1
     for obj in copy.objects.values():
-        obj.position[1] -= 0.05
-        obj.held = not obj.held
+        with pytest.raises(ValueError, match="read-only"):
+            obj.position[1] -= 0.05
+        with pytest.raises(FrozenInstanceError):
+            obj.held = not obj.held
+        with pytest.raises(FrozenInstanceError):
+            obj.position = obj.position + 0.05
+    copy.gripper_position[0] += 0.1
     copy.objects["extra"] = copy.objects.pop("broom")
+    copy.objects["rubbish_0"] = SimObject("rubbish", [0.5, 0.0, 0.01], held=True)
     copy.held_object, copy.open_fraction = None, 1.0
     copy.collision_count += 1
     copy.drawer_slams += 1
     assert final_state(scene) == before
+
+
+def test_step_shares_the_objects_that_did_not_move():
+    """``step`` returns the input's ``SimObject`` instances for the objects
+    that did not move and new ones for those that did."""
+    scene = reset(load_registry().get("retrieve_and_sweep"), 0)
+    moved_per_step = []
+    for instruction in ("take broom out of cupboard", "sweep rubbish to dustpan"):
+        for action in oracle_policy(instruction, scene):
+            out = step(scene, action)
+            assert out.objects is not scene.objects and set(out.objects) == set(scene.objects)
+            moved = set()
+            for name, obj in out.objects.items():
+                old = scene.objects[name]
+                same = (obj.position.tobytes() == old.position.tobytes()
+                        and obj.held == old.held)
+                assert (obj is old) == same, name
+                assert not obj.position.flags.writeable
+                if not same:
+                    moved.add(name)
+            moved_per_step.append(moved)
+            scene = out
+    # grasp, carry and release of the broom, and a sweep of rubbish
+    assert {"broom"} in moved_per_step and set() in moved_per_step
+    assert any(len(m - {"broom"}) > 0 for m in moved_per_step)

@@ -5,9 +5,10 @@ Each property is checked against a reference written here with plain Python
 arithmetic on the cost grid, not against other ``CostMap`` methods; the
 planner's determinism is checked by comparing two calls byte for byte.  The
 cost-map table, the shared fixed-box samples, the maps built on a cached fixed
-layer and the one broadcast box test per step are gated byte for byte against
-references that recompute every distance, sample every box and test one
-``Bounds`` at a time.  The examples
+layer and the box test per step are gated byte for byte against references
+that recompute every distance, sample every box and test one ``Bounds`` at a
+time; the step's bounds prefilter is also gated against one broadcast of every
+sample over every box.  The examples
 are derandomized, so every run checks the same cases.
 """
 
@@ -470,3 +471,73 @@ def test_step_reference_counts_a_sample_on_a_face():
         target = np.array([x, 0.31, 0.005])
         assert reference_step_counts(scene, target) == (hits, 0, 0.0)
         assert step(scene, Action(Pose(target))).collision_count == hits
+
+
+def reference_broadcast_counts(scene, target) -> tuple[int, int, float]:
+    """collision_count, drawer_slams and open_fraction after moving to target,
+    testing every sample against every box, tray rows first, in one
+    broadcast with no broad phase."""
+    start = np.array(scene.gripper_position)
+    samples = _segment_samples(start, target)
+    holding_handle = scene.held_object == HANDLE_NAME
+    tray = [] if holding_handle else reference_tray_boxes(scene)
+    boxes = tray + reference_fixed_boxes(scene)
+    rows = np.array([(box.lower, box.upper) for box in boxes]).reshape(-1, 2, 3)
+    s3 = samples[:, None, :]
+    hit = ((s3 >= rows[:, 0]) & (s3 <= rows[:, 1])).all(axis=2).any(axis=0)
+    displacement = target - start
+    fraction, slams = scene.open_fraction, scene.drawer_slams
+    direction = displacement / max(float(np.linalg.norm(displacement)), 1e-12)
+    if hit[:len(tray)].any() and abs(direction[2]) < 0.9 and fraction > SLAM_FRACTION:
+        fraction, slams = SLAM_FRACTION, slams + 1
+    if holding_handle:
+        fraction = float(np.clip(fraction - displacement[0] / DRAWER_TRAVEL, 0.0, 1.0))
+    return scene.collision_count + bool(hit.any()), slams, fraction
+
+
+@st.composite
+def face_touching_segments(draw, boxes):
+    """A start and a target in the workspace: a free segment, a zero-length
+    move, or a segment with one end's coordinate on a box face, so that its
+    extent touches the face exactly."""
+    start, target = draw(workspace_points(boxes)), draw(workspace_points(boxes))
+    shape = draw(st.sampled_from(["free", "zero", "face"] if boxes else ["free", "zero"]))
+    if shape == "zero":
+        return start, start.copy()
+    if shape == "face":
+        box, axis = draw(st.sampled_from(boxes)), draw(st.integers(0, 2))
+        end = draw(st.sampled_from([start, target]))
+        end[axis] = draw(st.sampled_from([box.lower[axis], box.upper[axis]]))
+    return start, target
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(scenes(), st.data())
+def test_step_broad_phase_matches_the_full_broadcast(scene, data):
+    boxes = reference_tray_boxes(scene) + reference_fixed_boxes(scene)
+    scene.gripper_position, target = data.draw(face_touching_segments(boxes))
+    if scene.drawer_present and data.draw(st.booleans()):
+        scene.held_object, scene.gripper_state = HANDLE_NAME, GripperState.CLOSED
+    expected = reference_broadcast_counts(scene, target)
+    out = step(scene, Action(Pose(target)))
+    assert (out.collision_count, out.drawer_slams, out.open_fraction) == expected
+
+
+def test_step_counts_a_segment_whose_extent_ends_on_a_face():
+    """The broad phase is closed on both sides: a move that ends exactly on
+    the cabinet's front face hits it, one a float short does not.  The extent
+    ends at the last sample, ``start + (target - start)``, not at the target:
+    here the last sample of a move along y lands on the cupboard's side face
+    y = 0.15 although the target stops a float short of it."""
+    face = float(CABINET_LO[0])
+    for x, hits in ((face, 1), (np.nextafter(face, 0.0), 0)):
+        scene = Scene(drawer_present=True, gripper_position=np.array([0.40, -0.25, 0.07]))
+        target = np.array([x, -0.25, 0.07])
+        assert reference_broadcast_counts(scene, target) == (hits, 0, 0.0)
+        assert step(scene, Action(Pose(target))).collision_count == hits
+    start = np.array([0.65, -0.22116001556012713, 0.20])
+    target = np.array([0.65, np.nextafter(0.15, 0.0), 0.20])
+    assert target[1] < 0.15 == start[1] + (target[1] - start[1])
+    scene = Scene(cupboard_present=True, gripper_position=start)
+    assert reference_broadcast_counts(scene, target) == (1, 0, 0.0)
+    assert step(scene, Action(Pose(target))).collision_count == 1

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import deco
 from deco.errors import DecoError, HallucinatedStep, ParseError, TransportError
 from deco.executor import build_library
 from deco.planning import SceneSummary
@@ -20,6 +25,17 @@ def library():
 
 def chat_body(content):
     return json.dumps({"choices": [{"message": {"content": content}}]})
+
+
+def test_importing_deco_leaves_the_http_stack_unloaded():
+    """``requests`` is imported where a request is posted, not with the package."""
+    src = str(Path(deco.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = "import sys, deco, deco.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_from_env_requires_endpoint(monkeypatch):
