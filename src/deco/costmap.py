@@ -48,13 +48,14 @@ from .geometry import vector_norm
 class Bounds:
     """Axis-aligned box: cost-map extents and the simulator's geometry.
 
-    The corners are read-only copies, also kept as six Python floats so that
-    ``contains`` tests one point with plain float comparisons.
+    The corners are read-only copies, also kept as ``corners``, six Python
+    floats ``(x0, y0, z0, x1, y1, z1)``, so that ``contains`` and the
+    simulator's collision prefilter compare plain floats.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    _corners: tuple = field(init=False, repr=False, compare=False)
+    corners: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.array(self.lower, dtype=float)
@@ -71,12 +72,12 @@ class Bounds:
         hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "_corners", corners)
+        object.__setattr__(self, "corners", corners)
 
     def contains(self, point) -> bool:
         """The point lies in the closed box; a NaN coordinate is outside."""
         x, y, z = np.asarray(point).tolist()
-        x0, y0, z0, x1, y1, z1 = self._corners
+        x0, y0, z0, x1, y1, z1 = self.corners
         return x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1
 
 
@@ -95,7 +96,7 @@ class CostMap:
 
     A one-voxel border of cost 1.0, blocked, answers every point outside the
     map: lookups clip their index into it instead of masking.  A map built from
-    an explicit grid (``load``, tests) derives ``blocked`` from it.  A map from
+    an explicit grid (as in tests) derives ``blocked`` from it.  A map from
     ``build_cost_map`` is given ``blocked`` and keeps its occupancy, each the
     union of its fixed layer's grid and that of the moving points: ``cost_at``
     answers from the occupancy window around each point while it can, and the
@@ -228,26 +229,11 @@ class CostMap:
         with open(grid_path, "wb") as fh:
             fh.write(flat.tobytes())
 
-    @classmethod
-    def load(cls, header_path, grid_path) -> "CostMap":
-        with open(header_path) as fh:
-            header = json.load(fh)
-        dims = header["dims"]
-        expected = 4 * dims[0] * dims[1] * dims[2]
-        raw = np.fromfile(grid_path, dtype=np.uint8)
-        if raw.size != expected:
-            raise DecoError(f"cost-map grid {grid_path} has {raw.size} bytes, "
-                            f"header dims {dims} need {expected}")
-        flat = raw.view("<f4").astype(float)
-        cost = np.transpose(flat.reshape(dims[2], dims[1], dims[0]), (2, 1, 0))
-        return cls(header["origin"], header["voxel_size"], cost,
-                   header["collision_threshold"], header["inflation_radius"])
-
 
 def occupancy_from_points(points, bounds: Bounds, voxel_size: float) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Occupancy grid of the voxels of ``bounds`` that hold a point, its origin
     and its dims; points outside the bounds, or not finite, are left out."""
-    x0, y0, z0, x1, y1, z1 = bounds._corners
+    x0, y0, z0, x1, y1, z1 = bounds.corners
     extent = (x1 - x0, y1 - y0, z1 - z0)
     if min(extent) < voxel_size:
         raise DegenerateBounds(f"bounds extent {extent} smaller than voxel size {voxel_size}")
@@ -442,7 +428,7 @@ def _map_parameters(bounds: Bounds, voxel_size, inflation_radius,
     if not 0 < collision_threshold <= 1:
         raise InvalidMapParameter(
             f"collision_threshold must be in (0, 1], got {collision_threshold}")
-    return (bounds._corners, float(voxel_size), float(inflation_radius),
+    return (bounds.corners, float(voxel_size), float(inflation_radius),
             float(collision_threshold))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import AnnotationMismatch, EmptyDemo, MalformedDemo, NoInteraction
+from .errors import AnnotationMismatch, MalformedDemo, NoInteraction
 from .trajectory import (AtomicTask, Demonstration, GripperState,
                          InstructionLibrary, InteractionSegment, SegmentKind)
 
@@ -38,8 +38,6 @@ class DecompositionConfig:
 
 def discover_keyframes(demo: Demonstration, cfg: DecompositionConfig) -> list[int]:
     """Keyframes: gripper transitions, gap-separated velocity dwells, final step."""
-    if len(demo.steps) < 2:
-        raise EmptyDemo(f"demo {demo.id!r} has fewer than 2 steps")
     keyframes = []
     last_kf = 0
     for i in range(1, len(demo.steps)):

@@ -94,14 +94,14 @@ def scene_summary(scene: Scene) -> SceneSummary:
     drawer = scene.drawer_interior() if scene.drawer_present else None
     cupboard = CUPBOARD_INTERIOR if scene.cupboard_present else None
     dustpan = DUSTPAN_VOLUME if scene.dustpan_present else None
-    for name, obj in sorted(scene.objects.items()):
-        if drawer is not None and drawer.contains(obj.position):
+    for name, position in sorted(scene.objects.items()):
+        if drawer is not None and drawer.contains(position):
             locations[name] = ItemLocation.IN_DRAWER
-        elif cupboard is not None and cupboard.contains(obj.position):
+        elif cupboard is not None and cupboard.contains(position):
             locations[name] = ItemLocation.IN_CUPBOARD
-        elif dustpan is not None and dustpan.contains(obj.position):
+        elif dustpan is not None and dustpan.contains(position):
             locations[name] = ItemLocation.IN_DUSTPAN
-        elif obj.position[2] > 0.13:
+        elif position[2] > 0.13:
             locations[name] = ItemLocation.ON_DRAWER_TOP
         else:
             locations[name] = ItemLocation.ON_TABLE
@@ -162,7 +162,9 @@ def run_episode(task: TaskSpec, scene: Scene, plan: tuple[str, ...], config: Exe
     the skill's script, and only the noise is drawn.
     """
     result = EpisodeResult(task_id=task.id, seed=seed, success=False)
-    rng = np.random.default_rng([seed, zlib.crc32(task.id.encode())])
+    # monitor retries draw from this generator only when actions are noised
+    rng = (np.random.default_rng([seed, zlib.crc32(task.id.encode())])
+           if config.noise_sigma > 0 else None)
     completed_all = True
     for i, instruction in enumerate(plan):
         try:
@@ -192,7 +194,7 @@ def run_episode(task: TaskSpec, scene: Scene, plan: tuple[str, ...], config: Exe
             used += 1
         verdict = monitor(scene, goal, used)
         while verdict is MonitorVerdict.CONTINUE:
-            offset = rng.normal(0.0, config.noise_sigma, 3) if config.noise_sigma > 0 else 0.0
+            offset = 0.0 if rng is None else rng.normal(0.0, config.noise_sigma, 3)
             scene = step(scene, noised_action(goal, actions[-1].gripper_command, offset))
             used += 1
             verdict = monitor(scene, goal, used)
@@ -204,8 +206,7 @@ def run_episode(task: TaskSpec, scene: Scene, plan: tuple[str, ...], config: Exe
             break
     result.collisions = scene.collision_count
     result.drawer_slams = scene.drawer_slams
-    result.success = (completed_all and len(result.skills) == len(plan)
-                      and success(task, scene))
+    result.success = completed_all and success(task, scene)
     return result
 
 

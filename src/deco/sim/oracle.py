@@ -60,24 +60,24 @@ def check_needs(instruction: str, scene: Scene):
 
 def _choose(scene: Scene, prefix: str, region: Bounds, inside: bool, where: str,
             near=None) -> np.ndarray:
-    """Position of an unheld ``prefix`` object inside (or outside) ``region``:
-    the one nearest ``near``, or without ``near`` the first by name."""
-    candidates = sorted(n for n, o in scene.objects.items()
-                        if n.startswith(prefix) and not o.held
-                        and region.contains(o.position) == inside)
+    """Position of a ``prefix`` object inside (or outside) ``region``: the one
+    nearest ``near``, or without ``near`` the first by name.  Scripts run only
+    with an empty gripper, so no object is held."""
+    candidates = sorted(n for n, position in scene.objects.items()
+                        if n.startswith(prefix) and region.contains(position) == inside)
     if not candidates:
         raise PreconditionUnmet(f"no {prefix} {'inside' if inside else 'outside'} the {where}")
     if near is not None:
         # a stable sort: equally near candidates keep their name order
-        candidates.sort(key=lambda n: vector_norm(scene.objects[n].position - near))
-    return scene.objects[candidates[0]].position
+        candidates.sort(key=lambda n: vector_norm(scene.objects[n] - near))
+    return scene.objects[candidates[0]]
 
 
 def _free_spot(scene: Scene, base: np.ndarray, radius: float = 0.05,
                shift: float = 0.07) -> np.ndarray:
     """Shift a nominal drop spot sideways past objects already parked there."""
-    occupied = sum(1 for o in scene.objects.values()
-                   if not o.held and vector_norm(o.position[:2] - base[:2]) < radius)
+    occupied = sum(1 for position in scene.objects.values()
+                   if vector_norm(position[:2] - base[:2]) < radius)
     spot = np.array(base)
     spot[1] += shift * occupied
     return spot
@@ -143,18 +143,17 @@ def _take_out_of_cupboard(scene: Scene, prefix: str, drop_base: np.ndarray) -> l
 
 def _rubbish_outside_pan(scene: Scene) -> list[str]:
     return [n for n in scene.rubbish_names()
-            if not DUSTPAN_VOLUME.contains(scene.objects[n].position)]
+            if not DUSTPAN_VOLUME.contains(scene.objects[n])]
 
 
 def _rubbish_cluster(scene: Scene) -> list[str]:
     eligible = _rubbish_outside_pan(scene)
     if not eligible:
         return []
-    positions = {n: scene.objects[n].position for n in eligible}
     best = [eligible[0]]
     for n in eligible:
         members = [m for m in eligible
-                   if vector_norm(positions[m][:2] - positions[n][:2]) <= 0.06]
+                   if vector_norm(scene.objects[m][:2] - scene.objects[n][:2]) <= 0.06]
         if len(members) > len(best):
             best = members
     return best
@@ -164,13 +163,13 @@ def _sweep_to_dustpan(scene: Scene) -> list[Action]:
     cluster = _rubbish_cluster(scene)
     if not cluster:
         raise PreconditionUnmet("no rubbish left to sweep")
-    centroid = np.mean([scene.objects[n].position for n in cluster], axis=0)
+    centroid = np.mean([scene.objects[n] for n in cluster], axis=0)
     pan_center = (DUSTPAN_VOLUME.lower + DUSTPAN_VOLUME.upper) / 2.0
     direction = pan_center[:2] - centroid[:2]
     direction = direction / max(vector_norm(direction), 1e-9)
     sweep_start = np.array([*(centroid[:2] - 0.08 * direction), 0.02])
     sweep_end = np.array([*(pan_center[:2] - 0.06 * direction), 0.02])
-    broom = scene.objects["broom"].position
+    broom = scene.objects["broom"]
     rest = BROOM_REST_SPOT
     return [_hold([broom[0], broom[1], 0.14]),
             _close(broom),
@@ -188,7 +187,7 @@ def _put_rubbish_in_dustpan(scene: Scene) -> list[Action]:
     eligible = _rubbish_outside_pan(scene)
     if not eligible:
         raise PreconditionUnmet("all rubbish is already in the dustpan")
-    pos = scene.objects[eligible[0]].position
+    pos = scene.objects[eligible[0]]
     return _pick_and_place(pos, [pos[0], pos[1], 0.13], [pos[0], pos[1], 0.13],
                            DUSTPAN_DROP, 0.13, 0.13)
 

@@ -20,9 +20,17 @@ from ..errors import OutOfBounds
 from ..geometry import IDENTITY_QUAT, Pose, vector_norm
 from ..trajectory import GripperState
 
+
+def _read_only(position) -> np.ndarray:
+    """A read-only float copy of ``position``: scenes share position arrays."""
+    out = np.array(position, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 # workspace (robot base frame, meters)
 WORKSPACE = Bounds((0.20, -0.45, 0.0), (0.80, 0.45, 0.50))
-HOME = np.array([0.30, 0.0, 0.30])
+HOME = _read_only((0.30, 0.0, 0.30))
 
 GRASP_RADIUS = 0.04
 SWEEP_RADIUS = 0.05
@@ -65,11 +73,10 @@ CUPBOARD_INTERIOR = Bounds(CUPBOARD_LO + (0.0, CUPBOARD_WALL, CUPBOARD_WALL),
                            CUPBOARD_HI - CUPBOARD_WALL)
 DUSTPAN_VOLUME = Bounds(DUSTPAN_LO, DUSTPAN_HI)
 DUSTPAN_FLOOR = Bounds(DUSTPAN_LO, (DUSTPAN_HI[0], DUSTPAN_HI[1], DUSTPAN_LO[2] + 0.01))
-_NO_BOXES = np.zeros((0, 2, 3))
-_NO_BOXES.flags.writeable = False
 
-OBJECT_HALF = {"block": 0.02, "box": 0.025, "broom": 0.02, "dustpan": 0.0, "rubbish": 0.0}
-GRASPABLE_KINDS = {"block", "box", "broom", "rubbish"}
+# an object's name prefix says what it is: the half-width of its cube body, if
+# it has one; "rubbish" names a bodiless speck.  Every object can be grasped.
+BODY_HALF = {"item": 0.02, "box": 0.025, "broom": 0.02}
 
 HANDLE_NAME = "drawer_handle"
 
@@ -86,42 +93,46 @@ class Action:
     gripper_command: GripperCommand = GripperCommand.HOLD
 
 
-@dataclass(frozen=True)
-class SimObject:
-    """One object of a scene.  Scenes share the objects that did not move, so
-    neither the fields nor the position can be written: a move is a new
-    ``SimObject``.  The position is a read-only float copy of the one given."""
-
-    kind: str
-    position: np.ndarray
-    held: bool = False
-
-    def __post_init__(self):
-        position = np.array(self.position, dtype=float)
-        position.setflags(write=False)
-        object.__setattr__(self, "position", position)
+def _body_half(name: str) -> float:
+    """Half-width of the named object's body, by ``BODY_HALF`` prefix; 0.0 for
+    an object without one."""
+    for prefix, half in BODY_HALF.items():
+        if name.startswith(prefix):
+            return half
+    return 0.0
 
 
 @dataclass
 class Scene:
+    """The simulator's state.  ``objects`` maps each object's name to its
+    position; an object is held exactly when its name is ``held_object``.
+
+    Scenes share position arrays, so every position, the gripper's included,
+    is read-only and a move stores a new array.  The constructor stores
+    read-only float copies of the positions it is given.
+    """
+
     drawer_present: bool = False
     open_fraction: float = 0.0
     cupboard_present: bool = False
     dustpan_present: bool = False
-    objects: dict[str, SimObject] = field(default_factory=dict)
-    gripper_position: np.ndarray = field(default_factory=lambda: HOME.copy())
+    objects: dict[str, np.ndarray] = field(default_factory=dict)
+    gripper_position: np.ndarray = field(default_factory=lambda: HOME)
     gripper_state: GripperState = GripperState.OPEN
     held_object: str | None = None
     collision_count: int = 0
     drawer_slams: int = 0
 
+    def __post_init__(self):
+        self.objects = {name: _read_only(p) for name, p in self.objects.items()}
+        self.gripper_position = _read_only(self.gripper_position)
+
     def copy(self) -> "Scene":
-        """Every field, with the ``objects`` dict and the gripper position
-        copied.  The frozen objects themselves are shared with this scene."""
+        """Every field, with the ``objects`` dict copied; the read-only
+        position arrays are shared with this scene."""
         out = object.__new__(Scene)
         out.__dict__.update(self.__dict__)
         out.objects = dict(self.objects)
-        out.gripper_position = np.array(self.gripper_position, dtype=float)
         return out
 
     # --- derived geometry ---
@@ -132,19 +143,16 @@ class Scene:
     def drawer_interior(self) -> Bounds:
         return _drawer_interior(self.open_fraction)
 
-    def drawer_rows(self) -> np.ndarray:
-        """Read-only (K, 2, 3) lower and upper corners of the tray part
-        protruding from the cabinet: front wall, two side walls, floor; K is 0
-        while the tray is in or there is no drawer."""
-        return _drawer_rows(self.open_fraction) if self.drawer_present else _NO_BOXES
+    def drawer_boxes(self) -> tuple[Bounds, ...]:
+        """The tray part protruding from the cabinet: front wall, two side
+        walls, floor; none while the tray is in or there is no drawer."""
+        return _drawer_boxes(self.open_fraction) if self.drawer_present else ()
 
-    def object_rows(self) -> np.ndarray:
-        """(K, 2, 3) lower and upper corners of the unheld objects that have a
-        body, by name."""
-        rows = [(obj.position - half, obj.position + half)
-                for _, obj in sorted(self.objects.items())
-                if not obj.held and (half := OBJECT_HALF.get(obj.kind, 0.0)) > 0]
-        return np.array(rows).reshape(-1, 2, 3)
+    def object_boxes(self) -> list[Bounds]:
+        """The bodies of the unheld objects that have one, by name."""
+        return [Bounds(position - half, position + half)
+                for name, position in sorted(self.objects.items())
+                if name != self.held_object and (half := _body_half(name)) > 0]
 
     # --- queries ---
 
@@ -152,13 +160,13 @@ class Scene:
         return Pose(self.gripper_position, IDENTITY_QUAT)
 
     def rubbish_names(self) -> list[str]:
-        return sorted(n for n, o in self.objects.items() if o.kind == "rubbish")
+        return sorted(n for n in self.objects if n.startswith("rubbish"))
 
     def rubbish_in_dustpan_fraction(self) -> float:
         names = self.rubbish_names()
         if not names:
             return 0.0
-        inside = sum(1 for n in names if DUSTPAN_VOLUME.contains(self.objects[n].position))
+        inside = sum(1 for n in names if DUSTPAN_VOLUME.contains(self.objects[n]))
         return inside / len(names)
 
 
@@ -183,62 +191,64 @@ def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> floa
 
 
 def _shift_drawer_contents(scene: Scene, new_fraction: float):
-    """Objects sitting in the tray translate with it."""
+    """Unheld objects sitting in the tray translate with it."""
     interior = scene.drawer_interior()
     dx = -DRAWER_TRAVEL * (new_fraction - scene.open_fraction)
-    for name, obj in list(scene.objects.items()):
-        if not obj.held and interior.contains(obj.position):
-            position = obj.position.copy()
-            position[0] += dx
-            scene.objects[name] = SimObject(obj.kind, position)
+    for name, position in scene.objects.items():
+        if name != scene.held_object and interior.contains(position):
+            moved = position.copy()
+            moved[0] += dx
+            moved.flags.writeable = False
+            scene.objects[name] = moved
     scene.open_fraction = new_fraction
 
 
-def _near_boxes(corners, first: list[float], last: list[float]) -> list[int]:
-    """Indices of the boxes, given as (x0, y0, z0, x1, y1, z1) rows, that
-    overlap the closed axis-aligned extent of ``first`` and ``last``."""
+def _near_boxes(boxes: tuple[Bounds, ...], first: list[float], last: list[float]) -> list[int]:
+    """Indices of the boxes that overlap the closed axis-aligned extent of
+    ``first`` and ``last``, compared in plain floats."""
     (sx, sy, sz), (ex, ey, ez) = first, last
     lx, hx = (sx, ex) if sx <= ex else (ex, sx)
     ly, hy = (sy, ey) if sy <= ey else (ey, sy)
     lz, hz = (sz, ez) if sz <= ez else (ez, sz)
-    return [k for k, (x0, y0, z0, x1, y1, z1) in enumerate(corners)
+    return [k for k, (x0, y0, z0, x1, y1, z1) in enumerate(box.corners for box in boxes)
             if x0 <= hx and lx <= x1 and y0 <= hy and ly <= y1 and z0 <= hz and lz <= z1]
 
 
 def step(scene: Scene, action: Action) -> Scene:
     """Apply one keyframe action and return the successor scene.
 
-    The successor shares every object that did not move with ``scene``; the
-    ones that moved (the held object, swept rubbish, the tray contents, the
-    object grasped or released) are new ``SimObject``s in its own dict.
+    The successor shares with ``scene`` the position of every object that did
+    not move.  Those that moved get new read-only arrays in its own dict: the
+    held object, and an object grasped, store the action's target, which is
+    also the gripper's position; swept rubbish and the tray contents get new
+    arrays.  A release moves nothing.
 
     Collisions are tested in two phases.  The broad phase keeps the boxes that
     overlap the segment's extent: its samples ``start + f * displacement``
     run monotonically along each axis from ``start`` to ``start +
     displacement``, so a box outside that closed extent holds none of them.
     The narrow phase tests the samples of the segment, SEGMENT_SAMPLE_RES
-    apart, against the boxes left, tray rows first, in one broadcast.
+    apart, against the boxes left, tray boxes first, in one broadcast.
     """
     target = np.asarray(action.target.position, dtype=float)
     if not WORKSPACE.contains(target):
         raise OutOfBounds(f"action target {target} outside workspace")
 
     out = scene.copy()
-    # the copy's own array: step replaces out.gripper_position, never writes it
     start = out.gripper_position
     displacement = target - start
     holding_handle = out.held_object == HANDLE_NAME
 
     # collision bookkeeping + drawer slam; a tray pulled by its handle is not hit
-    tray = _NO_BOXES if holding_handle else out.drawer_rows()
-    layout = (out.drawer_present, out.cupboard_present, out.dustpan_present)
-    near = _near_boxes(_box_corners(tray) + _fixed_corners(*layout),
-                       start.tolist(), (start + displacement).tolist())
+    tray = () if holding_handle else out.drawer_boxes()
+    boxes = tray + _fixed_boxes(out.drawer_present, out.cupboard_present, out.dustpan_present)
+    near = _near_boxes(boxes, start.tolist(), (start + displacement).tolist())
     hit_any = hit_drawer = False
     if near:
-        boxes = np.concatenate((tray, _fixed_rows(*layout)))[near]
         s3 = _segment_samples(start, target)[:, None, :]
-        hit = ((s3 >= boxes[:, 0]) & (s3 <= boxes[:, 1])).all(axis=2).any(axis=0).tolist()
+        lower = np.array([boxes[k].lower for k in near])
+        upper = np.array([boxes[k].upper for k in near])
+        hit = ((s3 >= lower) & (s3 <= upper)).all(axis=2).any(axis=0).tolist()
         hit_any = any(hit)
         hit_drawer = any(h for k, h in zip(near, hit) if k < len(tray))
     if hit_any:
@@ -251,37 +261,27 @@ def step(scene: Scene, action: Action) -> Scene:
 
     # move the gripper; handle and held objects track it
     out.gripper_position = target
-    held = None
     if holding_handle:
         _shift_drawer_contents(out, _clip01(out.open_fraction - displacement[0] / DRAWER_TRAVEL))
     elif out.held_object is not None:
-        held = out.objects[out.held_object]
-        out.objects[out.held_object] = held = SimObject(held.kind, target, held.held)
-
-    # a held broom sweeps nearby rubbish along the horizontal motion
-    if held is not None and held.kind == "broom":
-        horizontal = np.array([displacement[0], displacement[1], 0.0])
-        if vector_norm(horizontal) > 0.01:
-            for name in out.rubbish_names():
-                obj = out.objects[name]
-                if obj.held:
-                    continue
-                if _point_segment_distance(obj.position, start, target) <= SWEEP_RADIUS:
-                    out.objects[name] = SimObject(obj.kind, obj.position + horizontal)
+        out.objects[out.held_object] = target
+        # a held broom sweeps nearby rubbish along the horizontal motion
+        if out.held_object.startswith("broom"):
+            horizontal = np.array([displacement[0], displacement[1], 0.0])
+            if vector_norm(horizontal) > 0.01:
+                for name in out.rubbish_names():
+                    position = out.objects[name]
+                    if _point_segment_distance(position, start, target) <= SWEEP_RADIUS:
+                        out.objects[name] = _read_only(position + horizontal)
 
     # gripper command
     if action.gripper_command is GripperCommand.CLOSE:
         if out.gripper_state is GripperState.OPEN:
             out.gripper_state = GripperState.CLOSED
             out.held_object = _nearest_graspable(out)
-            grasped = out.objects.get(out.held_object)
-            if grasped is not None:
-                out.objects[out.held_object] = SimObject(grasped.kind, out.gripper_position,
-                                                         True)
+            if out.held_object in out.objects:
+                out.objects[out.held_object] = target
     elif action.gripper_command is GripperCommand.OPEN:
-        released = out.objects.get(out.held_object)
-        if released is not None:
-            out.objects[out.held_object] = SimObject(released.kind, released.position)
         out.held_object = None
         out.gripper_state = GripperState.OPEN
     return out
@@ -289,10 +289,10 @@ def step(scene: Scene, action: Action) -> Scene:
 
 def _nearest_graspable(scene: Scene) -> str | None:
     best_name, best_dist = None, GRASP_RADIUS
-    for name, obj in sorted(scene.objects.items()):
-        if obj.kind not in GRASPABLE_KINDS or obj.held:
+    for name, position in sorted(scene.objects.items()):
+        if name == scene.held_object:
             continue
-        dist = vector_norm(obj.position - scene.gripper_position)
+        dist = vector_norm(position - scene.gripper_position)
         if dist <= best_dist:
             best_name, best_dist = name, dist
     if scene.drawer_present:
@@ -302,27 +302,12 @@ def _nearest_graspable(scene: Scene) -> str | None:
     return best_name
 
 
-@lru_cache(maxsize=8)
-def _fixed_rows(drawer_present: bool, cupboard_present: bool,
-                dustpan_present: bool) -> np.ndarray:
-    """Read-only (K, 2, 3) corners of the fixed boxes of a scene with these parts."""
-    boxes = (([CABINET] if drawer_present else [])
-             + (list(CUPBOARD_WALLS) if cupboard_present else [])
-             + ([DUSTPAN_FLOOR] if dustpan_present else []))
-    rows = np.array([(b.lower, b.upper) for b in boxes]).reshape(-1, 2, 3)
-    rows.flags.writeable = False
-    return rows
-
-
-@lru_cache(maxsize=8)
-def _fixed_corners(drawer_present: bool, cupboard_present: bool,
-                   dustpan_present: bool) -> tuple:
-    return _box_corners(_fixed_rows(drawer_present, cupboard_present, dustpan_present))
-
-
-def _box_corners(rows: np.ndarray) -> tuple:
-    """(K, 2, 3) corners as plain floats, one (x0, y0, z0, x1, y1, z1) per box."""
-    return tuple(map(tuple, rows.reshape(-1, 6).tolist()))
+def _fixed_boxes(drawer_present: bool, cupboard_present: bool,
+                 dustpan_present: bool) -> tuple[Bounds, ...]:
+    """The boxes that never move of a scene with these parts: cabinet,
+    cupboard walls, dustpan floor."""
+    return (((CABINET,) if drawer_present else ()) + (CUPBOARD_WALLS if cupboard_present else ())
+            + ((DUSTPAN_FLOOR,) if dustpan_present else ()))
 
 
 def _drawer_front_x(open_fraction: float) -> float:
@@ -330,21 +315,19 @@ def _drawer_front_x(open_fraction: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _drawer_rows(open_fraction: float) -> np.ndarray:
-    """Read-only (K, 2, 3) corners of the tray rows at this open fraction;
-    K is 0 while the tray is in."""
+def _drawer_boxes(open_fraction: float) -> tuple[Bounds, ...]:
+    """The tray's front wall, side walls and floor at this open fraction;
+    none while the tray is in."""
     if open_fraction < 0.03:
-        return _NO_BOXES
+        return ()
     front = _drawer_front_x(open_fraction)
-    rows = np.array([
-        [(front - DRAWER_WALL, CABINET_LO[1], 0.0), (front, CABINET_HI[1], DRAWER_WALL_TOP)],
-        [(front - DRAWER_WALL, CABINET_LO[1], 0.0),
-         (CABINET_LO[0], CABINET_LO[1] + DRAWER_WALL, DRAWER_WALL_TOP)],
-        [(front - DRAWER_WALL, CABINET_HI[1] - DRAWER_WALL, 0.0),
-         (CABINET_LO[0], CABINET_HI[1], DRAWER_WALL_TOP)],
-        [(front - DRAWER_WALL, CABINET_LO[1], 0.0), (CABINET_LO[0], CABINET_HI[1], 0.02)]])
-    rows.flags.writeable = False
-    return rows
+    back = front - DRAWER_WALL
+    return (Bounds((back, CABINET_LO[1], 0.0), (front, CABINET_HI[1], DRAWER_WALL_TOP)),
+            Bounds((back, CABINET_LO[1], 0.0),
+                   (CABINET_LO[0], CABINET_LO[1] + DRAWER_WALL, DRAWER_WALL_TOP)),
+            Bounds((back, CABINET_HI[1] - DRAWER_WALL, 0.0),
+                   (CABINET_LO[0], CABINET_HI[1], DRAWER_WALL_TOP)),
+            Bounds((back, CABINET_LO[1], 0.0), (CABINET_LO[0], CABINET_HI[1], 0.02)))
 
 
 @lru_cache(maxsize=64)
@@ -359,10 +342,9 @@ def _drawer_interior(open_fraction: float) -> Bounds:
 def fixed_samples(drawer_present: bool, cupboard_present: bool,
                   dustpan_present: bool) -> np.ndarray:
     """Read-only (N, 3) face samples of the fixed boxes of a scene with these
-    parts, in the order of ``_fixed_rows``: cabinet, cupboard walls, dustpan floor."""
-    rows = _fixed_rows(drawer_present, cupboard_present, dustpan_present)
-    samples = np.vstack([np.zeros((0, 3))] + [_sample_box_faces(lower, upper)
-                                              for lower, upper in rows])
+    parts, in the order of ``_fixed_boxes``: cabinet, cupboard walls, dustpan floor."""
+    boxes = _fixed_boxes(drawer_present, cupboard_present, dustpan_present)
+    samples = np.vstack([np.zeros((0, 3))] + [_sample_box_faces(box) for box in boxes])
     samples.flags.writeable = False
     return samples
 
@@ -372,21 +354,22 @@ def point_cloud(scene: Scene) -> np.ndarray:
 
     The fixed boxes' samples come first, as the block ``fixed_samples`` keeps
     for the scene's layout.  The parts that move follow, sampled on every
-    call: the drawer tray, the unheld objects by name, then one point per
-    rubbish item.
+    call: the drawer tray and the bodies of the unheld objects by name
+    (``Scene.drawer_boxes`` and ``Scene.object_boxes``), then one point per
+    rubbish item at its position.
     """
-    moving = np.concatenate((scene.drawer_rows(), scene.object_rows()))
     points = [fixed_samples(scene.drawer_present, scene.cupboard_present,
                             scene.dustpan_present)]
-    points += [_sample_box_faces(lower, upper) for lower, upper in moving]
-    points += [scene.objects[name].position[None, :] for name in scene.rubbish_names()]
+    points += [_sample_box_faces(box) for box in (*scene.drawer_boxes(), *scene.object_boxes())]
+    points += [scene.objects[name][None, :] for name in scene.rubbish_names()]
     return np.vstack(points)
 
 
-def _sample_box_faces(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Cell midpoints of a grid on each face of the box from ``lower`` to
-    ``upper``, CLOUD_DENSITY cells per square metre: the faces normal to x,
-    then y, then z, lower face first, points in (u, v) row-major order."""
+def _sample_box_faces(box: Bounds) -> np.ndarray:
+    """Cell midpoints of a grid on each face of the box, CLOUD_DENSITY cells
+    per square metre: the faces normal to x, then y, then z, lower face first,
+    points in (u, v) row-major order."""
+    lower, upper = box.lower, box.upper
     size = upper - lower
     counts = [max(1, round(s * _CELLS_PER_METRE)) for s in size.tolist()]
     # the cell midpoints along each axis, shared by the four faces parallel to it

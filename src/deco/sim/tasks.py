@@ -2,9 +2,11 @@
 
 Every initial scene is one row of ``INITIALIZERS``, a ``Layout``: the drawer's
 open fraction (``None`` for no drawer), whether the cupboard and the dustpan
-are present, and the object placements.  ``reset`` builds the scene from the
-row, then jitters each placement's nominal position in x and y, in row order,
-by up to its half-width from a generator seeded by the task id and the seed.
+are present, and the object placements, each an object name, whose prefix
+says what the object is, a nominal position and a jitter half-width.
+``reset`` builds the scene from the row, then jitters each placement's
+nominal position in x and y, in row order, by up to its half-width from a
+generator seeded by the task id and the seed.
 
 The drawer thresholds live in ``deco.registry``: the drawer counts as open at
 fraction >= 0.8 and closed below 0.2.  A sweep succeeds once at least 80% of
@@ -21,7 +23,7 @@ import numpy as np
 from ..errors import UnknownTask
 from ..registry import (DRAWER_CLOSED_THRESHOLD, DRAWER_OPEN_THRESHOLD, TaskSpec,
                         load_registry)
-from .scene import CUPBOARD_INTERIOR, Scene, SimObject
+from .scene import CUPBOARD_INTERIOR, Scene
 
 RUBBISH_FRACTION_THRESHOLD = 0.8
 
@@ -49,55 +51,55 @@ class Layout(NamedTuple):
     drawer: float | None       # the drawer's open fraction; None: no drawer
     cupboard: bool
     dustpan: bool
-    placements: tuple          # (name, kind, nominal position, jitter half-width)
+    placements: tuple          # (name, nominal position, jitter half-width)
 
 
-_CLUSTER = tuple((f"rubbish_{i}", "rubbish", RUBBISH_CLUSTER + offset, 0.006)
+_CLUSTER = tuple((f"rubbish_{i}", RUBBISH_CLUSTER + offset, 0.006)
                  for i, offset in enumerate(_CLUSTER_OFFSETS))
 
 INITIALIZERS = {
     "drawer_closed": Layout(0.0, False, False, ()),
     "drawer_open": Layout(1.0, False, False, ()),
     "item_on_table_drawer_open": Layout(1.0, False, False, (
-        ("item", "block", ITEM_TABLE, 0.01),)),
+        ("item", ITEM_TABLE, 0.01),)),
     "item_on_table_drawer_closed": Layout(0.0, False, False, (
-        ("item", "block", ITEM_TABLE, 0.01),)),
+        ("item", ITEM_TABLE, 0.01),)),
     "item_in_open_drawer": Layout(1.0, False, False, (
-        ("item", "block", ITEM_IN_OPEN_DRAWER, 0.008),)),
+        ("item", ITEM_IN_OPEN_DRAWER, 0.008),)),
     "item_in_closed_drawer": Layout(0.0, False, False, (
-        ("item", "block", ITEM_IN_CLOSED_DRAWER, 0.008),)),
+        ("item", ITEM_IN_CLOSED_DRAWER, 0.008),)),
     "box_in_open_drawer": Layout(1.0, False, False, (
-        ("box", "box", BOX_IN_OPEN_DRAWER, 0.008),)),
+        ("box", BOX_IN_OPEN_DRAWER, 0.008),)),
     "box_in_closed_drawer": Layout(0.0, True, False, (
-        ("box", "box", BOX_IN_CLOSED_DRAWER, 0.008),)),
+        ("box", BOX_IN_CLOSED_DRAWER, 0.008),)),
     "box_on_table": Layout(None, True, False, (
-        ("box", "box", BOX_TABLE, 0.01),)),
+        ("box", BOX_TABLE, 0.01),)),
     "box_in_cupboard": Layout(None, True, False, (
-        ("box", "box", BOX_IN_CUPBOARD, 0.008),)),
+        ("box", BOX_IN_CUPBOARD, 0.008),)),
     "broom_in_cupboard": Layout(None, True, False, (
-        ("broom", "broom", BROOM_IN_CUPBOARD, 0.008),)),
+        ("broom", BROOM_IN_CUPBOARD, 0.008),)),
     "cleanup_scene": Layout(None, False, True, (
-        ("broom", "broom", BROOM_TABLE, 0.008),
+        ("broom", BROOM_TABLE, 0.008),
         *_CLUSTER,
-        ("rubbish_4", "rubbish", RUBBISH_OUTLIER, 0.008))),
+        ("rubbish_4", RUBBISH_OUTLIER, 0.008))),
     "single_rubbish": Layout(None, False, True, (
-        ("rubbish_0", "rubbish", SINGLE_RUBBISH, 0.008),)),
+        ("rubbish_0", SINGLE_RUBBISH, 0.008),)),
     "exchange_boxes": Layout(None, True, False, (
-        ("box_a", "box", BOX_IN_CUPBOARD, 0.008),
-        ("box_b", "box", BOX_TABLE, 0.01))),
+        ("box_a", BOX_IN_CUPBOARD, 0.008),
+        ("box_b", BOX_TABLE, 0.01))),
     "retrieve_scene": Layout(None, True, True, (
-        ("broom", "broom", BROOM_IN_CUPBOARD, 0.008),
+        ("broom", BROOM_IN_CUPBOARD, 0.008),
         *_CLUSTER)),
     "two_items_on_table_drawer_closed": Layout(0.0, False, False, (
-        ("item", "block", ITEM_TABLE, 0.008),
-        ("item2", "block", ITEM2_TABLE, 0.008))),
+        ("item", ITEM_TABLE, 0.008),
+        ("item2", ITEM2_TABLE, 0.008))),
     "two_items_in_closed_drawer": Layout(0.0, False, False, (
-        ("item", "block", ITEM_IN_CLOSED_DRAWER, 0.006),
-        ("item2", "block", ITEM2_IN_CLOSED_DRAWER, 0.006))),
+        ("item", ITEM_IN_CLOSED_DRAWER, 0.006),
+        ("item2", ITEM2_IN_CLOSED_DRAWER, 0.006))),
     # obstacle fixture: the item sits so the straight handle-to-item transition
     # scrapes the open drawer's protruding front corner
     "drawer_front_obstacle": Layout(0.0, False, False, (
-        ("item", "block", np.array([0.60, 0.10, 0.02]), 0.004),)),
+        ("item", np.array([0.60, 0.10, 0.02]), 0.004),)),
 }
 
 
@@ -114,13 +116,12 @@ def reset(task: TaskSpec, seed: int) -> Scene:
     if task.initializer not in INITIALIZERS:
         raise UnknownTask(f"task {task.id!r} has unknown initializer {task.initializer!r}")
     layout = INITIALIZERS[task.initializer]
-    scene = Scene(drawer_present=layout.drawer is not None,
-                  open_fraction=0.0 if layout.drawer is None else layout.drawer,
-                  cupboard_present=layout.cupboard, dustpan_present=layout.dustpan)
     rng = _rng(task.id, seed)
-    for name, kind, base, scale in layout.placements:
-        scene.objects[name] = SimObject(kind, _jitter(rng, base, scale))
-    return scene
+    return Scene(drawer_present=layout.drawer is not None,
+                 open_fraction=0.0 if layout.drawer is None else layout.drawer,
+                 cupboard_present=layout.cupboard, dustpan_present=layout.dustpan,
+                 objects={name: _jitter(rng, base, scale)
+                          for name, base, scale in layout.placements})
 
 
 # --- success predicates ---
@@ -130,11 +131,11 @@ def _empty(scene: Scene) -> bool:
 
 
 def _in_drawer(scene: Scene, name: str) -> bool:
-    return scene.drawer_interior().contains(scene.objects[name].position)
+    return scene.drawer_interior().contains(scene.objects[name])
 
 
 def _in_cupboard(scene: Scene, name: str) -> bool:
-    return CUPBOARD_INTERIOR.contains(scene.objects[name].position)
+    return CUPBOARD_INTERIOR.contains(scene.objects[name])
 
 
 PREDICATES = {

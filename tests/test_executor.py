@@ -252,7 +252,6 @@ def test_geometry_caches_are_keyed_by_constants_not_episodes(library, registry, 
     cached = {"table": (deco.costmap, "_offset_cost_table"),
               "offsets": (deco.costmap, "_blocking_offsets"),
               "window": (deco.costmap, "_exact_window"),
-              "rows": (deco.sim.scene, "_fixed_rows"),
               "samples": (deco.sim.scene, "fixed_samples"),
               "layers": (deco.executor, "_fixed_layer")}
     originals, keys = {}, {}
@@ -272,10 +271,10 @@ def test_geometry_caches_are_keyed_by_constants_not_episodes(library, registry, 
     dims = tuple(int(np.ceil(e / 0.02)) for e in WORKSPACE.upper - WORKSPACE.lower)
     assert keys["table"] == keys["window"] == {(dims, 0.02, 0.05)}
     assert keys["offsets"] == {(dims, 0.02, 0.05, 0.5)}
-    assert 1 < len(keys["rows"]) <= 8
+    assert 1 < len(keys["samples"]) <= 8
     # every layout seen by a transition map is one of the simulator's layouts
-    assert keys["layers"] <= keys["samples"] <= keys["rows"]
-    for name in ("rows", "samples", "layers"):
+    assert keys["layers"] <= keys["samples"]
+    for name in ("samples", "layers"):
         assert all(len(key) == 3 and all(type(flag) is bool for flag in key)
                    for key in keys[name])
     for name, fn in originals.items():

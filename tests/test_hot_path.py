@@ -6,13 +6,12 @@ single 3- and 4-vectors once per action, so they work in plain floats; the
 property tests check them byte for byte against the numpy formulas they
 replace.  The digest pins the bytes of every final scene that the oracle
 policy's actions reach on the compositional tasks and the obstacle fixture.
-Scenes share their frozen objects: a copy's objects cannot be written, and
-``step`` makes new ones only for the objects that moved.
+Scenes share their read-only position arrays: a copy's positions cannot be
+written, and ``step`` stores new arrays only for the objects that moved.
 """
 
 import hashlib
 import json
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -24,8 +23,7 @@ from deco.errors import PreconditionUnmet
 from deco.geometry import Pose
 from deco.registry import load_registry
 from deco.sim.oracle import oracle_policy
-from deco.sim.scene import (SEGMENT_SAMPLE_RES, WORKSPACE, SimObject, _segment_samples,
-                            step)
+from deco.sim.scene import SEGMENT_SAMPLE_RES, WORKSPACE, Scene, _segment_samples, step
 from deco.sim.tasks import drawer_front_obstacle_task, reset
 
 PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
@@ -41,7 +39,8 @@ def _hex(values) -> str:
 def final_state(scene) -> list:
     return [_hex(scene.gripper_position), float(scene.open_fraction).hex(),
             scene.held_object, scene.collision_count, scene.drawer_slams,
-            [[name, _hex(obj.position), obj.held] for name, obj in sorted(scene.objects.items())]]
+            [[name, _hex(position), name == scene.held_object]
+             for name, position in sorted(scene.objects.items())]]
 
 
 def run_oracle(task, seed: int, noise_sigma: float) -> list:
@@ -137,53 +136,61 @@ def test_pose_default_orientation_is_the_normalised_identity():
 
 
 def test_mutating_a_scene_copy_leaves_the_original_unchanged():
-    """A copy's objects cannot be mutated; writing through the copy's dict or
-    fields leaves the original unchanged."""
+    """A scene's positions, the gripper's included, are read-only, also when
+    the scene was built from writable arrays; writing through a copy's dict
+    and fields leaves the original unchanged."""
+    given = np.array([0.45, 0.30, 0.01])
+    built = Scene(objects={"rubbish_0": given}, gripper_position=np.array([0.3, 0.1, 0.3]))
+    given[0] = 0.5
+    assert built.objects["rubbish_0"].tolist() == [0.45, 0.30, 0.01]
     task = load_registry().get("retrieve_and_sweep")
-    scene = reset(task, 0)
-    scene.held_object, scene.open_fraction = "broom", 0.5
-    before = final_state(scene)
-    copy = scene.copy()
-    assert final_state(copy) == before
-    assert (copy.gripper_state, copy.drawer_present, copy.cupboard_present,
-            copy.dustpan_present) == (scene.gripper_state, scene.drawer_present,
-                                      scene.cupboard_present, scene.dustpan_present)
-    for obj in copy.objects.values():
-        with pytest.raises(ValueError, match="read-only"):
-            obj.position[1] -= 0.05
-        with pytest.raises(FrozenInstanceError):
-            obj.held = not obj.held
-        with pytest.raises(FrozenInstanceError):
-            obj.position = obj.position + 0.05
-    copy.gripper_position[0] += 0.1
-    copy.objects["extra"] = copy.objects.pop("broom")
-    copy.objects["rubbish_0"] = SimObject("rubbish", [0.5, 0.0, 0.01], held=True)
-    copy.held_object, copy.open_fraction = None, 1.0
-    copy.collision_count += 1
-    copy.drawer_slams += 1
-    assert final_state(scene) == before
+    for scene in (built, reset(task, 0)):
+        scene.held_object, scene.open_fraction = "broom", 0.5
+        before = final_state(scene)
+        copy = scene.copy()
+        assert final_state(copy) == before
+        assert (copy.gripper_state, copy.drawer_present, copy.cupboard_present,
+                copy.dustpan_present) == (scene.gripper_state, scene.drawer_present,
+                                          scene.cupboard_present, scene.dustpan_present)
+        for position in [copy.gripper_position, *copy.objects.values()]:
+            with pytest.raises(ValueError, match="read-only"):
+                position[1] -= 0.05
+        copy.gripper_position = copy.gripper_position + 0.1
+        copy.objects["extra"] = copy.objects.pop(next(iter(copy.objects)))
+        copy.objects["rubbish_0"] = np.array([0.5, 0.0, 0.01])
+        copy.held_object, copy.open_fraction = None, 1.0
+        copy.collision_count += 1
+        copy.drawer_slams += 1
+        assert final_state(scene) == before
 
 
 def test_step_shares_the_objects_that_did_not_move():
-    """``step`` returns the input's ``SimObject`` instances for the objects
-    that did not move and new ones for those that did."""
+    """``step`` returns the input's arrays for the objects that did not move,
+    and the gripper's array for the held object; the objects that moved get new
+    read-only arrays, and a release keeps the array the released object
+    followed the gripper with."""
     scene = reset(load_registry().get("retrieve_and_sweep"), 0)
-    moved_per_step = []
+    moved_per_step, releases = [], 0
     for instruction in ("take broom out of cupboard", "sweep rubbish to dustpan"):
         for action in oracle_policy(instruction, scene):
             out = step(scene, action)
             assert out.objects is not scene.objects and set(out.objects) == set(scene.objects)
-            moved = set()
-            for name, obj in out.objects.items():
-                old = scene.objects[name]
-                same = (obj.position.tobytes() == old.position.tobytes()
-                        and obj.held == old.held)
-                assert (obj is old) == same, name
-                assert not obj.position.flags.writeable
-                if not same:
-                    moved.add(name)
+            if scene.held_object is not None and out.held_object is None:
+                # the object followed the gripper to the release pose, and stays
+                releases += 1
+                assert out.objects[scene.held_object] is out.gripper_position
+            if out.held_object is not None:
+                assert out.objects[out.held_object] is out.gripper_position
+            moved = {name for name, position in out.objects.items()
+                     if position is not scene.objects[name]}
+            for name, position in out.objects.items():
+                assert not position.flags.writeable
+                if name != out.held_object:
+                    same = position.tobytes() == scene.objects[name].tobytes()
+                    assert (name not in moved) == same, name
             moved_per_step.append(moved)
             scene = out
     # grasp, carry and release of the broom, and a sweep of rubbish
+    assert releases == 2
     assert {"broom"} in moved_per_step and set() in moved_per_step
     assert any(len(m - {"broom"}) > 0 for m in moved_per_step)

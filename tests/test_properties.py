@@ -25,10 +25,10 @@ from deco.costmap import (Bounds, CostMap, _exact_window, build_cost_map, cost_f
                           distance_grid, occupancy_from_points)
 from deco.executor import transition_cost_map
 from deco.geometry import Pose
-from deco.sim.scene import (CABINET, CABINET_HI, CABINET_LO, CLOUD_DENSITY, CUPBOARD_WALLS,
-                            DRAWER_TRAVEL, DRAWER_WALL, DRAWER_WALL_TOP, DUSTPAN_FLOOR, DUSTPAN_HI,
-                            HANDLE_NAME, OBJECT_HALF, SLAM_FRACTION, WORKSPACE, Action, Scene,
-                            SimObject, _segment_samples, point_cloud, step)
+from deco.sim.scene import (BODY_HALF, CABINET, CABINET_HI, CABINET_LO, CLOUD_DENSITY,
+                            CUPBOARD_WALLS, DRAWER_TRAVEL, DRAWER_WALL, DRAWER_WALL_TOP,
+                            DUSTPAN_FLOOR, DUSTPAN_HI, HANDLE_NAME, SLAM_FRACTION, WORKSPACE,
+                            Action, Scene, _segment_samples, point_cloud, step)
 from deco.trajectory import GripperState
 
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
@@ -359,16 +359,16 @@ def reference_box_faces(box: Bounds) -> np.ndarray:
 
 def reference_point_cloud(scene) -> np.ndarray:
     """Every box sampled on every call: the fixed boxes (cabinet, cupboard
-    walls, dustpan floor), the tray, unheld objects by name, then one point
-    per rubbish item."""
+    walls, dustpan floor), the tray, the bodies of the unheld objects by name
+    (the kind is the name without its index), then one point per rubbish item."""
     boxes = reference_fixed_boxes(scene) + reference_tray_boxes(scene)
-    for _name, obj in sorted(scene.objects.items()):
-        half = OBJECT_HALF[obj.kind]
-        if not obj.held and half > 0:
-            boxes.append(Bounds(obj.position - half, obj.position + half))
+    for name, position in sorted(scene.objects.items()):
+        half = BODY_HALF.get(name.rstrip("0123456789"), 0.0)
+        if name != scene.held_object and half > 0:
+            boxes.append(Bounds(position - half, position + half))
     points = [reference_box_faces(box) for box in boxes]
-    points += [obj.position[None, :] for _name, obj in sorted(scene.objects.items())
-               if obj.kind == "rubbish"]
+    points += [position[None, :] for name, position in sorted(scene.objects.items())
+               if name.rstrip("0123456789") == "rubbish"]
     return np.vstack(points) if points else np.zeros((0, 3))
 
 
@@ -385,16 +385,20 @@ def workspace_points(tray_and_fixed=()):
 
 @st.composite
 def scenes(draw):
-    scene = Scene(drawer_present=draw(st.booleans()),
-                  open_fraction=draw(st.sampled_from([0.0, 0.03, SLAM_FRACTION, 1.0])
-                                     | st.floats(0.0, 1.0)),
-                  cupboard_present=draw(st.booleans()),
-                  dustpan_present=draw(st.booleans()))
-    for i in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(sorted(OBJECT_HALF)))
-        scene.objects[f"{kind}{i}"] = SimObject(kind, draw(workspace_points()),
-                                                held=draw(st.booleans()))
-    return scene
+    """A scene of up to four objects named by kind and index, holding one of
+    them, the drawer's handle or nothing."""
+    kinds = sorted(BODY_HALF) + ["rubbish"]
+    objects = {f"{draw(st.sampled_from(kinds))}{i}": draw(workspace_points())
+               for i in range(draw(st.integers(0, 4)))}
+    drawer_present = draw(st.booleans())
+    held = sorted(objects) + ([HANDLE_NAME] if drawer_present else [])
+    return Scene(drawer_present=drawer_present,
+                 open_fraction=draw(st.sampled_from([0.0, 0.03, SLAM_FRACTION, 1.0])
+                                    | st.floats(0.0, 1.0)),
+                 cupboard_present=draw(st.booleans()),
+                 dustpan_present=draw(st.booleans()),
+                 objects=objects,
+                 held_object=draw(st.sampled_from([None, *held])))
 
 
 @settings(PROPERTY_SETTINGS, max_examples=60)

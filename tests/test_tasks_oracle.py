@@ -9,12 +9,12 @@ from deco.executor import scene_summary
 from deco.planning import _check_requirements
 from deco.registry import SKILL_NEEDS, DrawerNeed, load_registry
 from deco.sim.oracle import ATOMIC_SKILLS, check_needs, oracle_policy, record_demo
-from deco.sim.scene import CUPBOARD_INTERIOR, GripperCommand, Scene, SimObject, step
+from deco.sim.scene import CUPBOARD_INTERIOR, GripperCommand, Scene, step
 from deco.sim.tasks import drawer_front_obstacle_task, reset, success
 from deco.trajectory import GripperState
 
 # every initial scene of the 22 registry tasks and the obstacle fixture, seeds 0-4
-INITIAL_SCENES_DIGEST = "b707d3a16b00cbbe"
+INITIAL_SCENES_DIGEST = "b1897a673a3b4213"
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +54,9 @@ def test_cycle_count_census(registry):
 def test_reset_deterministic_per_seed(registry):
     task = registry.get("put_in_wo_close")
     a, b = reset(task, 3), reset(task, 3)
-    assert np.allclose(a.objects["item"].position, b.objects["item"].position)
+    assert np.allclose(a.objects["item"], b.objects["item"])
     c = reset(task, 4)
-    assert not np.allclose(a.objects["item"].position, c.objects["item"].position)
+    assert not np.allclose(a.objects["item"], c.objects["item"])
 
 
 def test_initial_scenes_are_pinned_bit_for_bit(registry):
@@ -67,9 +67,9 @@ def test_initial_scenes_are_pinned_bit_for_bit(registry):
             h.update(repr((task.id, seed, scene.drawer_present, scene.cupboard_present,
                            scene.dustpan_present, type(scene.open_fraction).__name__)).encode())
             h.update(float(scene.open_fraction).hex().encode())
-            for name, obj in scene.objects.items():
-                h.update(repr((name, obj.kind, obj.held, obj.position.dtype.str)).encode())
-                h.update(obj.position.tobytes())
+            for name, position in scene.objects.items():
+                h.update(repr((name, position.dtype.str)).encode())
+                h.update(position.tobytes())
     assert h.hexdigest()[:16] == INITIAL_SCENES_DIGEST
 
 
@@ -138,7 +138,7 @@ def test_open_drawer_precondition():
 
 def test_drawer_skills_need_open_drawer():
     scene = Scene(drawer_present=True, open_fraction=0.0,
-                  objects={"item": SimObject("block", np.array([0.42, 0.05, 0.02]))})
+                  objects={"item": np.array([0.42, 0.05, 0.02])})
     with pytest.raises(PreconditionUnmet):
         oracle_policy("put item in drawer", scene, 0.0, 0)
     with pytest.raises(PreconditionUnmet):
@@ -147,8 +147,7 @@ def test_drawer_skills_need_open_drawer():
 
 def test_full_gripper_blocks_new_skill():
     scene = Scene(drawer_present=True, open_fraction=0.0,
-                  objects={"item": SimObject("block", np.array([0.42, 0.05, 0.02]), held=True)})
-    scene.held_object = "item"
+                  objects={"item": np.array([0.42, 0.05, 0.02])}, held_object="item")
     with pytest.raises(PreconditionUnmet):
         oracle_policy("open drawer", scene, 0.0, 0)
 
@@ -227,5 +226,5 @@ def test_exchange_boxes_picks_table_box(registry):
     task = registry.get("exchange_boxes")
     scene = run_plan(task, 0)
     assert success(task, scene)
-    assert CUPBOARD_INTERIOR.contains(scene.objects["box_b"].position)
-    assert not CUPBOARD_INTERIOR.contains(scene.objects["box_a"].position)
+    assert CUPBOARD_INTERIOR.contains(scene.objects["box_b"])
+    assert not CUPBOARD_INTERIOR.contains(scene.objects["box_a"])
