@@ -55,7 +55,7 @@ class ExperimentConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 data = yaml.safe_load(fh) or {}
-            except (UnicodeDecodeError, yaml.YAMLError) as exc:
+            except (RecursionError, UnicodeDecodeError, yaml.YAMLError) as exc:
                 raise ConfigError(f"{path} is not valid YAML: {exc}")
         if not isinstance(data, dict):
             raise ConfigError(f"{path} must hold a mapping of config keys, "
@@ -67,14 +67,13 @@ class ExperimentConfig:
         return cls(**known)
 
     def validate(self, registry: TaskRegistry) -> list[str]:
-        errors = [f"{name} must be {what}, got {getattr(self, name)!r}"
-                  for name, (valid, what) in _RULES.items() if not valid(getattr(self, name))]
+        errors = rule_errors({name: getattr(self, name) for name in _RULES})
         if isinstance(self.tasks, list):
             errors += [f"unknown task id: {name!r}" for name in self.tasks
                        if isinstance(name, str) and name not in SELECTORS
                        and name not in registry.tasks]
         if _is_list_of(self.seeds, _is_int):
-            # run_suite pools the episodes of one (task, seed) cell
+            # run_suite writes one row per (task, seed) and rejects a repeated seed
             errors += repeated_seed_errors(self.seeds)
         return errors
 
@@ -95,6 +94,12 @@ class ExperimentConfig:
                     seen.add(task.id)
                     out.append(task)
         return out
+
+
+def rule_errors(values: dict) -> list[str]:
+    """One message for each value, keyed by its field, that breaks the field's rule."""
+    return [f"{name} must be {_RULES[name][1]}, got {value!r}"
+            for name, value in values.items() if not _RULES[name][0](value)]
 
 
 def repeated_seed_errors(seeds: list[int]) -> list[str]:

@@ -48,14 +48,14 @@ from .geometry import vector_norm
 class Bounds:
     """Axis-aligned box: cost-map extents and the simulator's geometry.
 
-    The corners are read-only copies, also kept as ``corners``, six Python
-    floats ``(x0, y0, z0, x1, y1, z1)``, so that ``contains`` and the
-    simulator's collision prefilter compare plain floats.
+    Boxes compare and hash by ``corners``, six Python floats ``(x0, y0, z0,
+    x1, y1, z1)`` also kept as the read-only arrays ``lower`` and ``upper``;
+    ``contains`` and the simulator's collision prefilter compare these floats.
     """
 
-    lower: np.ndarray
-    upper: np.ndarray
-    corners: tuple = field(init=False, repr=False, compare=False)
+    lower: np.ndarray = field(compare=False)
+    upper: np.ndarray = field(compare=False)
+    corners: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = np.array(self.lower, dtype=float)

@@ -6,7 +6,7 @@ class DecoError(Exception):
 
 
 class ConfigError(DecoError, ValueError):
-    """An experiment config that cannot be loaded."""
+    """An experiment config or run setting that cannot be used."""
 
 
 # --- demonstration / decomposition ---

@@ -10,25 +10,25 @@ cannot be planned fails the skill it leads into, and the episode stops.
 from __future__ import annotations
 
 import csv
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .chaining import chain_skills
+from .config import repeated_seed_errors, rule_errors
 from .costmap import CostMap, FixedLayer, build_cost_map, fixed_layer
 from .decompose import DecompositionConfig, build_atomic_dataset
-from .errors import (DecoError, NoFreeChain, PlanningFailure, PreconditionUnmet,
-                     UnknownInstruction)
+from .errors import (ConfigError, DecoError, NoFreeChain, PlanningFailure,
+                     PreconditionUnmet, UnknownInstruction)
 from .geometry import Pose, is_goal_reached
 from .planning import ItemLocation, SceneSummary, plan_mock
 from .registry import TaskRegistry, TaskSpec, load_registry
 from .sim.oracle import noised_action, noised_script, oracle_policy, record_demo
 from .sim.scene import (CUPBOARD_INTERIOR, DUSTPAN_VOLUME, WORKSPACE, Action,
                         GripperCommand, Scene, fixed_samples, point_cloud, step)
-from .sim.tasks import reset, success
+from .sim.tasks import named_rng, reset, success
 from .trajectory import InstructionLibrary
 
 # demos the instruction library is distilled from; together they cover all
@@ -53,6 +53,11 @@ class MonitorVerdict(str, Enum):
 class ExecutorConfig:
     chaining_m: int = 6          # 0 disables transition planning entirely
     noise_sigma: float = 0.0
+
+    def __post_init__(self):
+        errors = rule_errors({"chaining_m": self.chaining_m, "noise_sigma": self.noise_sigma})
+        if errors:
+            raise ConfigError("; ".join(errors))
 
 
 @dataclass
@@ -163,8 +168,7 @@ def run_episode(task: TaskSpec, scene: Scene, plan: tuple[str, ...], config: Exe
     """
     result = EpisodeResult(task_id=task.id, seed=seed, success=False)
     # monitor retries draw from this generator only when actions are noised
-    rng = (np.random.default_rng([seed, zlib.crc32(task.id.encode())])
-           if config.noise_sigma > 0 else None)
+    rng = named_rng(seed, task.id) if config.noise_sigma > 0 else None
     completed_all = True
     for i, instruction in enumerate(plan):
         try:
@@ -239,38 +243,29 @@ class SuiteRow:
 def run_suite(tasks: list[TaskSpec], seeds: list[int], config: ExecutorConfig,
               library: InstructionLibrary, registry: TaskRegistry | None = None,
               episodes: int = 1) -> list[SuiteRow]:
+    """One row per task and seed, each of ``episodes`` episodes; a task's rows
+    share ``rate_std``, the spread of their rates."""
+    errors = rule_errors({"seeds": seeds, "episodes": episodes}) + repeated_seed_errors(seeds)
+    if errors:
+        raise ConfigError("; ".join(errors))
     registry = registry or load_registry()
-    by_cell: dict[tuple[str, int], list[EpisodeResult]] = {}
-    for task in tasks:
-        for seed in seeds:
-            for e in range(episodes):
-                by_cell.setdefault((task.id, seed), []).append(
-                    run_task_episode(task, seed + 7919 * e, config, library, registry))
-
-    rates: dict[str, list[float]] = {}
-    for (task_id, _seed), cell in by_cell.items():
-        rates.setdefault(task_id, []).append(
-            sum(r.success for r in cell) / len(cell))
-    stds = {tid: float(np.std(vals)) for tid, vals in rates.items()}
-
     rows = []
     for task in tasks:
+        cells = []   # (seed, successes, collisions)
         for seed in seeds:
-            cell = by_cell[(task.id, seed)]
-            successes = sum(r.success for r in cell)
-            rows.append(SuiteRow(task_id=task.id, seed=seed, episodes=len(cell),
-                                 successes=successes,
-                                 rate=successes / len(cell),
-                                 rate_std=stds[task.id],
-                                 collisions=sum(r.collisions for r in cell)))
+            cell = [run_task_episode(task, seed + 7919 * e, config, library, registry)
+                    for e in range(episodes)]
+            cells.append((seed, sum(r.success for r in cell), sum(r.collisions for r in cell)))
+        rate_std = float(np.std([successes / episodes for _, successes, _ in cells]))
+        rows += [SuiteRow(task.id, seed, episodes, successes, successes / episodes, rate_std,
+                          collisions) for seed, successes, collisions in cells]
     return rows
 
 
 def write_suite_csv(rows: list[SuiteRow], path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["task_id", "seed", "episodes", "successes",
-                         "rate", "rate_std", "collisions"])
+        writer.writerow([f.name for f in fields(SuiteRow)])
         for row in rows:
-            writer.writerow([row.task_id, row.seed, row.episodes, row.successes,
-                             f"{row.rate:.6f}", f"{row.rate_std:.6f}", row.collisions])
+            writer.writerow([f"{v:.6f}" if isinstance(v, float) else v
+                             for v in astuple(row)])

@@ -38,7 +38,7 @@ def _as_vec(values, n, name):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
     """Position (m) plus unit quaternion orientation, robot base frame."""
 

@@ -69,11 +69,10 @@ SKILL_NEEDS = MappingProxyType({
 
 @dataclass(frozen=True)
 class TaskSpec:
+    """A benchmark task: atomic when its plan is one skill, else compositional."""
+
     id: str
     instruction: str
-    domain: str
-    kind: str
-    cycle_count: int
     predicate: str
     initializer: str
     plan: tuple[str, ...]
@@ -82,9 +81,12 @@ class TaskSpec:
     def __post_init__(self):
         object.__setattr__(self, "plan", tuple(self.plan))
         object.__setattr__(self, "aliases", tuple(self.aliases))
-        if self.cycle_count != 2 * len(self.plan):
-            raise ValueError(f"task {self.id!r}: cycle_count {self.cycle_count} "
-                             f"inconsistent with {len(self.plan)}-step plan")
+        if not self.plan:
+            raise ValueError(f"task {self.id!r} has an empty plan")
+
+    @property
+    def cycle_count(self) -> int:
+        return 2 * len(self.plan)   # each skill closes and opens the gripper once
 
 
 class TaskRegistry:
@@ -111,19 +113,15 @@ class TaskRegistry:
         return self._by_instruction.get(instruction.strip().lower())
 
     def atomic_tasks(self) -> list[TaskSpec]:
-        return [t for t in self.tasks.values() if t.kind == "atomic"]
+        return [t for t in self.tasks.values() if len(t.plan) == 1]
 
     def compositional_tasks(self) -> list[TaskSpec]:
-        return [t for t in self.tasks.values() if t.kind == "compositional"]
+        return [t for t in self.tasks.values() if len(t.plan) > 1]
 
 
 def _parse(data: dict) -> TaskRegistry:
-    tasks = [TaskSpec(id=t["id"], instruction=t["instruction"], domain=t["domain"],
-                      kind=t["kind"], cycle_count=t["cycle_count"],
-                      predicate=t["predicate"], initializer=t["initializer"],
-                      plan=tuple(t["plan"]), aliases=tuple(t.get("aliases", [])))
-             for t in data["tasks"]]
-    return TaskRegistry(tasks)
+    # a row holds TaskSpec's fields; "aliases" may be left out
+    return TaskRegistry([TaskSpec(**row) for row in data["tasks"]])
 
 
 @cache

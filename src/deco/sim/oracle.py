@@ -9,7 +9,6 @@ first; a script checks only its own choice of object.
 
 from __future__ import annotations
 
-import zlib
 from functools import partial
 
 import numpy as np
@@ -21,6 +20,7 @@ from ..registry import SKILL_NEEDS, TaskSpec
 from ..trajectory import Demonstration, GripperState, TimeStep
 from .scene import (CUPBOARD_INTERIOR, DRAWER_TRAVEL, DUSTPAN_VOLUME, HOME, WORKSPACE,
                     Action, GripperCommand, Scene, step)
+from .tasks import named_rng, reset
 
 SAFE_Z = 0.30
 SPEED_SCALE = 10.0
@@ -218,10 +218,10 @@ def noised_action(target: Pose, command: GripperCommand, offset) -> Action:
 def noised_script(instruction: str, actions: list[Action], noise_sigma: float,
                   seed: int) -> list[Action]:
     """The skill's script ``actions`` with each target moved by a normal draw of
-    ``noise_sigma`` from a generator seeded by ``seed`` and the instruction;
+    ``noise_sigma`` from ``named_rng(seed, instruction)``;
     ``actions`` itself without noise."""
     if noise_sigma > 0:
-        rng = np.random.default_rng([seed, zlib.crc32(instruction.encode())])
+        rng = named_rng(seed, instruction)
         actions = [noised_action(a.target, a.gripper_command,
                                  rng.normal(0.0, noise_sigma, size=3))
                    for a in actions]
@@ -240,8 +240,6 @@ def oracle_policy(instruction: str, scene: Scene, noise_sigma: float = 0.0,
 
 def record_demo(task: TaskSpec, seed: int) -> Demonstration:
     """Noiseless execution of the task's canonical plan, logged as a demo."""
-    from .tasks import reset
-
     scene = reset(task, seed)
     steps = [TimeStep(0, Pose(HOME), GripperState.OPEN, 0.0)]
     t = 1

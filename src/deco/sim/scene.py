@@ -102,7 +102,7 @@ def _body_half(name: str) -> float:
     return 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class Scene:
     """The simulator's state.  ``objects`` maps each object's name to its
     position; an object is held exactly when its name is ``held_object``.

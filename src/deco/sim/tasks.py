@@ -5,8 +5,8 @@ open fraction (``None`` for no drawer), whether the cupboard and the dustpan
 are present, and the object placements, each an object name, whose prefix
 says what the object is, a nominal position and a jitter half-width.
 ``reset`` builds the scene from the row, then jitters each placement's
-nominal position in x and y, in row order, by up to its half-width from a
-generator seeded by the task id and the seed.
+nominal position in x and y, in row order, by up to its half-width from
+``named_rng(seed, task.id)``.
 
 The drawer thresholds live in ``deco.registry``: the drawer counts as open at
 fraction >= 0.8 and closed below 0.2.  A sweep succeeds once at least 80% of
@@ -16,11 +16,12 @@ the rubbish sits in the dustpan (``RUBBISH_FRACTION_THRESHOLD``, fixed here).
 from __future__ import annotations
 
 import zlib
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import UnknownTask
+from ..errors import ConfigError, UnknownTask
 from ..registry import (DRAWER_CLOSED_THRESHOLD, DRAWER_OPEN_THRESHOLD, TaskSpec,
                         load_registry)
 from .scene import CUPBOARD_INTERIOR, Scene
@@ -103,8 +104,12 @@ INITIALIZERS = {
 }
 
 
-def _rng(task_id: str, seed: int) -> np.random.Generator:
-    return np.random.default_rng([seed, zlib.crc32(task_id.encode())])
+def named_rng(seed: int, name: str) -> np.random.Generator:
+    """The generator of every seeded draw (reset, policy noise, monitor retries):
+    ``name`` is a task id or an instruction; a negative seed is a ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 
 def _jitter(rng, base, scale):
@@ -116,7 +121,7 @@ def reset(task: TaskSpec, seed: int) -> Scene:
     if task.initializer not in INITIALIZERS:
         raise UnknownTask(f"task {task.id!r} has unknown initializer {task.initializer!r}")
     layout = INITIALIZERS[task.initializer]
-    rng = _rng(task.id, seed)
+    rng = named_rng(seed, task.id)
     return Scene(drawer_present=layout.drawer is not None,
                  open_fraction=0.0 if layout.drawer is None else layout.drawer,
                  cupboard_present=layout.cupboard, dustpan_present=layout.dustpan,
@@ -184,8 +189,5 @@ def success(task: TaskSpec, scene: Scene) -> bool:
 
 def drawer_front_obstacle_task() -> TaskSpec:
     """Fixture: put-in-and-close with the item placed behind the open drawer front."""
-    base = load_registry().get("put_in_and_close")
-    return TaskSpec(id="put_in_and_close_obstacle", instruction=base.instruction,
-                    domain="drawer", kind="compositional", cycle_count=base.cycle_count,
-                    predicate=base.predicate, initializer="drawer_front_obstacle",
-                    plan=base.plan, aliases=())
+    return replace(load_registry().get("put_in_and_close"), id="put_in_and_close_obstacle",
+                   initializer="drawer_front_obstacle", aliases=())

@@ -161,11 +161,7 @@ class InstructionLibrary:
     def load(cls, path) -> "InstructionLibrary":
         """The library of a JSON file; raises MalformedData naming the file
         and, for an entry that is not a count of at least 1, its key."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except (RecursionError, ValueError) as exc:
-                raise MalformedData(f"{path}: {type(exc).__name__}: {exc}") from exc
+        data = _load_json(path, MalformedData)
         if not isinstance(data, dict):
             raise MalformedData(f"{path}: a library is a JSON object, got {type(data).__name__}")
         for name, count in data.items():
@@ -173,6 +169,15 @@ class InstructionLibrary:
                 raise MalformedData(f"{path}: entry {name!r} must map to an atomic-task "
                                     f"count of at least 1, got {count!r}")
         return cls(data)
+
+
+def _load_json(path, error):
+    """The JSON value in ``path``; raises ``error`` naming the file if it does not parse."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (RecursionError, ValueError) as exc:
+            raise error(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _save_jsonl(records, path):
@@ -209,11 +214,7 @@ def load_atomic_tasks(path) -> list[AtomicTask]:
 
 def load_annotations(path) -> dict[str, list[str]]:
     """A JSON object mapping each demo id to its ordered instruction list."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            annotations = json.load(fh)
-        except ValueError as exc:
-            raise AnnotationMismatch(f"{path}: {type(exc).__name__}: {exc}") from exc
+    annotations = _load_json(path, AnnotationMismatch)
     if not (isinstance(annotations, dict) and all(
             isinstance(labels, list) and all(isinstance(v, str) for v in labels)
             for labels in annotations.values())):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -326,7 +327,7 @@ def test_plan_names_a_malformed_library(tmp_path, content, cause):
                                               ([], "[0, 0]")])
 @pytest.mark.parametrize("command", [["eval"], ["ablate", "--axis", "noise", "--values", "0"]])
 def test_repeated_seeds_exit_2_with_a_config_error(runner, tmp_path, seed_list, seeds, command):
-    # run_suite would pool both seeds' episodes into one cell and write it twice
+    # a repeated seed would repeat its rows; run_suite rejects it too
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(f"tasks: [open_drawer]\nepisodes: 2\nseeds: {seeds}\n")
     result = CliRunner().invoke(main, ["--out-dir", str(tmp_path)] + seed_list + command
@@ -421,6 +422,29 @@ def test_eval_names_a_config_that_is_not_utf8(tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_decompose_names_annotations_nested_too_deep(tmp_path, recorded):
+    demos, annotations = recorded
+    annotations.write_text("[" * 100_000)
+    result = _decompose(tmp_path, demos, annotations)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ") and len(result.output.splitlines()) == 1
+    assert f"{annotations}: RecursionError" in result.output
+    assert not (tmp_path / "ds").exists()
+
+
+def test_eval_names_a_config_nested_too_deep(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("[" * 100_000)
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path), "eval",
+                                       "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert len(result.output.splitlines()) == 1
+    assert f"config error: {cfg} is not valid YAML: maximum recursion depth" in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_every_config_field_changes_what_eval_runs(monkeypatch, tmp_path):
     # a field that changes neither the library build nor the suite run changes
     # no outcome, and would be a knob that does nothing
@@ -444,3 +468,28 @@ def test_every_config_field_changes_what_eval_runs(monkeypatch, tmp_path):
     assert len(default) == 2 and arguments(ExperimentConfig()) == default
     for name, value in changed.items():
         assert arguments(replace(ExperimentConfig(), **{name: value})) != default, name
+
+
+# sha256 prefixes over the name and bytes of each file the command writes, in
+# name order: results.csv and summary.txt for eval; comparison.csv and one
+# result CSV per arm for ablate
+CLI_OUTPUT_DIGESTS = {"eval": "3f94c61305c2999c", "ablate": "c3dbc920907c35de"}
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_eval_and_ablate_files_are_pinned(tmp_path, command):
+    """Three tasks, seeds 0-2, two noisy episodes each: sweep_and_drop and, at
+    M=6, take_two_out_of_diff fail some episodes, so rate_std is nonzero."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("tasks: [sweep_and_drop, take_two_out_of_diff, open_drawer]\n"
+                   "noise_sigma: 0.01\nepisodes: 2\nseeds: [0, 1, 2]\n")
+    out = tmp_path / "out"
+    args = {"eval": ["eval"], "ablate": ["ablate", "--axis", "chaining-m", "--values", "0,6"]}
+    invoke(CliRunner(), ["--out-dir", str(out)] + args[command] + ["--config", str(cfg)])
+    assert "0.235702" in (out / ("results.csv" if command == "eval"
+                                 else "results_chaining-m_6.csv")).read_text()
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    assert h.hexdigest()[:16] == CLI_OUTPUT_DIGESTS[command]

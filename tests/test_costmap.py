@@ -141,6 +141,14 @@ def test_bounds_reject_corners_that_are_not_3_vectors():
         Bounds((0, 0), (1, 1))
 
 
+def test_bounds_compare_and_hash_by_corners():
+    box = Bounds((0, 0, 0), (1, 1, 1))
+    same = Bounds(np.zeros(3), np.ones(3))
+    assert box == same and hash(box) == hash(same)
+    assert box != Bounds((0, 0, 0), (1, 1, 2))
+    assert len({box, same, BOUNDS}) == 2
+
+
 def brute_force_distance(occ, voxel):
     dims = occ.shape
     occupied = np.argwhere(occ)

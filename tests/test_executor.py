@@ -10,7 +10,7 @@ from deco.executor import (MAX_ACTIONS_PER_SKILL, ExecutorConfig, MonitorVerdict
                            SOURCE_DEMO_TASKS, build_library, monitor, run_episode, run_suite,
                            run_task_episode, scene_summary, write_suite_csv)
 from deco.costmap import CostMap
-from deco.errors import NoFreeChain
+from deco.errors import ConfigError, NoFreeChain
 from deco.geometry import Pose
 from deco.planning import ItemLocation
 from deco.registry import load_registry
@@ -176,6 +176,40 @@ def test_run_suite_rows_and_csv(tmp_path, library, registry):
     lines = out.read_text().splitlines()
     assert lines[0] == "task_id,seed,episodes,successes,rate,rate_std,collisions"
     assert lines[1] == "open_drawer,0,2,2,1.000000,0.000000,0"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(chaining_m=-3), "chaining_m must be a non-negative integer, got -3"),
+    (dict(chaining_m=2.5), "chaining_m must be a non-negative integer, got 2.5"),
+    (dict(noise_sigma=-0.05), "noise_sigma must be a finite non-negative number, got -0.05"),
+    (dict(noise_sigma=float("nan")), "noise_sigma must be a finite non-negative number, got nan"),
+    (dict(chaining_m=-1, noise_sigma=float("inf")),
+     "chaining_m must be a non-negative integer, got -1; "
+     "noise_sigma must be a finite non-negative number, got inf"),
+])
+def test_executor_config_checks_the_experiment_config_rules(kwargs, message):
+    with pytest.raises(ConfigError) as info:
+        ExecutorConfig(**kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("seeds, episodes, message", [
+    ([0, 0], 1, "seeds must not repeat, got seed 0 more than once"),
+    ([0, 1], 0, "episodes must be an integer of at least 1, got 0"),
+    ([], 1, "seeds must be a non-empty list of non-negative integers, got []"),
+])
+def test_run_suite_rejects_what_it_cannot_tabulate(library, registry, monkeypatch,
+                                                    seeds, episodes, message):
+    monkeypatch.setattr(deco.executor, "run_task_episode", None)  # nothing may run
+    with pytest.raises(ConfigError) as info:
+        run_suite([registry.get("open_drawer")], seeds, ExecutorConfig(), library, registry,
+                  episodes=episodes)
+    assert str(info.value) == message
+
+
+def test_run_task_episode_rejects_a_negative_seed(library, registry):
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+        run_task_episode(registry.get("open_drawer"), -1, ExecutorConfig(), library, registry)
 
 
 def test_run_suite_deterministic(tmp_path, library, registry):

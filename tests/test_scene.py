@@ -16,6 +16,14 @@ def drawer_scene(fraction=0.0):
     return Scene(drawer_present=True, open_fraction=fraction)
 
 
+def test_scenes_poses_and_actions_compare_by_identity():
+    scene, pose = Scene(), Pose(HOME)
+    assert scene == scene and Scene() != scene
+    assert pose == pose and Pose(HOME) != pose
+    assert act(HOME) != act(HOME)
+    assert Action(pose) == Action(pose) and hash(Action(pose)) == hash(Action(pose))
+
+
 def test_step_rejects_out_of_workspace():
     with pytest.raises(OutOfBounds):
         step(Scene(), act([5.0, 0.0, 0.0]))

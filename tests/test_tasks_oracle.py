@@ -1,16 +1,21 @@
 import hashlib
+import json
 import re
+import zlib
+from dataclasses import fields
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from deco.errors import PreconditionUnmet, UnknownInstruction, UnknownTask, UnsatisfiablePlan
+from deco.errors import (ConfigError, PreconditionUnmet, UnknownInstruction, UnknownTask,
+                         UnsatisfiablePlan)
 from deco.executor import scene_summary
 from deco.planning import _check_requirements
-from deco.registry import SKILL_NEEDS, DrawerNeed, load_registry
-from deco.sim.oracle import ATOMIC_SKILLS, check_needs, oracle_policy, record_demo
+from deco.registry import SKILL_NEEDS, DrawerNeed, TaskSpec, load_registry
+from deco.sim.oracle import ATOMIC_SKILLS, check_needs, noised_script, oracle_policy, record_demo
 from deco.sim.scene import CUPBOARD_INTERIOR, GripperCommand, Scene, step
-from deco.sim.tasks import drawer_front_obstacle_task, reset, success
+from deco.sim.tasks import drawer_front_obstacle_task, named_rng, reset, success
 from deco.trajectory import GripperState
 
 # every initial scene of the 22 registry tasks and the obstacle fixture, seeds 0-4
@@ -43,6 +48,35 @@ def test_registry_is_parsed_once_and_shared():
         registry.tasks["open_drawer"] = registry.get("close_drawer")
 
 
+def test_task_rows_hold_only_what_the_loader_reads():
+    """Each row of the packaged table is TaskSpec's fields, "aliases" optional,
+    so a column that nothing reads cannot come back."""
+    names = [f.name for f in fields(TaskSpec)]
+    assert names == ["id", "instruction", "predicate", "initializer", "plan", "aliases"]
+    text = resources.files("deco.assets").joinpath("tasks.json").read_text()
+    for row in json.loads(text)["tasks"]:
+        assert set(names) - {"aliases"} <= set(row) <= set(names), row["id"]
+        assert row.get("aliases", None) != [], row["id"]
+
+
+def test_kind_and_cycle_count_come_from_the_plan(registry):
+    assert all(len(t.plan) == 1 for t in registry.atomic_tasks())
+    assert all(2 <= len(t.plan) <= 5 for t in registry.compositional_tasks())
+    assert registry.atomic_tasks() + registry.compositional_tasks() == list(registry)
+    assert all(t.cycle_count == 2 * len(t.plan) for t in registry)
+    with pytest.raises(ValueError, match="task 'idle' has an empty plan"):
+        TaskSpec(id="idle", instruction="idle", predicate="drawer_open",
+                 initializer="drawer_closed", plan=())
+
+
+def test_obstacle_fixture_is_its_base_task_with_three_fields_replaced(registry):
+    fixture, base = drawer_front_obstacle_task(), registry.get("put_in_and_close")
+    assert (fixture.id, fixture.initializer, fixture.aliases) == (
+        "put_in_and_close_obstacle", "drawer_front_obstacle", ())
+    assert (fixture.instruction, fixture.predicate, fixture.plan) == (
+        base.instruction, base.predicate, base.plan)
+
+
 def test_cycle_count_census(registry):
     # drawer-involving compositional: two 4-cycle, five 6-cycle, two 10-cycle
     drawer = [t for t in registry.compositional_tasks()
@@ -57,6 +91,18 @@ def test_reset_deterministic_per_seed(registry):
     assert np.allclose(a.objects["item"], b.objects["item"])
     c = reset(task, 4)
     assert not np.allclose(a.objects["item"], c.objects["item"])
+
+
+def test_a_negative_seed_is_a_config_error_naming_it(registry):
+    task = registry.get("put_in_wo_close")
+    script = oracle_policy("open drawer", reset(task, 0))
+    calls = [lambda: named_rng(-1, "open drawer"), lambda: reset(task, -1),
+             lambda: noised_script("open drawer", script, 0.01, -1)]
+    for call in calls:
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            call()
+    assert named_rng(3, task.id).random() == np.random.default_rng(
+        [3, zlib.crc32(task.id.encode())]).random()
 
 
 def test_initial_scenes_are_pinned_bit_for_bit(registry):
