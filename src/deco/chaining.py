@@ -4,15 +4,22 @@ Chaining poses start on the straight interpolant between the previous goal
 and the next start pose, then slide down the cost field until they clear the
 collision threshold.  RRT-Connect with greedy shortcutting connects the
 sequence.
+
+A transition pays for what is blocked.  The M starting points are tested with
+one lookup, and only the blocked ones are refined.  The anchors and the
+samples of every straight leg between them are tested with one more lookup,
+and only a leg with a blocked anchor or sample is searched; a free leg is
+what ``rrt_path`` would return for it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costmap import CostMap
+from .costmap import CostMap, segment_fractions
 from .errors import NoFreeChain, PlanningFailure
 from .geometry import Pose, quat_slerp, vector_norm
 
@@ -67,13 +74,16 @@ def _refine_position(init: np.ndarray, cmap: CostMap) -> np.ndarray:
 
 
 def chaining_poses(start: Pose, end: Pose, cmap: CostMap, m: int) -> list[Pose]:
+    """M poses at fractions k / (M + 1) of the way from start to end; a
+    position whose starting point is blocked is refined off the obstacle."""
     if m < 0:
         raise ValueError("number of chaining poses must be non-negative")
+    ts = [k / (m + 1) for k in range(1, m + 1)]
+    column = np.array(ts).reshape(-1, 1)
+    inits = (1 - column) * start.position + column * end.position
     poses = []
-    for k in range(1, m + 1):
-        t = k / (m + 1)
-        init = (1 - t) * start.position + t * end.position
-        position = _refine_position(np.asarray(init), cmap)
+    for t, init, free in zip(ts, inits, cmap.is_free(inits).tolist()):
+        position = init if free else _refine_position(init, cmap)
         orientation = quat_slerp(start.orientation, end.orientation, t)
         poses.append(Pose(position, orientation))
     return poses
@@ -100,6 +110,11 @@ def _shortcut(path: list[np.ndarray], cmap: CostMap) -> list[np.ndarray]:
     return out
 
 
+def _coincident(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.allclose(a, b)`` with its default tolerances, in floats."""
+    return all(abs(x - y) <= 1e-8 + 1e-5 * abs(y) for x, y in zip(a.tolist(), b.tolist()))
+
+
 def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     """Plan a collision-free polyline from a to b with RRT-Connect.
 
@@ -117,8 +132,7 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     if not cmap.is_free(a) or not cmap.is_free(b):
         raise PlanningFailure(f"endpoint in collision: a={a} (cost {cmap.cost_at(a):.3f}), "
                               f"b={b} (cost {cmap.cost_at(b):.3f})")
-    # np.allclose(a, b) with its default tolerances, in floats
-    if all(abs(x - y) <= 1e-8 + 1e-5 * abs(y) for x, y in zip(a.tolist(), b.tolist())):
+    if _coincident(a, b):
         return [a]
     if cmap.segment_free(a, b):
         return [a, b]
@@ -184,12 +198,37 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
 
 def chain_skills(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int,
                  seed: int = 0) -> ChainingResult:
-    """Chaining poses plus RRT legs from the previous goal to the next start."""
+    """Chaining poses plus RRT legs from the previous goal to the next start.
+
+    The anchors, and each leg's samples as ``segment_free`` takes them, are
+    answered with one lookup.  A leg with free anchors is ``[p]`` when they
+    coincide and ``[p, q]`` when its samples are free, as ``rrt_path``
+    returns it; any other leg goes to ``rrt_path``.  A leg longer than the
+    map's diagonal cannot join two free anchors, so it is not sampled.
+    """
     poses = chaining_poses(goal_prev, start_next, cmap, m)
     anchors = [goal_prev.position] + [p.position for p in poses] + [start_next.position]
+    half = cmap.voxel_size / 2.0
+    diagonal = vector_norm(cmap.upper - cmap.origin)
+    blocks, ends = [np.array(anchors)], [len(anchors)]
+    for p, q in zip(anchors, anchors[1:]):
+        d = q - p
+        length = vector_norm(d)
+        if length <= diagonal:
+            blocks.append(p + segment_fractions(max(1, math.ceil(length / half))) * d)
+            ends.append(ends[-1] + len(blocks[-1]))
+        else:
+            ends.append(ends[-1])
+    free = cmap.is_free(np.vstack(blocks)).tolist()
     path: list[np.ndarray] = []
     for leg, (p, q) in enumerate(zip(anchors, anchors[1:])):
-        sub = rrt_path(p, q, cmap, seed + leg)
+        samples = free[ends[leg]:ends[leg + 1]]
+        if free[leg] and free[leg + 1] and _coincident(p, q):
+            sub = [p]
+        elif free[leg] and free[leg + 1] and samples and all(samples):
+            sub = [p, q]
+        else:
+            sub = rrt_path(p, q, cmap, seed + leg)
         if path:
             sub = sub[1:]
         path.extend(sub)

@@ -14,11 +14,19 @@ table cost reaches the threshold: the nearest occupied voxel is at least as
 near, and cost does not rise as distance falls.  ``build_cost_map`` answers
 free/blocked by dilating the occupancy with that set of offsets.
 
-Most of a cloud never moves.  A ``FixedLayer`` holds that part of the cloud,
-its occupancy and its dilated ``blocked`` grid, built once; ``build_cost_map``
-voxelises and dilates only the points after it and ORs them into copies of
-its grids.  Dilation distributes over union, so the map is byte for byte the
-map of the whole cloud.
+Most of a cloud does not move from one map to the next.  A ``FixedLayer``
+holds that part of the cloud, its occupancy and its dilated ``blocked`` grid,
+built once; ``build_cost_map`` voxelises and dilates only the points after it
+and ORs them into copies of its grids, and ``fixed_layer`` builds one layer on
+another the same way.  Dilation distributes over union, so the map is byte for
+byte the map of the whole cloud.
+
+Free/blocked questions come in batches and in single segments.  ``is_free``
+answers an (N, 3) array of points with one lookup; the planner asks it once
+for all of a transition's anchors and straight legs.  ``segment_free``, asked
+segment by segment by the search, walks its samples in plain floats and stops
+at the first blocked one.  Either way a point outside the map, or with a NaN
+coordinate, is blocked.
 
 Cost values are read near obstacles, by the chaining-pose gradient.  Until the
 cost grid is built, ``cost_at`` answers a point from the 5x5x5 window of the
@@ -160,9 +168,10 @@ class CostMap:
     def _lookup(self, padded: np.ndarray, points):
         """Entries of a padded grid at the voxels holding the points: one point
         gives a scalar, an (N, 3) array gives N entries.  An index outside the
-        map is clipped into the border."""
+        map is clipped into the border; a NaN coordinate reads the border too."""
         p = np.asarray(points, dtype=float)
-        idx = np.minimum(np.maximum(np.floor((p - self.origin) / self.voxel_size), -1.0),
+        # fmax sends NaN to the border, with the points below the map
+        idx = np.minimum(np.fmax(np.floor((p - self.origin) / self.voxel_size), -1.0),
                          self._max_index).astype(int) + 1
         if p.ndim == 1:
             i, j, k = idx.tolist()
@@ -203,18 +212,45 @@ class CostMap:
             cost = self._lookup(self._padded_cost(), points)
         return float(cost) if cost.ndim == 0 else cost
 
-    def is_free(self, point) -> bool:
-        """The point's voxel is not blocked: its cost is below the threshold,
-        read from ``blocked`` without computing the cost grid."""
-        return not self._lookup(self.blocked, point)
+    def is_free(self, points):
+        """Each point's voxel is not blocked: its cost is below the threshold,
+        read from ``blocked`` without computing the cost grid.  One point gives
+        a bool, an (N, 3) array gives N bools from one lookup."""
+        blocked = self._lookup(self.blocked, points)
+        return not blocked if blocked.ndim == 0 else ~blocked
 
     def segment_free(self, a, b) -> bool:
-        """Sample the segment at voxel_size/2 and test every sample against ``blocked``."""
+        """Sample the segment at voxel_size/2 and test every sample against ``blocked``.
+
+        The samples are ``a + segment_fractions(n) * (b - a)``, with ``n`` from
+        the segment's ``vector_norm``.  They are walked in plain floats from
+        ``a``, and the walk stops at the first blocked one.  Each coordinate is
+        indexed as ``_lookup`` indexes it: a NaN or one outside the map reads
+        the border.  A segment whose length is not finite has a sample that is
+        not finite, so it is blocked.
+        """
         a = np.asarray(a, dtype=float)
         d = np.asarray(b, dtype=float) - a
-        n = max(1, math.ceil(vector_norm(d) / (self.voxel_size / 2.0)))
-        samples = a + segment_fractions(n) * d
-        return not self._lookup(self.blocked, samples).any()
+        length = vector_norm(d)
+        if not math.isfinite(length):
+            return False
+        n = max(1, math.ceil(length / (self.voxel_size / 2.0)))
+        (ax, ay, az), (dx, dy, dz) = a.tolist(), d.tolist()
+        (ox, oy, oz), size = self.origin.tolist(), self.voxel_size
+        nx, ny, nz = self.dims
+        blocked = self.blocked
+        # segment_fractions(n) is np.linspace(0, 1, n + 1): i * (1 / n), then exactly 1
+        step = 1.0 / n
+        for i in range(n + 1):
+            f = i * step if i < n else 1.0
+            x = (ax + f * dx - ox) / size
+            y = (ay + f * dy - oy) / size
+            z = (az + f * dz - oz) / size
+            if blocked[int(x) + 1 if 0.0 <= x < nx else (nx + 1 if x >= nx else 0),
+                       int(y) + 1 if 0.0 <= y < ny else (ny + 1 if y >= ny else 0),
+                       int(z) + 1 if 0.0 <= z < nz else (nz + 1 if z >= nz else 0)]:
+                return False
+        return True
 
     def export(self, header_path, grid_path):
         """JSON header plus a flat little-endian float32 grid, x-fastest order."""
@@ -434,7 +470,7 @@ def _map_parameters(bounds: Bounds, voxel_size, inflation_radius,
 
 @dataclass(frozen=True, eq=False)
 class FixedLayer:
-    """The part of a cloud that never moves, voxelised and dilated once.
+    """The part of a cloud that does not move, voxelised and dilated once.
 
     ``points`` is the read-only block every cloud it serves starts with;
     ``occupancy`` and ``blocked`` (padded, border included) are its read-only
@@ -447,20 +483,49 @@ class FixedLayer:
     blocked: np.ndarray
 
 
+def _layered_grids(points: np.ndarray, bounds: Bounds, parameters: tuple,
+                   fixed: FixedLayer | None) -> tuple[np.ndarray, np.ndarray]:
+    """The occupancy and padded ``blocked`` grids of a cloud that starts with
+    the points of ``fixed``: only the points after them are voxelised and
+    dilated, and ORed into copies of its grids.  Without ``fixed`` the grids
+    start empty, inside a blocked border."""
+    count = 0
+    if fixed is not None:
+        if fixed.parameters != parameters:
+            raise DecoError(f"fixed layer built with map parameters {fixed.parameters}, "
+                            f"not {parameters}")
+        count = len(fixed.points)
+        if not np.array_equal(points[:count], fixed.points):
+            raise DecoError(f"point cloud does not start with the {count} points "
+                            "of its fixed layer")
+    occ, _, dims = occupancy_from_points(points[count:], bounds, parameters[1])
+    if fixed is None:
+        base = np.ones(tuple(n + 2 for n in dims), dtype=bool)
+        base[1:-1, 1:-1, 1:-1] = False
+    else:
+        base = fixed.blocked
+    blocked = _dilate(occ, parameters, base)
+    if fixed is not None:
+        np.logical_or(occ, fixed.occupancy, out=occ)
+    return occ, blocked
+
+
 def fixed_layer(points, bounds: Bounds, voxel_size: float = 0.02,
-                inflation_radius: float = 0.05,
-                collision_threshold: float = 0.5) -> FixedLayer:
+                inflation_radius: float = 0.05, collision_threshold: float = 0.5,
+                fixed: FixedLayer | None = None) -> FixedLayer:
     """The fixed part of the maps built with these parameters from clouds that
-    start with ``points``; ``build_cost_map`` adds the rest of each cloud."""
+    start with ``points``; ``build_cost_map`` adds the rest of each cloud.
+
+    ``fixed`` is a layer that ``points`` starts with, built with the same
+    parameters; only the points after its points are voxelised and dilated,
+    as ``build_cost_map`` adds a cloud to it.
+    """
     parameters = _map_parameters(bounds, voxel_size, inflation_radius, collision_threshold)
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if points.flags.writeable:
         points = points.copy()
         points.flags.writeable = False
-    occ, _, dims = occupancy_from_points(points, bounds, voxel_size)
-    border = np.ones(tuple(n + 2 for n in dims), dtype=bool)
-    border[1:-1, 1:-1, 1:-1] = False
-    blocked = _dilate(occ, parameters, border)
+    occ, blocked = _layered_grids(points, bounds, parameters, fixed)
     occ.flags.writeable = False
     return FixedLayer(points, parameters, occ, blocked)
 
@@ -473,26 +538,14 @@ def build_cost_map(points, bounds: Bounds, voxel_size: float = 0.02,
     ``blocked`` grid.  Cost values come from the occupancy window near
     obstacles; the cost grid itself is computed only when a read needs it.
 
-    ``fixed`` is the part of the cloud that never moves, built by
+    ``fixed`` is the part of the cloud that does not move, built by
     ``fixed_layer`` with the same parameters; the cloud must start with its
     points.  Only the points after them are voxelised and dilated, and ORed
     into copies of its grids: dilation distributes over union, so the map is
     the map of the whole cloud.  Without ``fixed`` the fixed part is empty.
     """
     parameters = _map_parameters(bounds, voxel_size, inflation_radius, collision_threshold)
-    if fixed is None:
-        fixed = fixed_layer(np.zeros((0, 3)), bounds, voxel_size, inflation_radius,
-                            collision_threshold)
-    elif fixed.parameters != parameters:
-        raise DecoError(f"fixed layer built with map parameters {fixed.parameters}, "
-                        f"not {parameters}")
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    count = len(fixed.points)
-    if not np.array_equal(pts[:count], fixed.points):
-        raise DecoError(f"point cloud does not start with the {count} points "
-                        "of its fixed layer")
-    occ, origin, _ = occupancy_from_points(pts[count:], bounds, voxel_size)
-    blocked = _dilate(occ, parameters, fixed.blocked)
-    np.logical_or(occ, fixed.occupancy, out=occ)
-    return CostMap._from_occupancy(origin, voxel_size, occ, blocked,
+    occ, blocked = _layered_grids(np.asarray(points, dtype=float).reshape(-1, 3), bounds,
+                                  parameters, fixed)
+    return CostMap._from_occupancy(bounds.lower.copy(), voxel_size, occ, blocked,
                                    collision_threshold, inflation_radius)

@@ -128,19 +128,26 @@ def build_library(registry: TaskRegistry | None = None) -> tuple[list, list, Ins
     return demos, tasks, library
 
 
-@lru_cache(maxsize=8)
-def _fixed_layer(drawer_present: bool, cupboard_present: bool,
-                 dustpan_present: bool) -> FixedLayer:
-    """The fixed boxes' part of every transition map of a scene layout."""
-    return fixed_layer(fixed_samples(drawer_present, cupboard_present, dustpan_present),
-                       WORKSPACE)
+@lru_cache(maxsize=16)
+def _fixed_layer(drawer_present: bool, cupboard_present: bool, dustpan_present: bool,
+                 open_fraction: float) -> FixedLayer:
+    """The part of every transition map of a scene layout that stays put while
+    the tray is at ``open_fraction``: the fixed boxes and the tray, the block
+    ``fixed_samples`` keeps.  A tray that is out is added to the layer of the
+    tray in."""
+    samples = fixed_samples(drawer_present, cupboard_present, dustpan_present, open_fraction)
+    base = None if open_fraction == 0.0 else _fixed_layer(drawer_present, cupboard_present,
+                                                          dustpan_present, 0.0)
+    return fixed_layer(samples, WORKSPACE, fixed=base)
 
 
 def transition_cost_map(scene: Scene) -> CostMap:
     """The cost map the executor plans a transition on: the scene's whole
-    point cloud over the workspace, with its fixed part voxelised and dilated
-    once per scene layout."""
-    fixed = _fixed_layer(scene.drawer_present, scene.cupboard_present, scene.dustpan_present)
+    point cloud over the workspace.  Its fixed boxes and tray are voxelised
+    and dilated once per scene layout and tray opening; only the objects are
+    added per map."""
+    fixed = _fixed_layer(scene.drawer_present, scene.cupboard_present, scene.dustpan_present,
+                         scene.open_fraction)
     return build_cost_map(point_cloud(scene), WORKSPACE, fixed=fixed)
 
 

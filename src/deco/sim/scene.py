@@ -338,13 +338,22 @@ def _drawer_interior(open_fraction: float) -> Bounds:
                   (CABINET_HI[0] - 0.02 - shift, CABINET_HI[1] - 0.01, DRAWER_WALL_TOP))
 
 
-@lru_cache(maxsize=8)
-def fixed_samples(drawer_present: bool, cupboard_present: bool,
-                  dustpan_present: bool) -> np.ndarray:
-    """Read-only (N, 3) face samples of the fixed boxes of a scene with these
-    parts, in the order of ``_fixed_boxes``: cabinet, cupboard walls, dustpan floor."""
-    boxes = _fixed_boxes(drawer_present, cupboard_present, dustpan_present)
-    samples = np.vstack([np.zeros((0, 3))] + [_sample_box_faces(box) for box in boxes])
+@lru_cache(maxsize=16)
+def fixed_samples(drawer_present: bool, cupboard_present: bool, dustpan_present: bool,
+                  open_fraction: float) -> np.ndarray:
+    """Read-only (N, 3) face samples of the boxes of a scene with these parts
+    whose tray is at ``open_fraction``: the fixed boxes in the order of
+    ``_fixed_boxes`` (cabinet, cupboard walls, dustpan floor), then the tray's
+    boxes, as ``Scene.drawer_boxes`` gives them.  A tray that is out adds its
+    samples to the block of the tray in."""
+    tray = _drawer_boxes(open_fraction) if drawer_present else ()
+    if tray:
+        first = fixed_samples(drawer_present, cupboard_present, dustpan_present, 0.0)
+        boxes = tray
+    else:
+        first = np.zeros((0, 3))
+        boxes = _fixed_boxes(drawer_present, cupboard_present, dustpan_present)
+    samples = np.vstack([first] + [_sample_box_faces(box) for box in boxes])
     samples.flags.writeable = False
     return samples
 
@@ -352,15 +361,15 @@ def fixed_samples(drawer_present: bool, cupboard_present: bool,
 def point_cloud(scene: Scene) -> np.ndarray:
     """Stratified surface sampling of every geometry box, plus rubbish points.
 
-    The fixed boxes' samples come first, as the block ``fixed_samples`` keeps
-    for the scene's layout.  The parts that move follow, sampled on every
-    call: the drawer tray and the bodies of the unheld objects by name
-    (``Scene.drawer_boxes`` and ``Scene.object_boxes``), then one point per
-    rubbish item at its position.
+    The boxes that stay put while the tray does come first, as the block
+    ``fixed_samples`` keeps per scene layout and tray opening: the fixed boxes,
+    then the drawer tray.  The objects follow, sampled on every call: the
+    bodies of the unheld objects by name (``Scene.object_boxes``), then one
+    point per rubbish item at its position.
     """
     points = [fixed_samples(scene.drawer_present, scene.cupboard_present,
-                            scene.dustpan_present)]
-    points += [_sample_box_faces(box) for box in (*scene.drawer_boxes(), *scene.object_boxes())]
+                            scene.dustpan_present, scene.open_fraction)]
+    points += [_sample_box_faces(box) for box in scene.object_boxes()]
     points += [scene.objects[name][None, :] for name in scene.rubbish_names()]
     return np.vstack(points)
 

@@ -188,12 +188,18 @@ def test_fixture_chain_path_is_pinned_bit_for_bit():
 
 
 class CountingMap(CostMap):
-    """Records each segment check and whether it passed."""
+    """Records each segment check and whether it passed, and counts the
+    lookups into ``blocked``."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.segments = []
         self.checks = []
+        self.blocked_lookups = 0
+
+    def _lookup(self, padded, points):
+        self.blocked_lookups += padded is self.blocked
+        return super()._lookup(padded, points)
 
     def segment_free(self, a, b):
         free = super().segment_free(a, b)
@@ -236,6 +242,34 @@ def test_rrt_gives_up_at_the_node_cap_after_long_blocked_connects():
     runs = "".join("1" if free else "0" for free in cmap.checks).split("0")
     assert max(len(run) for run in runs[:-1]) > 3000
     assert a_side_passes(cmap, 120.0) == RRT_MAX_ITERS + 1
+
+
+@pytest.mark.parametrize("m", [1, 6])
+def test_a_free_transition_makes_two_lookups_and_no_search(m, monkeypatch):
+    """One lookup for the chaining poses' starting points, one for the anchors
+    and the legs' samples; no leg reaches ``rrt_path`` or ``segment_free``."""
+    def no_search(*args):
+        raise AssertionError(f"rrt_path{args[:2]}")
+
+    monkeypatch.setattr(deco.chaining, "rrt_path", no_search)
+    cmap = CountingMap([0.0, 0.0, 0.0], 0.02, np.zeros((20, 20, 20)), 0.5, 0.05)
+    start, end = Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.1, 0.25])
+    chain = chain_skills(start, end, cmap, m)
+    assert cmap.blocked_lookups == 2
+    assert cmap.segments == []
+    anchors = [start.position] + [p.position for p in chain.poses] + [end.position]
+    assert [w.tobytes() for w in chain.path] == [a.tobytes() for a in anchors]
+
+
+def test_a_leg_longer_than_the_map_fails_as_rrt_path_fails_it():
+    """A leg longer than the map's diagonal is not sampled; ``rrt_path``
+    refuses its endpoint outside the map."""
+    a, far = Pose([0.05, 0.2, 0.2]), Pose([-50.0, 0.2, 0.2])
+    with pytest.raises(PlanningFailure, match="endpoint in collision") as reference:
+        rrt_path(a.position, far.position, empty_map())
+    with pytest.raises(PlanningFailure) as batched:
+        chain_skills(a, far, empty_map(), 0)
+    assert str(batched.value) == str(reference.value)
 
 
 @pytest.fixture(scope="module")

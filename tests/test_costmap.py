@@ -87,6 +87,37 @@ def test_segment_free_detects_blocking_voxel():
     assert cmap.segment_free([0.01, 0.01, 0.01], [0.19, 0.01, 0.01])
 
 
+FREE_POINT = [0.01, 0.01, 0.01]
+
+# each query of one point with a non-finite coordinate, and what it must answer
+NON_FINITE_QUERIES = {
+    "is_free": (lambda cmap, p: cmap.is_free(p), False),
+    "cost_at": (lambda cmap, p: cmap.cost_at(p), 1.0),
+    "segment_free-from": (lambda cmap, p: cmap.segment_free(p, FREE_POINT), False),
+    "segment_free-to": (lambda cmap, p: cmap.segment_free(FREE_POINT, p), False),
+    "batched-is_free": (lambda cmap, p: cmap.is_free(np.array([FREE_POINT, p])).tolist(),
+                        [True, False]),
+    "batched-cost_at": (lambda cmap, p: cmap.cost_at(np.array([FREE_POINT, p]))[1], 1.0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("query", sorted(NON_FINITE_QUERIES))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("make", [
+    lambda: build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02),
+    lambda: CostMap([0, 0, 0], 0.02, np.zeros((10, 10, 10)), 0.5, 0.05)],
+    ids=["built", "grid"])
+def test_a_non_finite_coordinate_is_outside_the_map(make, axis, bad, query):
+    """NaN, like +-inf, answers as a point outside the map: blocked, cost 1.0,
+    without a warning."""
+    point = [0.1, 0.1, 0.1]
+    point[axis] = bad
+    ask, expected = NON_FINITE_QUERIES[query]
+    assert ask(make(), point) == expected
+
+
 def read_export(header_path, grid_path):
     """An exported map in the README's format: a JSON header, and the cost
     grid as flat little-endian float32 with x varying fastest."""

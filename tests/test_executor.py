@@ -281,8 +281,10 @@ def test_a_skill_is_scripted_again_only_after_a_transition(registry, monkeypatch
 
 
 def test_geometry_caches_are_keyed_by_constants_not_episodes(library, registry, monkeypatch):
-    """The fixed-geometry and cost-table caches see only geometry constants and
-    map parameters, so repeated episodes cannot turn into cache hits."""
+    """The fixed-geometry and cost-table caches see only geometry constants,
+    map parameters and tray openings, so repeated episodes cannot turn into
+    cache hits.  The noiseless suite's trays are only ever in or fully out,
+    so its transition maps see two openings."""
     cached = {"table": (deco.costmap, "_offset_cost_table"),
               "offsets": (deco.costmap, "_blocking_offsets"),
               "window": (deco.costmap, "_exact_window"),
@@ -305,11 +307,12 @@ def test_geometry_caches_are_keyed_by_constants_not_episodes(library, registry, 
     dims = tuple(int(np.ceil(e / 0.02)) for e in WORKSPACE.upper - WORKSPACE.lower)
     assert keys["table"] == keys["window"] == {(dims, 0.02, 0.05)}
     assert keys["offsets"] == {(dims, 0.02, 0.05, 0.5)}
-    assert 1 < len(keys["samples"]) <= 8
-    # every layout seen by a transition map is one of the simulator's layouts
+    assert 1 < len(keys["samples"]) <= 16
+    # every layout and opening seen by a transition map is one the simulator samples
     assert keys["layers"] <= keys["samples"]
     for name in ("samples", "layers"):
-        assert all(len(key) == 3 and all(type(flag) is bool for flag in key)
+        assert all(len(key) == 4 and all(type(flag) is bool for flag in key[:3])
                    for key in keys[name])
+        assert {key[3] for key in keys[name]} == {0.0, 1.0}
     for name, fn in originals.items():
         assert fn.cache_info().currsize == len(keys[name])

@@ -20,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from deco.chaining import rrt_path
+from deco.chaining import _refine_position, chain_skills, rrt_path
 from deco.costmap import (Bounds, CostMap, _exact_window, build_cost_map, cost_from_distance,
-                          distance_grid, occupancy_from_points)
-from deco.executor import transition_cost_map
-from deco.geometry import Pose
+                          distance_grid, occupancy_from_points, segment_fractions)
+from deco.errors import NoFreeChain, PlanningFailure
+from deco.executor import _fixed_layer, transition_cost_map
+from deco.geometry import Pose, quat_slerp, vector_norm
 from deco.sim.scene import (BODY_HALF, CABINET, CABINET_HI, CABINET_LO, CLOUD_DENSITY,
                             CUPBOARD_WALLS, DRAWER_TRAVEL, DRAWER_WALL, DRAWER_WALL_TOP,
                             DUSTPAN_FLOOR, DUSTPAN_HI, HANDLE_NAME, SLAM_FRACTION, WORKSPACE,
@@ -122,6 +123,33 @@ def test_segment_free_matches_dense_reference(data):
     assert cmap.segment_free(a, b) == expected
 
 
+def test_segment_fractions_are_the_steps_the_float_walk_takes():
+    """``segment_free`` walks ``i * (1 / n)`` for i < n, then exactly 1."""
+    for n in range(1, 1500):
+        step = 1.0 / n
+        assert segment_fractions(n).ravel().tolist() == [i * step for i in range(n)] + [1.0]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(st.data())
+def test_segment_free_walk_is_the_lookup_of_its_samples(data):
+    """The float walk answers as one lookup of ``a + segment_fractions(n) * d``,
+    also for segments that leave the map, start or end outside it, or lie on
+    voxel faces."""
+    cmap = data.draw(cost_maps())
+    extent = cmap.upper - cmap.origin
+    lo, hi = cmap.origin - extent, cmap.upper + extent
+    probes = list(data.draw(probe_points(cmap)))
+    a, b = (data.draw(st.sampled_from(probes)
+                      | st.tuples(*(st.floats(float(l), float(h)) for l, h in zip(lo, hi))))
+            for _ in range(2))
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    d = b - a
+    n = max(1, math.ceil(vector_norm(d) / (cmap.voxel_size / 2)))
+    expected = not cmap._lookup(cmap.blocked, a + segment_fractions(n) * d).any()
+    assert cmap.segment_free(a, b) is expected
+
+
 WALL_DIMS = (8, 8, 8)
 WALL_VOXEL = 0.05
 
@@ -161,6 +189,70 @@ def test_rrt_path_is_byte_identical_for_one_seed(scene, seed):
     cmap, a, b = scene
     first, second = rrt_path(a, b, cmap, seed), rrt_path(a, b, cmap, seed)
     assert [w.tobytes() for w in first] == [w.tobytes() for w in second]
+
+
+def reference_chain(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int, seed: int):
+    """A transition planned pose by pose and leg by leg: each chaining pose
+    refined from its starting point, then one ``rrt_path`` call per leg."""
+    poses = []
+    for k in range(1, m + 1):
+        t = k / (m + 1)
+        init = (1 - t) * goal_prev.position + t * start_next.position
+        orientation = quat_slerp(goal_prev.orientation, start_next.orientation, t)
+        poses.append(Pose(_refine_position(init, cmap), orientation))
+    anchors = [goal_prev.position] + [p.position for p in poses] + [start_next.position]
+    path = []
+    for leg, (p, q) in enumerate(zip(anchors, anchors[1:])):
+        sub = rrt_path(p, q, cmap, seed + leg)
+        path.extend(sub[1:] if path else sub)
+    return poses, path
+
+
+def planned(plan) -> tuple:
+    """The bytes of a plan's poses and path, or its failure's type and message."""
+    try:
+        poses, path = plan()
+    except (NoFreeChain, PlanningFailure) as exc:
+        return type(exc).__name__, str(exc)
+    return ([p.position.tobytes() + p.orientation.tobytes() for p in poses],
+            [w.tobytes() for w in path])
+
+
+@st.composite
+def wall_anchor_pairs(draw):
+    """A wall map and two anchors: in front of the wall, behind it, in it or
+    outside the map; the second may coincide with the first or lie within
+    ``np.allclose`` of it."""
+    cost = np.zeros(WALL_DIMS)
+    cost[4] = 1.0
+    cost[4, draw(st.integers(0, 7)), draw(st.integers(0, 7))] = 0.0
+    cmap = CostMap([0.0, 0.0, 0.0], WALL_VOXEL, cost, 0.5, 0.05)
+
+    def point():
+        voxel = [draw(st.integers(-1, 8)), draw(st.integers(0, 7)), draw(st.integers(0, 7))]
+        frac = [draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in range(3)]
+        return np.array([(i + f) * WALL_VOXEL for i, f in zip(voxel, frac)])
+
+    a = point()
+    kind = draw(st.integers(0, 7))
+    b = a + [0.0, 1e-9][kind] if kind < 2 else point()
+    turn = draw(st.sampled_from([None, [0.0, 1.0, 0.0, 0.0]]))
+    return cmap, Pose(a), Pose(b) if turn is None else Pose(b, turn)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(wall_anchor_pairs(), st.integers(0, 4), st.integers(0, 1000))
+def test_chain_skills_is_the_leg_by_leg_reference(scene, m, seed):
+    """One lookup for the anchors and legs plans the transition that a
+    ``rrt_path`` call per leg plans, byte for byte, or fails with its message."""
+    cmap, goal_prev, start_next = scene
+
+    def batched():
+        chain = chain_skills(goal_prev, start_next, cmap, m, seed)
+        return chain.poses, chain.path
+
+    expected = planned(lambda: reference_chain(goal_prev, start_next, cmap, m, seed))
+    assert planned(batched) == expected
 
 
 MAP_BOUNDS = Bounds((0.0, 0.0, 0.0), (0.4, 0.4, 0.4))
@@ -426,6 +518,19 @@ def test_transition_map_is_the_map_of_the_whole_cloud(scene, cached, data):
     expected = [reference_cost(cost, cmap.origin, cmap.voxel_size, p) for p in probes]
     assert cmap.cost_at(probes).tobytes() == np.array(expected).tobytes()
     assert cmap.cost.tobytes() == cost.tobytes()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(scenes(), st.sampled_from([0.0, 1.0, 0.37]))
+def test_tray_layer_map_is_the_map_on_the_layout_layer(scene, fraction):
+    """The map built on the layer of the fixed boxes and the tray is the map
+    that adds the tray per cloud to the layer of the fixed boxes alone."""
+    scene.drawer_present, scene.open_fraction = True, fraction
+    layout = _fixed_layer(True, scene.cupboard_present, scene.dustpan_present, 0.0)
+    expected = build_cost_map(point_cloud(scene), WORKSPACE, fixed=layout)
+    cmap = transition_cost_map(scene)
+    assert cmap.blocked.tobytes() == expected.blocked.tobytes()
+    assert cmap.cost.tobytes() == expected.cost.tobytes()
 
 
 def reference_box_hit(samples: np.ndarray, box: Bounds) -> bool:
