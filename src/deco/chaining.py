@@ -6,21 +6,20 @@ collision threshold.  RRT-Connect with greedy shortcutting connects the
 sequence.
 
 A transition pays for what is blocked.  The M starting points are tested with
-one lookup, and only the blocked ones are refined.  The anchors and the
-samples of every straight leg between them are tested with one more lookup,
-and only a leg with a blocked anchor or sample is searched; a free leg is
+one lookup, and only the blocked ones are refined.  The anchors are tested
+with one more lookup, and each leg between free anchors asks ``segment_free``
+once; only a leg with a blocked anchor or sample is searched.  A free leg is
 what ``rrt_path`` would return for it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costmap import CostMap, segment_fractions
-from .errors import NoFreeChain, PlanningFailure
+from .costmap import CostMap
+from .errors import ConfigError, NoFreeChain, PlanningFailure
 from .geometry import Pose, quat_slerp, vector_norm
 
 MAX_REFINE_ITERS = 200
@@ -77,7 +76,7 @@ def chaining_poses(start: Pose, end: Pose, cmap: CostMap, m: int) -> list[Pose]:
     """M poses at fractions k / (M + 1) of the way from start to end; a
     position whose starting point is blocked is refined off the obstacle."""
     if m < 0:
-        raise ValueError("number of chaining poses must be non-negative")
+        raise ConfigError(f"number of chaining poses must be non-negative, got {m}")
     ts = [k / (m + 1) for k in range(1, m + 1)]
     column = np.array(ts).reshape(-1, 1)
     inits = (1 - column) * start.position + column * end.position
@@ -124,6 +123,8 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     it or is blocked.  The joined path is shortcut.  Deterministic given the
     seed.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     for name, p in (("a", a), ("b", b)):
@@ -200,32 +201,20 @@ def chain_skills(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int,
                  seed: int = 0) -> ChainingResult:
     """Chaining poses plus RRT legs from the previous goal to the next start.
 
-    The anchors, and each leg's samples as ``segment_free`` takes them, are
-    answered with one lookup.  A leg with free anchors is ``[p]`` when they
-    coincide and ``[p, q]`` when its samples are free, as ``rrt_path``
-    returns it; any other leg goes to ``rrt_path``.  A leg longer than the
-    map's diagonal cannot join two free anchors, so it is not sampled.
+    The anchors are answered with one lookup.  A leg with free anchors is
+    ``[p]`` when they coincide and ``[p, q]`` when ``segment_free`` passes, as
+    ``rrt_path`` returns it; any other leg goes to ``rrt_path``.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     poses = chaining_poses(goal_prev, start_next, cmap, m)
     anchors = [goal_prev.position] + [p.position for p in poses] + [start_next.position]
-    half = cmap.voxel_size / 2.0
-    diagonal = vector_norm(cmap.upper - cmap.origin)
-    blocks, ends = [np.array(anchors)], [len(anchors)]
-    for p, q in zip(anchors, anchors[1:]):
-        d = q - p
-        length = vector_norm(d)
-        if length <= diagonal:
-            blocks.append(p + segment_fractions(max(1, math.ceil(length / half))) * d)
-            ends.append(ends[-1] + len(blocks[-1]))
-        else:
-            ends.append(ends[-1])
-    free = cmap.is_free(np.vstack(blocks)).tolist()
+    free = cmap.is_free(np.array(anchors)).tolist()
     path: list[np.ndarray] = []
     for leg, (p, q) in enumerate(zip(anchors, anchors[1:])):
-        samples = free[ends[leg]:ends[leg + 1]]
         if free[leg] and free[leg + 1] and _coincident(p, q):
             sub = [p]
-        elif free[leg] and free[leg + 1] and samples and all(samples):
+        elif free[leg] and free[leg + 1] and cmap.segment_free(p, q):
             sub = [p, q]
         else:
             sub = rrt_path(p, q, cmap, seed + leg)

@@ -23,10 +23,10 @@ byte the map of the whole cloud.
 
 Free/blocked questions come in batches and in single segments.  ``is_free``
 answers an (N, 3) array of points with one lookup; the planner asks it once
-for all of a transition's anchors and straight legs.  ``segment_free``, asked
-segment by segment by the search, walks its samples in plain floats and stops
-at the first blocked one.  Either way a point outside the map, or with a NaN
-coordinate, is blocked.
+for a transition's anchors.  ``segment_free``, asked leg by leg by the planner
+and segment by segment by the search, walks its samples in plain floats and
+stops at the first blocked one.  Either way a point outside the map, or with a
+NaN coordinate, is blocked.
 
 Cost values are read near obstacles, by the chaining-pose gradient.  Until the
 cost grid is built, ``cost_at`` answers a point from the 5x5x5 window of the
@@ -104,7 +104,8 @@ class CostMap:
 
     A one-voxel border of cost 1.0, blocked, answers every point outside the
     map: lookups clip their index into it instead of masking.  A map built from
-    an explicit grid (as in tests) derives ``blocked`` from it.  A map from
+    an explicit grid is checked as ``build_cost_map`` checks its parameters and
+    derives ``blocked`` from the grid.  A map from
     ``build_cost_map`` is given ``blocked`` and keeps its occupancy, each the
     union of its fixed layer's grid and that of the moving points: ``cost_at``
     answers from the occupancy window around each point while it can, and the
@@ -116,6 +117,9 @@ class CostMap:
     def __init__(self, origin, voxel_size: float, cost, collision_threshold: float,
                  inflation_radius: float):
         cost = np.asarray(cost, dtype=float)
+        _check_scalars(voxel_size, inflation_radius, collision_threshold)
+        if cost.ndim != 3:
+            raise InvalidMapParameter(f"cost grid must be 3-D, got shape {cost.shape}")
         self._set_parameters(origin, voxel_size, cost.shape, collision_threshold,
                              inflation_radius)
         self._occupancy = self._window_occupancy = None
@@ -453,9 +457,8 @@ def _nearest_voxel_cost(occupancy: np.ndarray, voxel_size: float,
     return table.take(flat)
 
 
-def _map_parameters(bounds: Bounds, voxel_size, inflation_radius,
-                    collision_threshold) -> tuple:
-    """The parameters a map is built with, checked, as one comparable tuple."""
+def _check_scalars(voxel_size, inflation_radius, collision_threshold):
+    """Raise ``InvalidMapParameter`` naming a parameter out of range or not finite."""
     if not (math.isfinite(voxel_size) and voxel_size > 0):
         raise InvalidMapParameter(f"voxel_size must be positive and finite, got {voxel_size}")
     if not (math.isfinite(inflation_radius) and inflation_radius >= 0):
@@ -464,6 +467,12 @@ def _map_parameters(bounds: Bounds, voxel_size, inflation_radius,
     if not 0 < collision_threshold <= 1:
         raise InvalidMapParameter(
             f"collision_threshold must be in (0, 1], got {collision_threshold}")
+
+
+def _map_parameters(bounds: Bounds, voxel_size, inflation_radius,
+                    collision_threshold) -> tuple:
+    """The parameters a map is built with, checked, as one comparable tuple."""
+    _check_scalars(voxel_size, inflation_radius, collision_threshold)
     return (bounds.corners, float(voxel_size), float(inflation_radius),
             float(collision_threshold))
 

@@ -7,7 +7,7 @@ from scipy import ndimage
 import deco.chaining
 from deco.chaining import RRT_MAX_ITERS, chain_skills, chaining_poses, rrt_path
 from deco.costmap import Bounds, CostMap, build_cost_map
-from deco.errors import NoFreeChain, PlanningFailure
+from deco.errors import ConfigError, NoFreeChain, PlanningFailure
 from deco.executor import ExecutorConfig, build_library, run_task_episode
 from deco.geometry import Pose
 from deco.registry import load_registry
@@ -118,6 +118,26 @@ def test_rrt_rejects_a_non_finite_endpoint_before_any_lookup(bad, end):
     (a if end == "a" else b)[1] = bad
     with pytest.raises(PlanningFailure, match=f"endpoint {end}=.* is not finite"):
         rrt_path(a, b, cmap)
+
+
+def test_a_negative_seed_fails_alike_on_a_free_and_a_searched_leg():
+    """The leg from a to b is straight and free on the empty map and needs a
+    search on the wall map; both refuse seed -1 with the same message."""
+    a, b = [0.05, 0.2, 0.2], [0.35, 0.2, 0.2]
+    messages = set()
+    for cmap in (empty_map(), wall_map()):
+        for plan in (lambda: rrt_path(a, b, cmap, -1),
+                     lambda: chain_skills(Pose(a), Pose(b), cmap, 0, -1)):
+            with pytest.raises(ConfigError, match="seed must be non-negative, got -1") as raised:
+                plan()
+            messages.add(str(raised.value))
+    assert len(messages) == 1
+
+
+def test_chaining_poses_negative_m_is_a_config_error_that_names_it():
+    cmap = NoLookupMap([0.0, 0.0, 0.0], 0.1, np.zeros((4, 4, 4)), 0.5, 0.05)
+    with pytest.raises(ConfigError, match="must be non-negative, got -1"):
+        chaining_poses(Pose([0.1, 0.1, 0.1]), Pose([0.3, 0.3, 0.3]), cmap, -1)
 
 
 def test_rrt_routes_through_hole():
@@ -246,8 +266,8 @@ def test_rrt_gives_up_at_the_node_cap_after_long_blocked_connects():
 
 @pytest.mark.parametrize("m", [1, 6])
 def test_a_free_transition_makes_two_lookups_and_no_search(m, monkeypatch):
-    """One lookup for the chaining poses' starting points, one for the anchors
-    and the legs' samples; no leg reaches ``rrt_path`` or ``segment_free``."""
+    """One lookup for the chaining poses' starting points, one for the anchors;
+    each leg asks ``segment_free`` once, and none reaches ``rrt_path``."""
     def no_search(*args):
         raise AssertionError(f"rrt_path{args[:2]}")
 
@@ -256,14 +276,16 @@ def test_a_free_transition_makes_two_lookups_and_no_search(m, monkeypatch):
     start, end = Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.1, 0.25])
     chain = chain_skills(start, end, cmap, m)
     assert cmap.blocked_lookups == 2
-    assert cmap.segments == []
     anchors = [start.position] + [p.position for p in chain.poses] + [end.position]
+    legs = [(p, q) for p, q in zip(anchors, anchors[1:]) if not np.allclose(p, q)]
+    assert [(p.tobytes(), q.tobytes()) for p, q in cmap.segments] == [
+        (p.tobytes(), q.tobytes()) for p, q in legs]
     assert [w.tobytes() for w in chain.path] == [a.tobytes() for a in anchors]
 
 
 def test_a_leg_longer_than_the_map_fails_as_rrt_path_fails_it():
-    """A leg longer than the map's diagonal is not sampled; ``rrt_path``
-    refuses its endpoint outside the map."""
+    """An anchor outside the map is blocked, so its leg goes to ``rrt_path``,
+    which refuses that endpoint."""
     a, far = Pose([0.05, 0.2, 0.2]), Pose([-50.0, 0.2, 0.2])
     with pytest.raises(PlanningFailure, match="endpoint in collision") as reference:
         rrt_path(a.position, far.position, empty_map())

@@ -205,13 +205,23 @@ def test_distance_matches_brute_force_small_grids():
             assert np.allclose(dist, ref, atol=1e-9)
 
 
+def grid_map(points, bounds, voxel_size=0.02, inflation_radius=0.05, collision_threshold=0.5):
+    """A map of a free explicit grid at ``bounds.lower``; ``points`` are not used."""
+    return CostMap(bounds.lower, voxel_size, np.zeros((4, 4, 4)), collision_threshold,
+                   inflation_radius)
+
+
+# every way to make a map: from a cloud, its fixed layer, and from an explicit grid
+BUILDERS = (build_cost_map, fixed_layer, grid_map)
+
+
 def test_build_cost_map_validates_params():
-    # the same check guards the fixed layer a map is built on
+    # the same check guards the fixed layer a map is built on and an explicit grid
     bad = [("voxel_size", 0.0), ("voxel_size", -0.02), ("voxel_size", float("nan")),
            ("voxel_size", float("inf")), ("inflation_radius", -0.1),
            ("inflation_radius", float("nan")), ("inflation_radius", float("inf")),
            ("collision_threshold", float("nan"))]
-    for build in (build_cost_map, fixed_layer):
+    for build in BUILDERS:
         for name, value in bad:
             params = {"voxel_size": 0.02, "inflation_radius": 0.05,
                       "collision_threshold": 0.5, name: value}
@@ -223,8 +233,19 @@ def test_build_cost_map_validates_params():
 @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
 def test_build_cost_map_rejects_a_threshold_outside_the_cost_range(threshold):
     # cost lies in [0, 1]; a threshold <= 0 would block every offset in the table
-    with pytest.raises(ValueError, match="collision_threshold"):
-        build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02, collision_threshold=threshold)
+    for build in BUILDERS:
+        with pytest.raises(ValueError, match="collision_threshold"):
+            build([[0.1, 0.1, 0.1]], BOUNDS, 0.02, collision_threshold=threshold)
+
+
+def test_an_explicit_grid_map_cannot_answer_a_point_outside_it_as_free():
+    with pytest.raises(InvalidMapParameter, match="collision_threshold"):
+        CostMap([0, 0, 0], 0.1, np.zeros((2, 2, 2)), 1.5, 0.05)
+
+
+def test_an_explicit_grid_must_be_3d():
+    with pytest.raises(InvalidMapParameter, match=r"\(2, 2\)"):
+        CostMap([0, 0, 0], 0.1, np.zeros((2, 2)), 0.5, 0.05)
 
 
 def test_build_cost_map_accepts_a_threshold_of_one():
