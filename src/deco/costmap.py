@@ -16,10 +16,9 @@ free/blocked by dilating the occupancy with that set of offsets.
 
 Most of a cloud does not move from one map to the next.  A ``FixedLayer``
 holds that part of the cloud, its occupancy and its dilated ``blocked`` grid,
-built once; ``build_cost_map`` voxelises and dilates only the points after it
-and ORs them into copies of its grids, and ``fixed_layer`` builds one layer on
-another the same way.  Dilation distributes over union, so the map is byte for
-byte the map of the whole cloud.
+built once by ``fixed_layer``; ``build_cost_map`` voxelises and dilates only
+the points after it and ORs them into copies of its grids.  Dilation
+distributes over union, so the map is byte for byte the map of the whole cloud.
 
 Free/blocked questions come in batches and in single segments.  ``is_free``
 answers an (N, 3) array of points with one lookup; the planner asks it once
@@ -104,22 +103,27 @@ class CostMap:
 
     A one-voxel border of cost 1.0, blocked, answers every point outside the
     map: lookups clip their index into it instead of masking.  A map built from
-    an explicit grid is checked as ``build_cost_map`` checks its parameters and
-    derives ``blocked`` from the grid.  A map from
-    ``build_cost_map`` is given ``blocked`` and keeps its occupancy, each the
-    union of its fixed layer's grid and that of the moving points: ``cost_at``
-    answers from the occupancy window around each point while it can, and the
-    first read that it cannot answer, or of ``cost`` or ``export``, computes the
-    cost grid from the occupancy.  The grids are read-only, so they cannot
-    drift apart.
+    an explicit grid is checked as ``build_cost_map`` checks its parameters,
+    its origin must be three finite coordinates, and it derives ``blocked``
+    from the grid.  A map from ``build_cost_map`` is given ``blocked`` and
+    keeps its occupancy, each the union of its fixed layer's grid and that of
+    the moving points: ``cost_at`` answers from the occupancy window around
+    each point while it can, and the first read that it cannot answer, or of
+    ``cost`` or ``export``, computes the cost grid from the occupancy.  The
+    grids are read-only, so they cannot drift apart.
     """
 
     def __init__(self, origin, voxel_size: float, cost, collision_threshold: float,
                  inflation_radius: float):
         cost = np.asarray(cost, dtype=float)
+        origin = np.asarray(origin, dtype=float)
         _check_scalars(voxel_size, inflation_radius, collision_threshold)
         if cost.ndim != 3:
             raise InvalidMapParameter(f"cost grid must be 3-D, got shape {cost.shape}")
+        if origin.shape != (3,):
+            raise InvalidMapParameter(f"origin must have 3 components, got shape {origin.shape}")
+        if not np.isfinite(origin).all():
+            raise InvalidMapParameter(f"origin must be finite, got {origin}")
         self._set_parameters(origin, voxel_size, cost.shape, collision_threshold,
                              inflation_radius)
         self._occupancy = self._window_occupancy = None
@@ -270,9 +274,9 @@ class CostMap:
             fh.write(flat.tobytes())
 
 
-def occupancy_from_points(points, bounds: Bounds, voxel_size: float) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Occupancy grid of the voxels of ``bounds`` that hold a point, its origin
-    and its dims; points outside the bounds, or not finite, are left out."""
+def occupancy_from_points(points, bounds: Bounds, voxel_size: float) -> np.ndarray:
+    """Occupancy grid of the voxels of ``bounds`` that hold a point, with
+    origin ``bounds.lower``; points outside the bounds, or not finite, are left out."""
     x0, y0, z0, x1, y1, z1 = bounds.corners
     extent = (x1 - x0, y1 - y0, z1 - z0)
     if min(extent) < voxel_size:
@@ -286,7 +290,7 @@ def occupancy_from_points(points, bounds: Bounds, voxel_size: float) -> tuple[np
         inside = (i >= 0) & (i < dims[0]) & (j >= 0) & (j < dims[1]) & (k >= 0) & (k < dims[2])
         flat = (i * dims[1] + j) * dims[2] + k
         occ.ravel()[flat[inside].astype(np.intp)] = True
-    return occ, bounds.lower.copy(), dims
+    return occ
 
 
 def distance_grid(occupancy: np.ndarray, voxel_size: float) -> np.ndarray:
@@ -507,9 +511,9 @@ def _layered_grids(points: np.ndarray, bounds: Bounds, parameters: tuple,
         if not np.array_equal(points[:count], fixed.points):
             raise DecoError(f"point cloud does not start with the {count} points "
                             "of its fixed layer")
-    occ, _, dims = occupancy_from_points(points[count:], bounds, parameters[1])
+    occ = occupancy_from_points(points[count:], bounds, parameters[1])
     if fixed is None:
-        base = np.ones(tuple(n + 2 for n in dims), dtype=bool)
+        base = np.ones(tuple(n + 2 for n in occ.shape), dtype=bool)
         base[1:-1, 1:-1, 1:-1] = False
     else:
         base = fixed.blocked
@@ -520,21 +524,15 @@ def _layered_grids(points: np.ndarray, bounds: Bounds, parameters: tuple,
 
 
 def fixed_layer(points, bounds: Bounds, voxel_size: float = 0.02,
-                inflation_radius: float = 0.05, collision_threshold: float = 0.5,
-                fixed: FixedLayer | None = None) -> FixedLayer:
+                inflation_radius: float = 0.05, collision_threshold: float = 0.5) -> FixedLayer:
     """The fixed part of the maps built with these parameters from clouds that
-    start with ``points``; ``build_cost_map`` adds the rest of each cloud.
-
-    ``fixed`` is a layer that ``points`` starts with, built with the same
-    parameters; only the points after its points are voxelised and dilated,
-    as ``build_cost_map`` adds a cloud to it.
-    """
+    start with ``points``; ``build_cost_map`` adds the rest of each cloud."""
     parameters = _map_parameters(bounds, voxel_size, inflation_radius, collision_threshold)
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if points.flags.writeable:
         points = points.copy()
         points.flags.writeable = False
-    occ, blocked = _layered_grids(points, bounds, parameters, fixed)
+    occ, blocked = _layered_grids(points, bounds, parameters, None)
     occ.flags.writeable = False
     return FixedLayer(points, parameters, occ, blocked)
 

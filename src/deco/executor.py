@@ -133,12 +133,9 @@ def _fixed_layer(drawer_present: bool, cupboard_present: bool, dustpan_present: 
                  open_fraction: float) -> FixedLayer:
     """The part of every transition map of a scene layout that stays put while
     the tray is at ``open_fraction``: the fixed boxes and the tray, the block
-    ``fixed_samples`` keeps.  A tray that is out is added to the layer of the
-    tray in."""
-    samples = fixed_samples(drawer_present, cupboard_present, dustpan_present, open_fraction)
-    base = None if open_fraction == 0.0 else _fixed_layer(drawer_present, cupboard_present,
-                                                          dustpan_present, 0.0)
-    return fixed_layer(samples, WORKSPACE, fixed=base)
+    ``fixed_samples`` keeps, voxelised and dilated in one step."""
+    return fixed_layer(fixed_samples(drawer_present, cupboard_present, dustpan_present,
+                                     open_fraction), WORKSPACE)
 
 
 def transition_cost_map(scene: Scene) -> CostMap:

@@ -344,16 +344,10 @@ def fixed_samples(drawer_present: bool, cupboard_present: bool, dustpan_present:
     """Read-only (N, 3) face samples of the boxes of a scene with these parts
     whose tray is at ``open_fraction``: the fixed boxes in the order of
     ``_fixed_boxes`` (cabinet, cupboard walls, dustpan floor), then the tray's
-    boxes, as ``Scene.drawer_boxes`` gives them.  A tray that is out adds its
-    samples to the block of the tray in."""
-    tray = _drawer_boxes(open_fraction) if drawer_present else ()
-    if tray:
-        first = fixed_samples(drawer_present, cupboard_present, dustpan_present, 0.0)
-        boxes = tray
-    else:
-        first = np.zeros((0, 3))
-        boxes = _fixed_boxes(drawer_present, cupboard_present, dustpan_present)
-    samples = np.vstack([first] + [_sample_box_faces(box) for box in boxes])
+    boxes, as ``Scene.drawer_boxes`` gives them."""
+    boxes = (_fixed_boxes(drawer_present, cupboard_present, dustpan_present)
+             + (_drawer_boxes(open_fraction) if drawer_present else ()))
+    samples = np.vstack([np.zeros((0, 3))] + [_sample_box_faces(box) for box in boxes])
     samples.flags.writeable = False
     return samples
 

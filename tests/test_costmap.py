@@ -14,14 +14,14 @@ BOUNDS = Bounds((0.0, 0.0, 0.0), (0.2, 0.2, 0.2))
 
 
 def test_occupancy_marks_point_voxels():
-    occ, origin, dims = occupancy_from_points([[0.05, 0.05, 0.05]], BOUNDS, 0.02)
-    assert dims == (10, 10, 10)
+    occ = occupancy_from_points([[0.05, 0.05, 0.05]], BOUNDS, 0.02)
+    assert occ.shape == (10, 10, 10)
     assert occ[2, 2, 2]
     assert occ.sum() == 1
 
 
 def test_occupancy_ignores_out_of_bounds_points():
-    occ, _, _ = occupancy_from_points([[5.0, 5.0, 5.0]], BOUNDS, 0.02)
+    occ = occupancy_from_points([[5.0, 5.0, 5.0]], BOUNDS, 0.02)
     assert occ.sum() == 0
 
 
@@ -248,6 +248,18 @@ def test_an_explicit_grid_must_be_3d():
         CostMap([0, 0, 0], 0.1, np.zeros((2, 2)), 0.5, 0.05)
 
 
+@pytest.mark.parametrize("origin, named", [([0, 0], r"shape \(2,\)"),
+                                           ([0, 0, 0, 0], r"shape \(4,\)"),
+                                           ([[0, 0, 0]], r"shape \(1, 3\)"),
+                                           ([float("nan"), 0, 0], "finite.*nan"),
+                                           ([0, float("inf"), 0], "finite.*inf")],
+                         ids=["short", "long", "nested", "nan", "inf"])
+def test_an_explicit_grid_origin_must_be_three_finite_coordinates(origin, named):
+    # accepted, a short origin would fail only at the first lookup and a NaN one block every point
+    with pytest.raises(InvalidMapParameter, match=f"origin.*{named}"):
+        CostMap(origin, 0.1, np.zeros((2, 2, 2)), 0.5, 0.05)
+
+
 def test_build_cost_map_accepts_a_threshold_of_one():
     cmap = build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02, collision_threshold=1.0)
     assert not cmap.is_free([0.1, 0.1, 0.1])
@@ -303,7 +315,7 @@ def test_feature_transform_runs_once_on_the_first_cost_read(feature_transforms, 
 def test_exact_window_limit_at_the_executor_parameters():
     """Equally near offsets share one table cost up to n = 8 at 0.02 m voxels
     and 0.05 m inflation; (3, 0, 0) and (2, 2, 1), at n = 9, differ."""
-    dims = occupancy_from_points(np.zeros((0, 3)), WORKSPACE, 0.02)[2]
+    dims = occupancy_from_points(np.zeros((0, 3)), WORKSPACE, 0.02).shape
     assert _exact_window(dims, 0.02, 0.05)[0] == 8
     table = _offset_cost_table(dims, 0.02, 0.05)[1].reshape(dims)
     assert table[3, 0, 0] != table[2, 2, 1]

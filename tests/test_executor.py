@@ -316,3 +316,13 @@ def test_geometry_caches_are_keyed_by_constants_not_episodes(library, registry, 
         assert {key[3] for key in keys[name]} == {0.0, 1.0}
     for name, fn in originals.items():
         assert fn.cache_info().currsize == len(keys[name])
+
+
+def test_a_tray_out_layer_is_built_in_one_step():
+    """The layer of an open tray is built from its own samples: it neither
+    builds nor samples the layer of the tray in."""
+    for fn in (deco.executor._fixed_layer, deco.sim.scene.fixed_samples):
+        fn.cache_clear()
+    deco.executor._fixed_layer(True, False, False, 1.0)
+    for fn in (deco.executor._fixed_layer, deco.sim.scene.fixed_samples):
+        assert fn.cache_info().currsize == 1

@@ -338,7 +338,7 @@ def clouds(draw):
 @given(clouds())
 def test_build_cost_map_is_byte_identical_to_the_float_reference(cloud):
     points, bounds, voxel, inflation = cloud
-    occ = occupancy_from_points(points, bounds, voxel)[0]
+    occ = occupancy_from_points(points, bounds, voxel)
     expected = cost_from_distance(distance_grid(occ, voxel), inflation)
     cmap = build_cost_map(points, bounds, voxel, inflation)
     assert cmap.cost.shape == expected.shape
@@ -390,7 +390,7 @@ def test_cost_at_before_the_cost_grid_is_built_gives_its_bytes(cloud, threshold,
 
     forced = build()
     forced.cost
-    occ = occupancy_from_points(points, bounds, voxel)[0]
+    occ = occupancy_from_points(points, bounds, voxel)
     probes = data.draw(window_probes(forced, np.argwhere(occ)))
     expected = forced.cost_at(probes)
     assert build().cost_at(probes).tobytes() == expected.tobytes()
@@ -509,7 +509,7 @@ def test_transition_map_is_the_map_of_the_whole_cloud(scene, cached, data):
     layout, or with an empty fixed part, answers as the map of the whole cloud
     built from scratch: its ``blocked`` grid, ``cost_at`` from the occupancy
     window, then the cost grid."""
-    occ = occupancy_from_points(reference_point_cloud(scene), WORKSPACE, 0.02)[0]
+    occ = occupancy_from_points(reference_point_cloud(scene), WORKSPACE, 0.02)
     cost = cost_from_distance(distance_grid(occ, 0.02), 0.05)
     cmap = (transition_cost_map(scene) if cached
             else build_cost_map(point_cloud(scene), WORKSPACE))
