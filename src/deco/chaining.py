@@ -10,10 +10,17 @@ one lookup, and only the blocked ones are refined.  The anchors are tested
 with one more lookup, and each leg between free anchors asks ``segment_free``
 once; only a leg with a blocked anchor or sample is searched.  A free leg is
 what ``rrt_path`` would return for it.
+
+The search works on single points, so it works in plain floats and gives the
+bytes that numpy arrays would.  A length that decides a step or a sample count
+stays ``vector_norm``'s numpy dot, whose rounding Python floats do not
+reproduce.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,28 +79,47 @@ def _refine_position(init: np.ndarray, cmap: CostMap) -> np.ndarray:
     raise NoFreeChain(f"no collision-free chaining pose near {init}")
 
 
+def _check_count(value, what: str):
+    """A count or seed is a non-negative integer: a bool or a non-integer is
+    refused, as ``config`` refuses a ``chaining_m``, and numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise ConfigError(f"{what} must be non-negative, got {value}")
+
+
 def chaining_poses(start: Pose, end: Pose, cmap: CostMap, m: int) -> list[Pose]:
     """M poses at fractions k / (M + 1) of the way from start to end; a
-    position whose starting point is blocked is refined off the obstacle."""
-    if m < 0:
-        raise ConfigError(f"number of chaining poses must be non-negative, got {m}")
+    position whose starting point is blocked is refined off the obstacle.
+
+    Orientations are slerped from start to end.  When both poses share one
+    orientation array, every pose takes that array: for ``IDENTITY_QUAT`` it
+    is the slerp's bytes.
+    """
+    _check_count(m, "number of chaining poses")
     ts = [k / (m + 1) for k in range(1, m + 1)]
     column = np.array(ts).reshape(-1, 1)
     inits = (1 - column) * start.position + column * end.position
+    shared = start.orientation is end.orientation
     poses = []
     for t, init, free in zip(ts, inits, cmap.is_free(inits).tolist()):
         position = init if free else _refine_position(init, cmap)
-        orientation = quat_slerp(start.orientation, end.orientation, t)
+        orientation = (start.orientation if shared
+                       else quat_slerp(start.orientation, end.orientation, t))
         poses.append(Pose(position, orientation))
     return poses
 
 
-def _steer(from_pt: np.ndarray, to_pt: np.ndarray, step: float) -> np.ndarray:
-    delta = to_pt - from_pt
-    dist = vector_norm(delta)
+def _steer(from_pt: list, to_pt: list, step: float) -> list:
+    """``to_pt`` itself when it lies within ``step`` of ``from_pt``, else the
+    point ``step`` from ``from_pt`` toward it.  The distance is
+    ``vector_norm``'s, as the sample count of ``segment_free`` is."""
+    delta = [t - f for f, t in zip(from_pt, to_pt)]
+    dist = vector_norm(np.array(delta))
     if dist <= step:
         return to_pt
-    return from_pt + delta * (step / dist)
+    scale = step / dist
+    return [f + d * scale for f, d in zip(from_pt, delta)]
 
 
 def _shortcut(path: list[np.ndarray], cmap: CostMap) -> list[np.ndarray]:
@@ -111,7 +137,9 @@ def _shortcut(path: list[np.ndarray], cmap: CostMap) -> list[np.ndarray]:
 
 def _coincident(a: np.ndarray, b: np.ndarray) -> bool:
     """``np.allclose(a, b)`` with its default tolerances, in floats."""
-    return all(abs(x - y) <= 1e-8 + 1e-5 * abs(y) for x, y in zip(a.tolist(), b.tolist()))
+    (ax, ay, az), (bx, by, bz) = a.tolist(), b.tolist()
+    return (abs(ax - bx) <= 1e-8 + 1e-5 * abs(bx) and abs(ay - by) <= 1e-8 + 1e-5 * abs(by)
+            and abs(az - bz) <= 1e-8 + 1e-5 * abs(bz))
 
 
 def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
@@ -122,12 +150,18 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     then the other tree steps greedily toward the new node until it reaches
     it or is blocked.  The joined path is shortcut.  Deterministic given the
     seed.
+
+    The trees hold their nodes as lists of three floats: a sample is drawn as
+    ``lo + r * size`` per coordinate, and the nearest node is the first at the
+    least ``math.sqrt`` of its summed squared offsets, the distance and the
+    argmin of ``np.linalg.norm(axis=1)``.  The waypoints are fresh arrays.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    _check_count(seed, "seed")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     for name, p in (("a", a), ("b", b)):
+        if p.shape != (3,):
+            raise PlanningFailure(f"endpoint {name} must have 3 coordinates, got shape {p.shape}")
         if not np.isfinite(p).all():
             raise PlanningFailure(f"endpoint {name}={p} is not finite")
     if not cmap.is_free(a) or not cmap.is_free(b):
@@ -145,38 +179,45 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     margin = max(0.15, 2 * vector_norm(b - a))
     win_lo = np.maximum(np.minimum(a, b) - margin, map_lo)
     win_hi = np.minimum(np.maximum(a, b) + margin, map_hi)
-    # tree 0 grows from a, tree 1 from b; one preallocated row per node.  A
-    # greedy connect can add many nodes in one iteration, so the row count
-    # is a cap that is checked, not a bound that iterations guarantee
-    nodes = (np.empty((RRT_MAX_ITERS + 1, 3)), np.empty((RRT_MAX_ITERS + 1, 3)))
-    nodes[0][0], nodes[1][0] = a, b
+    # each sampling region as its lower corner and its size
+    window = win_lo.tolist(), (win_hi - win_lo).tolist()
+    whole = map_lo.tolist(), (map_hi - map_lo).tolist()
+    # tree 0 grows from a, tree 1 from b.  A greedy connect can add many nodes
+    # in one iteration, so the node count is a cap that is checked, not a
+    # bound that iterations guarantee
+    nodes = ([a.tolist()], [b.tolist()])
     parents = ([-1], [-1])
 
-    def nearest(tree: int, point: np.ndarray) -> int:
-        return int(np.argmin(np.linalg.norm(nodes[tree][:len(parents[tree])] - point, axis=1)))
+    def nearest(tree: int, point: list) -> int:
+        px, py, pz = point
+        best, best_dist = 0, math.inf
+        for i, (x, y, z) in enumerate(nodes[tree]):
+            dx, dy, dz = x - px, y - py, z - pz
+            dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if dist < best_dist:
+                best, best_dist = i, dist
+        return best
 
-    def add(tree: int, point: np.ndarray, parent: int) -> int:
+    def add(tree: int, point: list, parent: int) -> int:
         n = len(parents[tree])
-        if n == len(nodes[tree]):
+        if n == RRT_MAX_ITERS + 1:
             raise PlanningFailure(f"RRT tree reached its cap of {n} nodes")
-        nodes[tree][n] = point
+        nodes[tree].append(point)
         parents[tree].append(parent)
         return n
 
     def branch(tree: int, idx: int) -> list[np.ndarray]:
-        """Copies of the nodes from ``idx`` back to the tree's root."""
+        """Arrays of the nodes from ``idx`` back to the tree's root."""
         out = []
         while idx >= 0:
-            out.append(nodes[tree][idx].copy())
+            out.append(np.array(nodes[tree][idx]))
             idx = parents[tree][idx]
         return out
 
     for it in range(RRT_MAX_ITERS):
         grow, other = it % 2, 1 - it % 2
-        if rng.random() < 0.5:
-            sample = win_lo + rng.random(3) * (win_hi - win_lo)
-        else:
-            sample = map_lo + rng.random(3) * (map_hi - map_lo)
+        lo, size = window if rng.random() < 0.5 else whole
+        sample = [l + r * s for l, r, s in zip(lo, rng.random(3).tolist(), size)]
         near = nearest(grow, sample)
         new_pt = _steer(nodes[grow][near], sample, RRT_STEP)
         if not cmap.segment_free(nodes[grow][near], new_pt):
@@ -205,8 +246,7 @@ def chain_skills(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int,
     ``[p]`` when they coincide and ``[p, q]`` when ``segment_free`` passes, as
     ``rrt_path`` returns it; any other leg goes to ``rrt_path``.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    _check_count(seed, "seed")
     poses = chaining_poses(goal_prev, start_next, cmap, m)
     anchors = [goal_prev.position] + [p.position for p in poses] + [start_next.position]
     free = cmap.is_free(np.array(anchors)).tolist()

@@ -20,12 +20,13 @@ built once by ``fixed_layer``; ``build_cost_map`` voxelises and dilates only
 the points after it and ORs them into copies of its grids.  Dilation
 distributes over union, so the map is byte for byte the map of the whole cloud.
 
-Free/blocked questions come in batches and in single segments.  ``is_free``
-answers an (N, 3) array of points with one lookup; the planner asks it once
-for a transition's anchors.  ``segment_free``, asked leg by leg by the planner
-and segment by segment by the search, walks its samples in plain floats and
-stops at the first blocked one.  Either way a point outside the map, or with a
-NaN coordinate, is blocked.
+Free/blocked questions come in batches, in single segments and in single
+points.  ``is_free`` answers an (N, 3) array of points with one lookup; the
+planner asks it once for a transition's anchors.  ``segment_free``, asked leg
+by leg by the planner and segment by segment by the search, walks its samples
+in plain floats and stops at the first blocked one; ``is_free`` of one point
+is that walk of one sample.  Either way a point outside the map, or with a NaN
+coordinate, is blocked, and a point that is not three coordinates is refused.
 
 Cost values are read near obstacles, by the chaining-pose gradient.  Until the
 cost grid is built, ``cost_at`` answers a point from the 5x5x5 window of the
@@ -45,7 +46,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DecoError, DegenerateBounds, InvalidMapParameter
 from .geometry import vector_norm
@@ -86,6 +86,19 @@ class Bounds:
         x, y, z = np.asarray(point).tolist()
         x0, y0, z0, x1, y1, z1 = self.corners
         return x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1
+
+
+# the offset of a one-point walk: its only sample, a + 1.0 * 0.0, indexes as a
+_NO_OFFSET = (0.0, 0.0, 0.0)
+
+
+def _as_points(points) -> np.ndarray:
+    """A float array of one point, shape (3,), or of N points, shape (N, 3);
+    any other shape is an ``InvalidMapParameter`` that names it."""
+    p = np.asarray(points, dtype=float)
+    if p.shape[-1:] != (3,) or p.ndim > 2:
+        raise InvalidMapParameter(f"points must have shape (3,) or (N, 3), got shape {p.shape}")
+    return p
 
 
 @lru_cache(maxsize=256)
@@ -177,7 +190,7 @@ class CostMap:
         """Entries of a padded grid at the voxels holding the points: one point
         gives a scalar, an (N, 3) array gives N entries.  An index outside the
         map is clipped into the border; a NaN coordinate reads the border too."""
-        p = np.asarray(points, dtype=float)
+        p = _as_points(points)
         # fmax sends NaN to the border, with the points below the map
         idx = np.minimum(np.fmax(np.floor((p - self.origin) / self.voxel_size), -1.0),
                          self._max_index).astype(int) + 1
@@ -223,32 +236,48 @@ class CostMap:
     def is_free(self, points):
         """Each point's voxel is not blocked: its cost is below the threshold,
         read from ``blocked`` without computing the cost grid.  One point gives
-        a bool, an (N, 3) array gives N bools from one lookup."""
-        blocked = self._lookup(self.blocked, points)
-        return not blocked if blocked.ndim == 0 else ~blocked
+        a bool from the float walk of ``segment_free``; an (N, 3) array gives N
+        bools from one lookup."""
+        p = _as_points(points)
+        if p.ndim == 1:
+            return self._walk_free(p.tolist(), _NO_OFFSET, 0)
+        return ~self._lookup(self.blocked, p)
 
     def segment_free(self, a, b) -> bool:
         """Sample the segment at voxel_size/2 and test every sample against ``blocked``.
 
         The samples are ``a + segment_fractions(n) * (b - a)``, with ``n`` from
-        the segment's ``vector_norm``.  They are walked in plain floats from
-        ``a``, and the walk stops at the first blocked one.  Each coordinate is
-        indexed as ``_lookup`` indexes it: a NaN or one outside the map reads
-        the border.  A segment whose length is not finite has a sample that is
-        not finite, so it is blocked.
+        the segment's ``vector_norm``, walked as ``_walk_free`` walks them.  A
+        segment whose length is not finite has a sample that is not finite, so
+        it is blocked.
         """
         a = np.asarray(a, dtype=float)
-        d = np.asarray(b, dtype=float) - a
+        b = np.asarray(b, dtype=float)
+        if a.shape != (3,) or b.shape != (3,):
+            raise InvalidMapParameter(f"segment endpoints must have shape (3,), "
+                                      f"got shapes {a.shape} and {b.shape}")
+        d = b - a
         length = vector_norm(d)
         if not math.isfinite(length):
             return False
         n = max(1, math.ceil(length / (self.voxel_size / 2.0)))
-        (ax, ay, az), (dx, dy, dz) = a.tolist(), d.tolist()
+        return self._walk_free(a.tolist(), d.tolist(), n)
+
+    def _walk_free(self, a: list, d: list, n: int) -> bool:
+        """No sample ``a + f * d`` is blocked, f running over ``segment_fractions(n)``.
+
+        The samples are walked in plain floats from ``a``, and the walk stops at
+        the first blocked one.  n = 0 walks only the last sample, ``a + d``;
+        ``is_free`` asks that of one point with d = 0.  Each coordinate is
+        indexed as ``_lookup`` indexes it: a NaN or one outside the map reads
+        the border.
+        """
+        (ax, ay, az), (dx, dy, dz) = a, d
         (ox, oy, oz), size = self.origin.tolist(), self.voxel_size
         nx, ny, nz = self.dims
         blocked = self.blocked
         # segment_fractions(n) is np.linspace(0, 1, n + 1): i * (1 / n), then exactly 1
-        step = 1.0 / n
+        step = 1.0 / n if n else 0.0
         for i in range(n + 1):
             f = i * step if i < n else 1.0
             x = (ax + f * dx - ox) / size
@@ -299,6 +328,8 @@ def distance_grid(occupancy: np.ndarray, voxel_size: float) -> np.ndarray:
     ``build_cost_map`` does not call it; it is the float reference that the
     cost table is checked against.
     """
+    from scipy import ndimage
+
     if not occupancy.any():
         return np.full(occupancy.shape, np.inf)
     return ndimage.distance_transform_edt(~occupancy, sampling=voxel_size)
@@ -449,6 +480,11 @@ def _nearest_voxel_cost(occupancy: np.ndarray, voxel_size: float,
     equally near voxels resolve as in ``distance_grid``.  An empty grid gives
     all zeros.
     """
+    # imported here: a map computes its cost grid only when a read needs it,
+    # which no transition of the task suite does, and scipy.ndimage doubles
+    # the time and memory that importing deco takes
+    from scipy import ndimage
+
     dims = occupancy.shape
     if not occupancy.any():
         return np.zeros(dims)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from deco.chaining import RRT_MAX_ITERS, chain_skills, chaining_poses, rrt_path
 from deco.costmap import Bounds, CostMap, build_cost_map
 from deco.errors import ConfigError, NoFreeChain, PlanningFailure
 from deco.executor import ExecutorConfig, build_library, run_task_episode
-from deco.geometry import Pose
+from deco.geometry import IDENTITY_QUAT, Pose, quat_slerp
 from deco.registry import load_registry
 from deco.sim.oracle import oracle_policy
 from deco.sim.scene import WORKSPACE, point_cloud, step
@@ -138,6 +139,62 @@ def test_chaining_poses_negative_m_is_a_config_error_that_names_it():
     cmap = NoLookupMap([0.0, 0.0, 0.0], 0.1, np.zeros((4, 4, 4)), 0.5, 0.05)
     with pytest.raises(ConfigError, match="must be non-negative, got -1"):
         chaining_poses(Pose([0.1, 0.1, 0.1]), Pose([0.3, 0.3, 0.3]), cmap, -1)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, "2", None])
+def test_a_bool_or_non_integer_m_is_a_config_error_that_names_it(bad):
+    start, end = Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.2, 0.2])
+    message = re.escape(f"number of chaining poses must be an integer, got {bad!r}")
+    for plan in (lambda: chaining_poses(start, end, empty_map(), bad),
+                 lambda: chain_skills(start, end, empty_map(), bad)):
+        with pytest.raises(ConfigError, match=message):
+            plan()
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, np.float64(2.0), "0"])
+def test_a_bool_or_non_integer_seed_fails_alike_on_a_free_and_a_searched_leg(bad):
+    a, b = [0.05, 0.2, 0.2], [0.35, 0.2, 0.2]
+    message = re.escape(f"seed must be an integer, got {bad!r}")
+    for cmap in (empty_map(), wall_map()):
+        for plan in (lambda: rrt_path(a, b, cmap, bad),
+                     lambda: chain_skills(Pose(a), Pose(b), cmap, 0, bad)):
+            with pytest.raises(ConfigError, match=message):
+                plan()
+
+
+def test_numpy_integers_plan_as_python_integers():
+    """A numpy ``m`` and ``seed`` plan the transition that Python ints plan."""
+    start, end, cmap = Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.2, 0.2]), wall_map()
+    expected = chain_skills(start, end, cmap, 2, 3)
+    chain = chain_skills(start, end, cmap, np.int64(2), np.int32(3))
+    assert len(expected.path) > 4
+    assert [w.tobytes() for w in chain.path] == [w.tobytes() for w in expected.path]
+    assert [p.position.tobytes() for p in chain.poses] == [
+        p.position.tobytes() for p in expected.poses]
+
+
+@pytest.mark.parametrize("end", ["a", "b"])
+@pytest.mark.parametrize("point", [[0.3, 0.1], [0.3, 0.1, 0.2, 0.0], [[0.3, 0.1, 0.2]], 0.3],
+                         ids=["2", "4", "1x3", "scalar"])
+def test_an_endpoint_that_is_not_three_coordinates_is_a_planning_failure(point, end):
+    a, b = [0.05, 0.2, 0.2], [0.35, 0.2, 0.2]
+    a, b = (point, b) if end == "a" else (a, point)
+    message = re.escape(f"endpoint {end} must have 3 coordinates, got shape {np.shape(point)}")
+    with pytest.raises(PlanningFailure, match=message):
+        rrt_path(a, b, empty_map())
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_poses_that_share_the_identity_orientation_have_the_slerp_bytes(m):
+    """Every pose takes the shared ``IDENTITY_QUAT``: its slerp with itself,
+    as ``Pose`` keeps it, has the same bytes.  The pose at the wall is refined."""
+    start, end = Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.2, 0.2])
+    poses = chaining_poses(start, end, wall_map(), m)
+    assert poses[m // 2].position[0] != 0.2
+    for k, pose in enumerate(poses, start=1):
+        slerped = Pose(pose.position, quat_slerp(IDENTITY_QUAT, IDENTITY_QUAT, k / (m + 1)))
+        assert pose.orientation is IDENTITY_QUAT
+        assert pose.orientation.tobytes() == slerped.orientation.tobytes()
 
 
 def test_rrt_routes_through_hole():

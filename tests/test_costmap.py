@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -116,6 +117,25 @@ def test_a_non_finite_coordinate_is_outside_the_map(make, axis, bad, query):
     point[axis] = bad
     ask, expected = NON_FINITE_QUERIES[query]
     assert ask(make(), point) == expected
+
+
+@pytest.mark.parametrize("query", ["is_free", "cost_at", "segment_free-from", "segment_free-to"])
+@pytest.mark.parametrize("point", [[0.1, 0.1], [0.1, 0.1, 0.1, 0.1], [[0.1, 0.1]],
+                                   [[[0.1, 0.1, 0.1]]], 0.1],
+                         ids=["2", "4", "1x2", "1x1x3", "scalar"])
+@pytest.mark.parametrize("make", [
+    lambda: build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02),
+    lambda: CostMap([0, 0, 0], 0.02, np.zeros((10, 10, 10)), 0.5, 0.05)],
+    ids=["built", "grid"])
+def test_a_point_that_is_not_three_coordinates_is_an_invalid_map_parameter(make, point, query):
+    with pytest.raises(InvalidMapParameter, match=re.escape(str(np.shape(point)))):
+        NON_FINITE_QUERIES[query][0](make(), point)
+
+
+def test_a_segment_endpoint_must_be_one_point():
+    """A batch of one point is not a segment endpoint."""
+    with pytest.raises(InvalidMapParameter, match=re.escape("(1, 3) and (3,)")):
+        build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02).segment_free([FREE_POINT], FREE_POINT)
 
 
 def read_export(header_path, grid_path):

@@ -3,7 +3,8 @@ planner, the point cloud and the simulator's box test.
 
 Each property is checked against a reference written here with plain Python
 arithmetic on the cost grid, not against other ``CostMap`` methods; the
-planner's determinism is checked by comparing two calls byte for byte.  The
+planner's determinism is checked by comparing two calls byte for byte, and its
+float search against ``reference_rrt``, the same search in numpy arrays.  The
 cost-map table, the shared fixed-box samples, the maps built on a cached fixed
 layer and the box test per step are gated byte for byte against references
 that recompute every distance, sample every box and test one ``Bounds`` at a
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from deco.chaining import _refine_position, chain_skills, rrt_path
+from deco.chaining import RRT_MAX_ITERS, RRT_STEP, _refine_position, chain_skills, rrt_path
 from deco.costmap import (Bounds, CostMap, _exact_window, build_cost_map, cost_from_distance,
                           distance_grid, occupancy_from_points, segment_fractions)
 from deco.errors import NoFreeChain, PlanningFailure
@@ -253,6 +254,122 @@ def test_chain_skills_is_the_leg_by_leg_reference(scene, m, seed):
 
     expected = planned(lambda: reference_chain(goal_prev, start_next, cmap, m, seed))
     assert planned(batched) == expected
+
+
+def reference_rrt(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
+    """RRT-Connect in numpy arrays: each tree is a preallocated (cap, 3) array,
+    the nearest node is the argmin of ``np.linalg.norm(axis=1)``, and every
+    sample and step is array arithmetic."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not cmap.is_free(a) or not cmap.is_free(b):
+        raise PlanningFailure(f"endpoint in collision: a={a} (cost {cmap.cost_at(a):.3f}), "
+                              f"b={b} (cost {cmap.cost_at(b):.3f})")
+    if np.allclose(a, b):
+        return [a]
+    if cmap.segment_free(a, b):
+        return [a, b]
+
+    def steer(from_pt, to_pt):
+        delta = to_pt - from_pt
+        dist = vector_norm(delta)
+        return to_pt if dist <= RRT_STEP else from_pt + delta * (RRT_STEP / dist)
+
+    rng = np.random.default_rng(seed)
+    map_lo, map_hi = cmap.origin, cmap.upper
+    margin = max(0.15, 2 * vector_norm(b - a))
+    win_lo = np.maximum(np.minimum(a, b) - margin, map_lo)
+    win_hi = np.minimum(np.maximum(a, b) + margin, map_hi)
+    nodes = (np.empty((RRT_MAX_ITERS + 1, 3)), np.empty((RRT_MAX_ITERS + 1, 3)))
+    nodes[0][0], nodes[1][0] = a, b
+    parents = ([-1], [-1])
+
+    def nearest(tree, point):
+        return int(np.argmin(np.linalg.norm(nodes[tree][:len(parents[tree])] - point, axis=1)))
+
+    def add(tree, point, parent):
+        n = len(parents[tree])
+        if n == len(nodes[tree]):
+            raise PlanningFailure(f"RRT tree reached its cap of {n} nodes")
+        nodes[tree][n] = point
+        parents[tree].append(parent)
+        return n
+
+    def branch(tree, idx):
+        out = []
+        while idx >= 0:
+            out.append(nodes[tree][idx].copy())
+            idx = parents[tree][idx]
+        return out
+
+    for it in range(RRT_MAX_ITERS):
+        grow, other = it % 2, 1 - it % 2
+        if rng.random() < 0.5:
+            sample = win_lo + rng.random(3) * (win_hi - win_lo)
+        else:
+            sample = map_lo + rng.random(3) * (map_hi - map_lo)
+        near = nearest(grow, sample)
+        new_pt = steer(nodes[grow][near], sample)
+        if not cmap.segment_free(nodes[grow][near], new_pt):
+            continue
+        new = add(grow, new_pt, near)
+        idx = nearest(other, new_pt)
+        while True:
+            step_pt = steer(nodes[other][idx], new_pt)
+            if not cmap.segment_free(nodes[other][idx], step_pt):
+                break
+            if step_pt is new_pt:
+                a_end, b_end = (new, idx) if grow == 0 else (idx, new)
+                path = branch(0, a_end)[::-1] + branch(1, b_end)
+                # greedy shortcut: from each node to the furthest visible one
+                out, i = [path[0]], 0
+                while i < len(path) - 1:
+                    j = len(path) - 1
+                    while j > i + 1 and not cmap.segment_free(path[i], path[j]):
+                        j -= 1
+                    out.append(path[j])
+                    i = j
+                return out
+            idx = add(other, step_pt, idx)
+    raise PlanningFailure(f"RRT failed to connect after {RRT_MAX_ITERS} iterations")
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(wall_anchor_pairs().map(lambda s: (s[0], s[1].position, s[2].position))
+       | wall_scenes(), st.integers(0, 1000))
+def test_rrt_path_is_the_numpy_reference(scene, seed):
+    """The float planner checks the reference's segments in the reference's
+    order and returns its path byte for byte, or fails with its message.  The
+    wall scenes' legs are all searched."""
+    cmap, a, b = scene
+    real = CostMap.segment_free
+    results = []
+    for planner in (reference_rrt, rrt_path):
+        with mock.patch.object(CostMap, "segment_free", autospec=True,
+                               side_effect=real) as check:
+            outcome = planned(lambda: ([], planner(a, b, cmap, seed)))
+        segments = [np.asarray(p, dtype=float).tobytes() + np.asarray(q, dtype=float).tobytes()
+                    for _, p, q in (call.args for call in check.call_args_list)]
+        results.append((outcome, segments))
+    assert results[1] == results[0]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(st.data())
+def test_one_point_is_free_is_the_batched_lookup(data):
+    """``is_free`` of one point walks it in floats; it answers as a batched
+    lookup into ``blocked``, on voxel faces, outside the map and at NaN and
+    +-inf coordinates too."""
+    cmap = data.draw(cost_maps())
+    points = data.draw(probe_points(cmap))
+    for _ in range(data.draw(st.integers(0, 4))):
+        row = data.draw(st.integers(0, len(points) - 1))
+        points[row, data.draw(st.integers(0, 2))] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    expected = (~cmap._lookup(cmap.blocked, points)).tolist()
+    answers = [cmap.is_free(p) for p in points]
+    assert all(type(answer) is bool for answer in answers)
+    assert answers == expected
 
 
 MAP_BOUNDS = Bounds((0.0, 0.0, 0.0), (0.4, 0.4, 0.4))
