@@ -20,14 +20,14 @@ reproduce.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_count
 from .costmap import CostMap
-from .errors import ConfigError, NoFreeChain, PlanningFailure
-from .geometry import Pose, quat_slerp, vector_norm
+from .errors import NoFreeChain, PlanningFailure
+from .geometry import Pose, as_points, quat_slerp, vector_norm
 
 MAX_REFINE_ITERS = 200
 MAX_INTERPOLANT_DEVIATION = 0.15
@@ -79,15 +79,6 @@ def _refine_position(init: np.ndarray, cmap: CostMap) -> np.ndarray:
     raise NoFreeChain(f"no collision-free chaining pose near {init}")
 
 
-def _check_count(value, what: str):
-    """A count or seed is a non-negative integer: a bool or a non-integer is
-    refused, as ``config`` refuses a ``chaining_m``, and numpy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if value < 0:
-        raise ConfigError(f"{what} must be non-negative, got {value}")
-
-
 def chaining_poses(start: Pose, end: Pose, cmap: CostMap, m: int) -> list[Pose]:
     """M poses at fractions k / (M + 1) of the way from start to end; a
     position whose starting point is blocked is refined off the obstacle.
@@ -96,7 +87,7 @@ def chaining_poses(start: Pose, end: Pose, cmap: CostMap, m: int) -> list[Pose]:
     orientation array, every pose takes that array: for ``IDENTITY_QUAT`` it
     is the slerp's bytes.
     """
-    _check_count(m, "number of chaining poses")
+    check_count(m, "number of chaining poses")
     ts = [k / (m + 1) for k in range(1, m + 1)]
     column = np.array(ts).reshape(-1, 1)
     inits = (1 - column) * start.position + column * end.position
@@ -156,14 +147,9 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     least ``math.sqrt`` of its summed squared offsets, the distance and the
     argmin of ``np.linalg.norm(axis=1)``.  The waypoints are fresh arrays.
     """
-    _check_count(seed, "seed")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    for name, p in (("a", a), ("b", b)):
-        if p.shape != (3,):
-            raise PlanningFailure(f"endpoint {name} must have 3 coordinates, got shape {p.shape}")
-        if not np.isfinite(p).all():
-            raise PlanningFailure(f"endpoint {name}={p} is not finite")
+    check_count(seed, "seed")
+    a = as_points(a, "endpoint a", PlanningFailure, one=True, finite=True)
+    b = as_points(b, "endpoint b", PlanningFailure, one=True, finite=True)
     if not cmap.is_free(a) or not cmap.is_free(b):
         raise PlanningFailure(f"endpoint in collision: a={a} (cost {cmap.cost_at(a):.3f}), "
                               f"b={b} (cost {cmap.cost_at(b):.3f})")
@@ -246,7 +232,7 @@ def chain_skills(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int,
     ``[p]`` when they coincide and ``[p, q]`` when ``segment_free`` passes, as
     ``rrt_path`` returns it; any other leg goes to ``rrt_path``.
     """
-    _check_count(seed, "seed")
+    check_count(seed, "seed")
     poses = chaining_poses(goal_prev, start_next, cmap, m)
     anchors = [goal_prev.position] + [p.position for p in poses] + [start_next.position]
     free = cmap.is_free(np.array(anchors)).tolist()

@@ -2,14 +2,17 @@
 
 Task selection accepts explicit task ids plus the selectors "atomic",
 "compositional" and "all".  Validation reports every problem at once so a
-broken config fails with the full list, not the first hit.
+broken config fails with the full list, not the first hit.  Every count (M, a
+seed, a time index, a keyframe) and number is decided by ``is_count`` and ``is_number``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError
@@ -18,8 +21,21 @@ from .registry import TaskRegistry, TaskSpec
 SELECTORS = ("atomic", "compositional", "all")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def is_count(value, low=0) -> bool:
+    """The count rule: an integer, numpy's too, of at least ``low`` and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+def is_number(value) -> bool:
+    """The number rule: a count, or a finite non-negative Python or numpy float."""
+    return is_count(value) or isinstance(value, (float, np.floating)) and 0 <= value < math.inf
+
+
+def check_count(value, name: str, low: int = 0, error: type = ConfigError):
+    """Raise ``error`` naming ``name`` and ``value`` unless it is a count of at least ``low``."""
+    if not is_count(value, low):
+        wanted = "a non-negative integer" if low == 0 else f"an integer of at least {low}"
+        raise error(f"{name} must be {wanted}, got {value!r}")
 
 
 def _is_list_of(value, valid) -> bool:
@@ -30,12 +46,10 @@ def _is_list_of(value, valid) -> bool:
 _RULES = {
     "tasks": (lambda v: _is_list_of(v, lambda t: isinstance(t, str)),
               "a non-empty list of task ids and selectors"),
-    "chaining_m": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    "noise_sigma": (lambda v: (_is_int(v) or isinstance(v, float) and math.isfinite(v))
-                    and v >= 0, "a finite non-negative number"),
-    "episodes": (lambda v: _is_int(v) and v >= 1, "an integer of at least 1"),
-    "seeds": (lambda v: _is_list_of(v, lambda s: _is_int(s) and s >= 0),
-              "a non-empty list of non-negative integers"),
+    "chaining_m": (is_count, "a non-negative integer"),
+    "noise_sigma": (is_number, "a finite non-negative number"),
+    "episodes": (lambda v: is_count(v, 1), "an integer of at least 1"),
+    "seeds": (lambda v: _is_list_of(v, is_count), "a non-empty list of non-negative integers"),
 }
 
 
@@ -72,7 +86,7 @@ class ExperimentConfig:
             errors += [f"unknown task id: {name!r}" for name in self.tasks
                        if isinstance(name, str) and name not in SELECTORS
                        and name not in registry.tasks]
-        if _is_list_of(self.seeds, _is_int):
+        if _is_list_of(self.seeds, is_count):
             # run_suite writes one row per (task, seed) and rejects a repeated seed
             errors += repeated_seed_errors(self.seeds)
         return errors

@@ -26,7 +26,8 @@ planner asks it once for a transition's anchors.  ``segment_free``, asked leg
 by leg by the planner and segment by segment by the search, walks its samples
 in plain floats and stops at the first blocked one; ``is_free`` of one point
 is that walk of one sample.  Either way a point outside the map, or with a NaN
-coordinate, is blocked, and a point that is not three coordinates is refused.
+coordinate, is blocked.  Points are read by ``geometry.as_points``, so one
+that is not three coordinates is an ``InvalidMapParameter`` naming its shape.
 
 Cost values are read near obstacles, by the chaining-pose gradient.  Until the
 cost grid is built, ``cost_at`` answers a point from the 5x5x5 window of the
@@ -47,8 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DecoError, DegenerateBounds, InvalidMapParameter
-from .geometry import vector_norm
+from .errors import DecoError, DegenerateBounds, InvalidInput, InvalidMapParameter
+from .geometry import as_points, vector_norm
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class Bounds:
 
     Boxes compare and hash by ``corners``, six Python floats ``(x0, y0, z0,
     x1, y1, z1)`` also kept as the read-only arrays ``lower`` and ``upper``;
-    ``contains`` and the simulator's collision prefilter compare these floats.
+    ``contains``, ``holds`` and the simulator's collision prefilter compare them.
     """
 
     lower: np.ndarray = field(compare=False)
@@ -65,13 +66,9 @@ class Bounds:
     corners: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        lo = np.array(self.lower, dtype=float)
-        hi = np.array(self.upper, dtype=float)
-        if lo.shape != (3,) or hi.shape != (3,):
-            raise DegenerateBounds(f"box corners must have 3 components: {lo} .. {hi}")
+        lo = as_points(self.lower, "lower corner", DegenerateBounds, one=True, finite=True).copy()
+        hi = as_points(self.upper, "upper corner", DegenerateBounds, one=True, finite=True).copy()
         corners = tuple(lo.tolist() + hi.tolist())
-        if not all(map(math.isfinite, corners)):
-            raise DegenerateBounds(f"degenerate box, non-finite corner: {lo} .. {hi}")
         x0, y0, z0, x1, y1, z1 = corners
         if not (x0 < x1 and y0 < y1 and z0 < z1):
             raise DegenerateBounds(f"degenerate box: {lo} .. {hi}")
@@ -83,22 +80,16 @@ class Bounds:
 
     def contains(self, point) -> bool:
         """The point lies in the closed box; a NaN coordinate is outside."""
-        x, y, z = np.asarray(point).tolist()
+        return self.holds(*as_points(point, "point", InvalidInput, one=True).tolist())
+
+    def holds(self, x: float, y: float, z: float) -> bool:
+        """``contains`` of a point its caller holds as three floats, unchecked."""
         x0, y0, z0, x1, y1, z1 = self.corners
         return x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1
 
 
 # the offset of a one-point walk: its only sample, a + 1.0 * 0.0, indexes as a
 _NO_OFFSET = (0.0, 0.0, 0.0)
-
-
-def _as_points(points) -> np.ndarray:
-    """A float array of one point, shape (3,), or of N points, shape (N, 3);
-    any other shape is an ``InvalidMapParameter`` that names it."""
-    p = np.asarray(points, dtype=float)
-    if p.shape[-1:] != (3,) or p.ndim > 2:
-        raise InvalidMapParameter(f"points must have shape (3,) or (N, 3), got shape {p.shape}")
-    return p
 
 
 @lru_cache(maxsize=256)
@@ -129,14 +120,10 @@ class CostMap:
     def __init__(self, origin, voxel_size: float, cost, collision_threshold: float,
                  inflation_radius: float):
         cost = np.asarray(cost, dtype=float)
-        origin = np.asarray(origin, dtype=float)
+        origin = as_points(origin, "origin", InvalidMapParameter, one=True, finite=True)
         _check_scalars(voxel_size, inflation_radius, collision_threshold)
         if cost.ndim != 3:
             raise InvalidMapParameter(f"cost grid must be 3-D, got shape {cost.shape}")
-        if origin.shape != (3,):
-            raise InvalidMapParameter(f"origin must have 3 components, got shape {origin.shape}")
-        if not np.isfinite(origin).all():
-            raise InvalidMapParameter(f"origin must be finite, got {origin}")
         self._set_parameters(origin, voxel_size, cost.shape, collision_threshold,
                              inflation_radius)
         self._occupancy = self._window_occupancy = None
@@ -186,11 +173,10 @@ class CostMap:
     def upper(self) -> np.ndarray:
         return self.origin + np.asarray(self.dims) * self.voxel_size
 
-    def _lookup(self, padded: np.ndarray, points):
-        """Entries of a padded grid at the voxels holding the points: one point
-        gives a scalar, an (N, 3) array gives N entries.  An index outside the
-        map is clipped into the border; a NaN coordinate reads the border too."""
-        p = _as_points(points)
+    def _lookup(self, padded: np.ndarray, p: np.ndarray):
+        """Entries of a padded grid at the voxels holding the checked points:
+        one point gives a scalar, an (N, 3) array gives N entries.  An index
+        outside the map is clipped into the border; a NaN coordinate reads it too."""
         # fmax sends NaN to the border, with the points below the map
         idx = np.minimum(np.fmax(np.floor((p - self.origin) / self.voxel_size), -1.0),
                          self._max_index).astype(int) + 1
@@ -199,7 +185,7 @@ class CostMap:
             return padded[i, j, k]
         return padded[idx[:, 0], idx[:, 1], idx[:, 2]]
 
-    def _window_cost(self, points):
+    def _window_cost(self, p: np.ndarray):
         """Costs of the points from the occupancy window around each voxel, or
         None when a point inside the map has no occupied voxel at an exact offset.
 
@@ -215,7 +201,7 @@ class CostMap:
             grid[:size].reshape(shape)[2:-2, 2:-2, 2:-2] = self._occupancy
             grid[size:] = True
             self._window_occupancy = grid
-        block = self._window_occupancy[self._lookup(centres, points)[..., None] + shifts]
+        block = self._window_occupancy[self._lookup(centres, p)[..., None] + shifts]
         if not block.any(axis=-1).all():
             return None
         # shifts run nearest first, so the first hit is the nearest occupied voxel
@@ -228,9 +214,10 @@ class CostMap:
         from occupancy answers from the window around each point until a point
         needs the whole cost grid.
         """
-        cost = None if self._padded is not None else self._window_cost(points)
+        p = as_points(points, "points", InvalidMapParameter)
+        cost = None if self._padded is not None else self._window_cost(p)
         if cost is None:
-            cost = self._lookup(self._padded_cost(), points)
+            cost = self._lookup(self._padded_cost(), p)
         return float(cost) if cost.ndim == 0 else cost
 
     def is_free(self, points):
@@ -238,7 +225,7 @@ class CostMap:
         read from ``blocked`` without computing the cost grid.  One point gives
         a bool from the float walk of ``segment_free``; an (N, 3) array gives N
         bools from one lookup."""
-        p = _as_points(points)
+        p = as_points(points, "points", InvalidMapParameter)
         if p.ndim == 1:
             return self._walk_free(p.tolist(), _NO_OFFSET, 0)
         return ~self._lookup(self.blocked, p)
@@ -251,11 +238,8 @@ class CostMap:
         segment whose length is not finite has a sample that is not finite, so
         it is blocked.
         """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != (3,) or b.shape != (3,):
-            raise InvalidMapParameter(f"segment endpoints must have shape (3,), "
-                                      f"got shapes {a.shape} and {b.shape}")
+        a = as_points(a, "segment endpoint a", InvalidMapParameter, one=True)
+        b = as_points(b, "segment endpoint b", InvalidMapParameter, one=True)
         d = b - a
         length = vector_norm(d)
         if not math.isfinite(length):
@@ -312,13 +296,12 @@ def occupancy_from_points(points, bounds: Bounds, voxel_size: float) -> np.ndarr
         raise DegenerateBounds(f"bounds extent {extent} smaller than voxel size {voxel_size}")
     dims = tuple(math.ceil(e / voxel_size) for e in extent)
     occ = np.zeros(dims, dtype=bool)
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(pts):
-        # integral float indices: the comparisons also drop NaN and infinity
-        i, j, k = np.floor((pts - bounds.lower) / voxel_size).T
-        inside = (i >= 0) & (i < dims[0]) & (j >= 0) & (j < dims[1]) & (k >= 0) & (k < dims[2])
-        flat = (i * dims[1] + j) * dims[2] + k
-        occ.ravel()[flat[inside].astype(np.intp)] = True
+    pts = as_points(points, "points", InvalidMapParameter, one=False)
+    # integral float indices: the comparisons also drop NaN and infinity
+    i, j, k = np.floor((pts - bounds.lower) / voxel_size).T
+    inside = (i >= 0) & (i < dims[0]) & (j >= 0) & (j < dims[1]) & (k >= 0) & (k < dims[2])
+    flat = (i * dims[1] + j) * dims[2] + k
+    occ.ravel()[flat[inside].astype(np.intp)] = True
     return occ
 
 
@@ -564,7 +547,7 @@ def fixed_layer(points, bounds: Bounds, voxel_size: float = 0.02,
     """The fixed part of the maps built with these parameters from clouds that
     start with ``points``; ``build_cost_map`` adds the rest of each cloud."""
     parameters = _map_parameters(bounds, voxel_size, inflation_radius, collision_threshold)
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    points = as_points(points, "points", InvalidMapParameter, one=False)
     if points.flags.writeable:
         points = points.copy()
         points.flags.writeable = False
@@ -588,7 +571,7 @@ def build_cost_map(points, bounds: Bounds, voxel_size: float = 0.02,
     the map of the whole cloud.  Without ``fixed`` the fixed part is empty.
     """
     parameters = _map_parameters(bounds, voxel_size, inflation_radius, collision_threshold)
-    occ, blocked = _layered_grids(np.asarray(points, dtype=float).reshape(-1, 3), bounds,
-                                  parameters, fixed)
+    occ, blocked = _layered_grids(as_points(points, "points", InvalidMapParameter, one=False),
+                                  bounds, parameters, fixed)
     return CostMap._from_occupancy(bounds.lower.copy(), voxel_size, occ, blocked,
                                    collision_threshold, inflation_radius)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import AnnotationMismatch, MalformedDemo, NoInteraction
+from .config import check_count, is_number
+from .errors import AnnotationMismatch, ConfigError, MalformedDemo, NoInteraction
 from .trajectory import (AtomicTask, Demonstration, GripperState,
                          InstructionLibrary, InteractionSegment, SegmentKind)
 
@@ -30,10 +31,10 @@ class DecompositionConfig:
 
     def __post_init__(self):
         self.mode = DecompositionMode(self.mode)
-        if self.velocity_epsilon <= 0:
-            raise ValueError("velocity_epsilon must be positive")
-        if self.min_keyframe_gap < 1:
-            raise ValueError("min_keyframe_gap must be at least 1")
+        eps = self.velocity_epsilon
+        if not (is_number(eps) and eps > 0):
+            raise ConfigError(f"velocity_epsilon must be a finite positive number, got {eps!r}")
+        check_count(self.min_keyframe_gap, "min_keyframe_gap", 1)
 
 
 def discover_keyframes(demo: Demonstration, cfg: DecompositionConfig) -> list[int]:

@@ -9,6 +9,10 @@ class ConfigError(DecoError, ValueError):
     """An experiment config or run setting that cannot be used."""
 
 
+class InvalidInput(DecoError, ValueError):
+    """A point or a count of the wrong shape, type or value."""
+
+
 # --- demonstration / decomposition ---
 
 class EmptyDemo(DecoError):

@@ -4,8 +4,8 @@ Quaternions are stored (w, x, y, z) and normalized on construction.  q and -q
 describe the same orientation, so angular distances are computed on the
 absolute dot product.
 
-A pose is built for every action and every monitor check, so validation runs
-on single vectors in plain floats.
+``as_points`` is the toolkit's one rule for points.  A pose is built for every
+action and monitor check, so the rule tests one point in plain floats.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-QUAT_NORM_TOL = 1e-6
+from .errors import InvalidInput
 
 # the default orientation: a unit quaternion already, shared read-only
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -28,14 +28,22 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _as_vec(values, n, name):
-    """A float copy of ``values``, so a caller's later writes cannot reach it."""
-    arr = np.asarray(values, dtype=float).reshape(-1).copy()
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have {n} components, got shape {arr.shape}")
-    if not all(map(math.isfinite, arr.tolist())):
-        raise ValueError(f"{name} components must be finite: {arr}")
-    return arr
+def as_points(values, name: str, error: type, *, one: bool | None = None,
+              finite: bool = False, dim: int = 3) -> np.ndarray:
+    """The point rule: ``np.asarray(values, dtype=float)``, not copied, if it is one
+    point (``one`` True or None) of shape (dim,), or N points (``one`` False or None)
+    of shape (N, dim) or ``[]``, finite if ``finite``; else ``error`` naming ``name``."""
+    p = np.asarray(values, dtype=float)
+    if p.shape != (dim,) or one is False:
+        if p.shape == (0,) and one is not True:
+            p = p.reshape(-1, dim)
+        elif one or p.ndim != 2 or p.shape[1] != dim:
+            wanted = ("have" if one else "be N points of" if one is False
+                      else "be one point or N points of")
+            raise error(f"{name} must {wanted} {dim} coordinates, got shape {p.shape}")
+    if finite and not all(map(math.isfinite, p.ravel().tolist())):
+        raise error(f"{name} must be finite, got {p}")
+    return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,16 +54,18 @@ class Pose:
     orientation: np.ndarray = field(default_factory=lambda: IDENTITY_QUAT)
 
     def __post_init__(self):
-        pos = _as_vec(self.position, 3, "position")
+        # a copy, so a caller's later writes cannot reach it
+        pos = as_points(self.position, "position", InvalidInput, one=True, finite=True).copy()
         # setflags is cheaper than assigning through the flags object
         pos.setflags(write=False)
         object.__setattr__(self, "position", pos)
         if self.orientation is IDENTITY_QUAT:
             return
-        quat = _as_vec(self.orientation, 4, "orientation")
+        quat = as_points(self.orientation, "orientation", InvalidInput, one=True,
+                         finite=True, dim=4)
         norm = vector_norm(quat)
         if norm == 0.0:
-            raise ValueError("orientation quaternion has zero norm")
+            raise InvalidInput("orientation quaternion has zero norm")
         quat = quat / norm
         quat.setflags(write=False)
         object.__setattr__(self, "orientation", quat)
@@ -86,8 +96,8 @@ def is_goal_reached(current: Pose, goal: Pose, tol_pos: float, tol_ang: float) -
 
 def quat_slerp(qa, qb, t: float) -> np.ndarray:
     """Spherical interpolation between unit quaternions, shortest arc."""
-    qa = np.asarray(qa, dtype=float)
-    qb = np.asarray(qb, dtype=float)
+    qa = as_points(qa, "qa", InvalidInput, one=True, finite=True, dim=4)
+    qb = as_points(qb, "qb", InvalidInput, one=True, finite=True, dim=4)
     dot = float(np.dot(qa, qb))
     if dot < 0.0:
         qb = -qb

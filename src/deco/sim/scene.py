@@ -195,7 +195,7 @@ def _shift_drawer_contents(scene: Scene, new_fraction: float):
     interior = scene.drawer_interior()
     dx = -DRAWER_TRAVEL * (new_fraction - scene.open_fraction)
     for name, position in scene.objects.items():
-        if name != scene.held_object and interior.contains(position):
+        if name != scene.held_object and interior.holds(*position.tolist()):
             moved = position.copy()
             moved[0] += dx
             moved.flags.writeable = False
@@ -231,7 +231,7 @@ def step(scene: Scene, action: Action) -> Scene:
     apart, against the boxes left, tray boxes first, in one broadcast.
     """
     target = np.asarray(action.target.position, dtype=float)
-    if not WORKSPACE.contains(target):
+    if not WORKSPACE.holds(*target.tolist()):
         raise OutOfBounds(f"action target {target} outside workspace")
 
     out = scene.copy()

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConfigError, UnknownTask
+from ..config import check_count
+from ..errors import UnknownTask
 from ..registry import (DRAWER_CLOSED_THRESHOLD, DRAWER_OPEN_THRESHOLD, TaskSpec,
                         load_registry)
 from .scene import CUPBOARD_INTERIOR, Scene
@@ -106,9 +107,8 @@ INITIALIZERS = {
 
 def named_rng(seed: int, name: str) -> np.random.Generator:
     """The generator of every seeded draw (reset, policy noise, monitor retries):
-    ``name`` is a task id or an instruction; a negative seed is a ConfigError."""
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    ``name`` is a task id or an instruction; a bad seed is a ConfigError."""
+    check_count(seed, "seed")
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 

@@ -5,7 +5,7 @@ demonstration line has the schema
 ``{"id", "instruction", "steps": [{"t", "pos", "quat", "gripper", "joint_speed"}]}``.
 A skill library is one JSON object mapping each instruction to its number of
 atomic tasks.  A file that does not parse raises a ``MalformedData`` naming
-the file, and the line for JSONL.
+the file, and the line for JSONL; a time index, segment bound or keyframe is a count.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .errors import AnnotationMismatch, DecoError, EmptyDemo, MalformedData, MalformedDemo
+from .config import check_count, is_count, is_number
+from .errors import (AnnotationMismatch, DecoError, EmptyDemo, InvalidInput, MalformedData,
+                     MalformedDemo)
 from .geometry import Pose
 
 
@@ -39,10 +39,10 @@ class TimeStep:
     joint_speed: float
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("time index must be non-negative")
-        if not np.isfinite(self.joint_speed) or self.joint_speed < 0:
-            raise ValueError(f"joint_speed must be a finite non-negative scalar: {self.joint_speed}")
+        check_count(self.t, "time index", error=InvalidInput)
+        if not is_number(self.joint_speed):
+            raise InvalidInput(f"joint_speed must be a finite non-negative number, "
+                               f"got {self.joint_speed!r}")
 
     def to_dict(self) -> dict:
         d = {"t": self.t}
@@ -53,10 +53,10 @@ class TimeStep:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TimeStep":
-        return cls(t=int(data["t"]),
+        return cls(t=data["t"],
                    pose=Pose.from_dict(data),
                    gripper=GripperState(data["gripper"]),
-                   joint_speed=float(data["joint_speed"]))
+                   joint_speed=data["joint_speed"])
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ class InteractionSegment:
     kind: SegmentKind
 
     def __post_init__(self):
-        if self.start >= self.end:
-            raise ValueError(f"segment start {self.start} must precede end {self.end}")
+        check_count(self.start, "segment start", error=InvalidInput)
+        check_count(self.end, "segment end", self.start + 1, InvalidInput)
 
     def to_dict(self) -> dict:
         return {"demo_id": self.demo_id, "start": self.start, "end": self.end,
@@ -101,7 +101,7 @@ class InteractionSegment:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InteractionSegment":
-        return cls(data["demo_id"], int(data["start"]), int(data["end"]),
+        return cls(data["demo_id"], data["start"], data["end"],
                    SegmentKind(data["kind"]))
 
 
@@ -115,9 +115,11 @@ class AtomicTask:
 
     def __post_init__(self):
         object.__setattr__(self, "keyframes", tuple(self.keyframes))
+        for k in self.keyframes:
+            check_count(k, "keyframe", error=InvalidInput)
         object.__setattr__(self, "steps", tuple(self.steps))
         if not self.keyframes or self.keyframes[-1] != self.segment.end:
-            raise ValueError("final keyframe must be the segment end")
+            raise InvalidInput("final keyframe must be the segment end")
 
     def to_dict(self) -> dict:
         return {"segment": self.segment.to_dict(), "instruction": self.instruction,
@@ -165,7 +167,7 @@ class InstructionLibrary:
         if not isinstance(data, dict):
             raise MalformedData(f"{path}: a library is a JSON object, got {type(data).__name__}")
         for name, count in data.items():
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            if not is_count(count, 1):
                 raise MalformedData(f"{path}: entry {name!r} must map to an atomic-task "
                                     f"count of at least 1, got {count!r}")
         return cls(data)

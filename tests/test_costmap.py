@@ -134,7 +134,8 @@ def test_a_point_that_is_not_three_coordinates_is_an_invalid_map_parameter(make,
 
 def test_a_segment_endpoint_must_be_one_point():
     """A batch of one point is not a segment endpoint."""
-    with pytest.raises(InvalidMapParameter, match=re.escape("(1, 3) and (3,)")):
+    with pytest.raises(InvalidMapParameter, match=re.escape(
+            "segment endpoint a must have 3 coordinates, got shape (1, 3)")):
         build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02).segment_free([FREE_POINT], FREE_POINT)
 
 
@@ -182,13 +183,13 @@ def test_bounds_reject_degenerate_box():
 @pytest.mark.parametrize("corners", [((np.nan, 0, 0), (1, 1, 1)), ((0, 0, 0), (1, np.nan, 1)),
                                      ((0, 0, -np.inf), (1, 1, 1)), ((0, 0, 0), (np.inf, 1, 1))])
 def test_bounds_reject_a_non_finite_corner(corners):
-    with pytest.raises(DegenerateBounds, match=r"non-finite corner: \[.*\] \.\. \[.*\]") as info:
+    with pytest.raises(DegenerateBounds, match=r"corner must be finite, got \[.*\]") as info:
         Bounds(*corners)
     assert isinstance(info.value, ValueError)
 
 
 def test_bounds_reject_corners_that_are_not_3_vectors():
-    with pytest.raises(DegenerateBounds, match="3 components"):
+    with pytest.raises(DegenerateBounds, match="corner must have 3 coordinates"):
         Bounds((0, 0), (1, 1))
 
 
