@@ -48,6 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import is_number
 from .errors import DecoError, DegenerateBounds, InvalidInput, InvalidMapParameter
 from .geometry import as_points, vector_norm
 
@@ -58,7 +59,7 @@ class Bounds:
 
     Boxes compare and hash by ``corners``, six Python floats ``(x0, y0, z0,
     x1, y1, z1)`` also kept as the read-only arrays ``lower`` and ``upper``;
-    ``contains``, ``holds`` and the simulator's collision prefilter compare them.
+    ``contains``, ``holds`` and the simulator's collision test compare them.
     """
 
     lower: np.ndarray = field(compare=False)
@@ -90,15 +91,6 @@ class Bounds:
 
 # the offset of a one-point walk: its only sample, a + 1.0 * 0.0, indexes as a
 _NO_OFFSET = (0.0, 0.0, 0.0)
-
-
-@lru_cache(maxsize=256)
-def segment_fractions(n: int) -> np.ndarray:
-    """The n + 1 sample positions along a segment, ``np.linspace(0, 1, n + 1)``,
-    as a read-only (n + 1, 1) column shared by every segment of n steps."""
-    fractions = np.linspace(0.0, 1.0, n + 1)[:, None]
-    fractions.flags.writeable = False
-    return fractions
 
 
 class CostMap:
@@ -233,7 +225,7 @@ class CostMap:
     def segment_free(self, a, b) -> bool:
         """Sample the segment at voxel_size/2 and test every sample against ``blocked``.
 
-        The samples are ``a + segment_fractions(n) * (b - a)``, with ``n`` from
+        The samples are ``a + np.linspace(0, 1, n + 1) * (b - a)``, with ``n`` from
         the segment's ``vector_norm``, walked as ``_walk_free`` walks them.  A
         segment whose length is not finite has a sample that is not finite, so
         it is blocked.
@@ -248,7 +240,7 @@ class CostMap:
         return self._walk_free(a.tolist(), d.tolist(), n)
 
     def _walk_free(self, a: list, d: list, n: int) -> bool:
-        """No sample ``a + f * d`` is blocked, f running over ``segment_fractions(n)``.
+        """No sample ``a + f * d`` is blocked, f running over ``np.linspace(0, 1, n + 1)``.
 
         The samples are walked in plain floats from ``a``, and the walk stops at
         the first blocked one.  n = 0 walks only the last sample, ``a + d``;
@@ -260,7 +252,7 @@ class CostMap:
         (ox, oy, oz), size = self.origin.tolist(), self.voxel_size
         nx, ny, nz = self.dims
         blocked = self.blocked
-        # segment_fractions(n) is np.linspace(0, 1, n + 1): i * (1 / n), then exactly 1
+        # np.linspace(0, 1, n + 1) is i * (1 / n), then exactly 1
         step = 1.0 / n if n else 0.0
         for i in range(n + 1):
             f = i * step if i < n else 1.0
@@ -481,15 +473,16 @@ def _nearest_voxel_cost(occupancy: np.ndarray, voxel_size: float,
 
 
 def _check_scalars(voxel_size, inflation_radius, collision_threshold):
-    """Raise ``InvalidMapParameter`` naming a parameter out of range or not finite."""
-    if not (math.isfinite(voxel_size) and voxel_size > 0):
-        raise InvalidMapParameter(f"voxel_size must be positive and finite, got {voxel_size}")
-    if not (math.isfinite(inflation_radius) and inflation_radius >= 0):
+    """Raise ``InvalidMapParameter`` naming a parameter that is not a number in its range."""
+    if not (is_number(voxel_size) and voxel_size > 0):
         raise InvalidMapParameter(
-            f"inflation_radius must be non-negative and finite, got {inflation_radius}")
-    if not 0 < collision_threshold <= 1:
+            f"voxel_size must be a positive finite number, got {voxel_size!r}")
+    if not is_number(inflation_radius):
         raise InvalidMapParameter(
-            f"collision_threshold must be in (0, 1], got {collision_threshold}")
+            f"inflation_radius must be a finite non-negative number, got {inflation_radius!r}")
+    if not (is_number(collision_threshold) and 0 < collision_threshold <= 1):
+        raise InvalidMapParameter(
+            f"collision_threshold must be a number in (0, 1], got {collision_threshold!r}")
 
 
 def _map_parameters(bounds: Bounds, voxel_size, inflation_radius,

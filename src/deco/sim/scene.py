@@ -15,9 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..costmap import Bounds, segment_fractions
-from ..errors import OutOfBounds
-from ..geometry import IDENTITY_QUAT, Pose, vector_norm
+from ..costmap import Bounds
+from ..errors import InvalidInput, OutOfBounds
+from ..geometry import IDENTITY_QUAT, Pose, as_points, vector_norm
 from ..trajectory import GripperState
 
 
@@ -34,7 +34,6 @@ HOME = _read_only((0.30, 0.0, 0.30))
 
 GRASP_RADIUS = 0.04
 SWEEP_RADIUS = 0.05
-SEGMENT_SAMPLE_RES = 0.005
 SLAM_FRACTION = 0.15
 CLOUD_DENSITY = 10000.0     # point-cloud surface samples per square metre
 _CELLS_PER_METRE = math.sqrt(CLOUD_DENSITY)
@@ -109,7 +108,8 @@ class Scene:
 
     Scenes share position arrays, so every position, the gripper's included,
     is read-only and a move stores a new array.  The constructor stores
-    read-only float copies of the positions it is given.
+    read-only float copies of the positions it is given, each one finite
+    point by the point rule.
     """
 
     drawer_present: bool = False
@@ -124,8 +124,11 @@ class Scene:
     drawer_slams: int = 0
 
     def __post_init__(self):
-        self.objects = {name: _read_only(p) for name, p in self.objects.items()}
-        self.gripper_position = _read_only(self.gripper_position)
+        self.objects = {name: _read_only(as_points(p, f"object {name!r} position", InvalidInput,
+                                                   one=True, finite=True))
+                        for name, p in self.objects.items()}
+        self.gripper_position = _read_only(as_points(self.gripper_position, "gripper position",
+                                                     InvalidInput, one=True, finite=True))
 
     def copy(self) -> "Scene":
         """Every field, with the ``objects`` dict copied; the read-only
@@ -176,13 +179,6 @@ def _clip01(x: float) -> float:
     return min(1.0, max(0.0, float(x)))
 
 
-def _segment_samples(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Samples at most SEGMENT_SAMPLE_RES apart from a to b, both included."""
-    d = b - a
-    n = max(1, math.ceil(vector_norm(d) / SEGMENT_SAMPLE_RES))
-    return a + segment_fractions(n) * d
-
-
 def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     ab = b - a
     denom = float(ab.dot(ab))
@@ -203,15 +199,31 @@ def _shift_drawer_contents(scene: Scene, new_fraction: float):
     scene.open_fraction = new_fraction
 
 
-def _near_boxes(boxes: tuple[Bounds, ...], first: list[float], last: list[float]) -> list[int]:
-    """Indices of the boxes that overlap the closed axis-aligned extent of
-    ``first`` and ``last``, compared in plain floats."""
+def _hit_boxes(boxes: tuple[Bounds, ...], first: list[float], last: list[float]) -> list[int]:
+    """Indices of the boxes that the closed segment from ``first`` to ``last``
+    meets, faces included, in plain floats.
+
+    Each box whose ``corners`` overlap the segment's closed extent clips t in
+    [0, 1] to the slab of every axis the segment moves along (Kay and Kajiya's
+    slab test); an axis it does not move along clips nothing, as the extent
+    test put that coordinate inside the slab.  The box is hit when t is left.
+    """
     (sx, sy, sz), (ex, ey, ez) = first, last
     lx, hx = (sx, ex) if sx <= ex else (ex, sx)
     ly, hy = (sy, ey) if sy <= ey else (ey, sy)
     lz, hz = (sz, ez) if sz <= ez else (ez, sz)
-    return [k for k, (x0, y0, z0, x1, y1, z1) in enumerate(box.corners for box in boxes)
-            if x0 <= hx and lx <= x1 and y0 <= hy and ly <= y1 and z0 <= hz and lz <= z1]
+    dx, dy, dz = ex - sx, ey - sy, ez - sz
+    hits = []
+    for k, (x0, y0, z0, x1, y1, z1) in enumerate(box.corners for box in boxes):
+        if x0 <= hx and lx <= x1 and y0 <= hy and ly <= y1 and z0 <= hz and lz <= z1:
+            enter, leave = 0.0, 1.0
+            for s, d, lo, hi in ((sx, dx, x0, x1), (sy, dy, y0, y1), (sz, dz, z0, z1)):
+                if d:
+                    t0, t1 = ((lo - s) / d, (hi - s) / d) if d > 0 else ((hi - s) / d, (lo - s) / d)
+                    enter, leave = (t0 if t0 > enter else enter), (t1 if t1 < leave else leave)
+            if enter <= leave:
+                hits.append(k)
+    return hits
 
 
 def step(scene: Scene, action: Action) -> Scene:
@@ -223,12 +235,9 @@ def step(scene: Scene, action: Action) -> Scene:
     also the gripper's position; swept rubbish and the tray contents get new
     arrays.  A release moves nothing.
 
-    Collisions are tested in two phases.  The broad phase keeps the boxes that
-    overlap the segment's extent: its samples ``start + f * displacement``
-    run monotonically along each axis from ``start`` to ``start +
-    displacement``, so a box outside that closed extent holds none of them.
-    The narrow phase tests the samples of the segment, SEGMENT_SAMPLE_RES
-    apart, against the boxes left, tray boxes first, in one broadcast.
+    A move collides when its segment, from ``start`` to ``start +
+    displacement``, meets a box (``_hit_boxes``); it hits the drawer when the
+    first box it meets is a tray box, as the tray's boxes come first.
     """
     target = np.asarray(action.target.position, dtype=float)
     if not WORKSPACE.holds(*target.tolist()):
@@ -242,18 +251,10 @@ def step(scene: Scene, action: Action) -> Scene:
     # collision bookkeeping + drawer slam; a tray pulled by its handle is not hit
     tray = () if holding_handle else out.drawer_boxes()
     boxes = tray + _fixed_boxes(out.drawer_present, out.cupboard_present, out.dustpan_present)
-    near = _near_boxes(boxes, start.tolist(), (start + displacement).tolist())
-    hit_any = hit_drawer = False
-    if near:
-        s3 = _segment_samples(start, target)[:, None, :]
-        lower = np.array([boxes[k].lower for k in near])
-        upper = np.array([boxes[k].upper for k in near])
-        hit = ((s3 >= lower) & (s3 <= upper)).all(axis=2).any(axis=0).tolist()
-        hit_any = any(hit)
-        hit_drawer = any(h for k, h in zip(near, hit) if k < len(tray))
-    if hit_any:
+    hits = _hit_boxes(boxes, start.tolist(), (start + displacement).tolist())
+    if hits:
         out.collision_count += 1
-    if hit_drawer:
+    if hits and hits[0] < len(tray):
         direction = displacement / max(vector_norm(displacement), 1e-12)
         if abs(direction[2]) < 0.9 and out.open_fraction > SLAM_FRACTION:
             _shift_drawer_contents(out, SLAM_FRACTION)

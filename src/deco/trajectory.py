@@ -40,6 +40,7 @@ class TimeStep:
 
     def __post_init__(self):
         check_count(self.t, "time index", error=InvalidInput)
+        object.__setattr__(self, "t", int(self.t))
         if not is_number(self.joint_speed):
             raise InvalidInput(f"joint_speed must be a finite non-negative number, "
                                f"got {self.joint_speed!r}")
@@ -94,6 +95,8 @@ class InteractionSegment:
     def __post_init__(self):
         check_count(self.start, "segment start", error=InvalidInput)
         check_count(self.end, "segment end", self.start + 1, InvalidInput)
+        object.__setattr__(self, "start", int(self.start))
+        object.__setattr__(self, "end", int(self.end))
 
     def to_dict(self) -> dict:
         return {"demo_id": self.demo_id, "start": self.start, "end": self.end,
@@ -114,9 +117,10 @@ class AtomicTask:
     steps: tuple[TimeStep, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "keyframes", tuple(self.keyframes))
-        for k in self.keyframes:
+        keyframes = tuple(self.keyframes)
+        for k in keyframes:
             check_count(k, "keyframe", error=InvalidInput)
+        object.__setattr__(self, "keyframes", tuple(map(int, keyframes)))
         object.__setattr__(self, "steps", tuple(self.steps))
         if not self.keyframes or self.keyframes[-1] != self.segment.end:
             raise InvalidInput("final keyframe must be the segment end")

@@ -1,13 +1,13 @@
 """The per-step hot path against its numpy references, and a digest of final
 scene states.
 
-``Pose``, ``Bounds.contains``, ``_segment_samples`` and ``Scene.copy`` run on
-single 3- and 4-vectors once per action, so they work in plain floats; the
-property tests check them byte for byte against the numpy formulas they
-replace.  The digest pins the bytes of every final scene that the oracle
-policy's actions reach on the compositional tasks and the obstacle fixture.
-Scenes share their read-only position arrays: a copy's positions cannot be
-written, and ``step`` stores new arrays only for the objects that moved.
+``Pose``, ``Bounds.contains`` and ``Scene.copy`` run on single 3- and
+4-vectors once per action, so they work in plain floats; the property tests
+check them byte for byte against the numpy formulas they replace.  The digest
+pins the bytes of every final scene that the oracle policy's actions reach on
+the compositional tasks and the obstacle fixture.  Scenes share their
+read-only position arrays: a copy's positions cannot be written, and ``step``
+stores new arrays only for the objects that moved.
 """
 
 import hashlib
@@ -23,7 +23,7 @@ from deco.errors import PreconditionUnmet
 from deco.geometry import Pose
 from deco.registry import load_registry
 from deco.sim.oracle import oracle_policy
-from deco.sim.scene import SEGMENT_SAMPLE_RES, WORKSPACE, Scene, _segment_samples, step
+from deco.sim.scene import WORKSPACE, Scene, step
 from deco.sim.tasks import drawer_front_obstacle_task, reset
 
 PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
@@ -97,19 +97,6 @@ def test_bounds_contains_matches_numpy_comparisons(box, data):
 def workspace_points():
     return st.tuples(*(st.floats(lo, hi) for lo, hi in zip(WORKSPACE.lower.tolist(),
                                                            WORKSPACE.upper.tolist()))).map(np.array)
-
-
-@PROPERTY_SETTINGS
-@given(workspace_points(), workspace_points() | st.just(None))
-def test_segment_samples_match_the_linspace_formula(a, b):
-    b = a.copy() if b is None else b
-    length = float(np.linalg.norm(b - a))
-    n = max(1, int(np.ceil(length / SEGMENT_SAMPLE_RES)))
-    ts = np.linspace(0.0, 1.0, n + 1)
-    expected = a[None, :] + ts[:, None] * (b - a)[None, :]
-    samples = _segment_samples(a, b)
-    assert samples.shape == expected.shape
-    assert samples.tobytes() == expected.tobytes()
 
 
 QUAT_COMPONENTS = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-160, 1e-200, 1e150])

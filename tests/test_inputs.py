@@ -28,9 +28,11 @@ from deco.errors import (ConfigError, DecoError, DegenerateBounds, InvalidInput,
 from deco.executor import ExecutorConfig
 from deco.geometry import Pose, as_points, quat_slerp
 from deco.registry import load_registry
+from deco.sim.scene import Scene
 from deco.sim.tasks import named_rng, reset
-from deco.trajectory import (AtomicTask, InteractionSegment, SegmentKind, TimeStep,
-                             load_demos)
+from deco.trajectory import (AtomicTask, Demonstration, GripperState, InteractionSegment,
+                             SegmentKind, TimeStep, load_atomic_tasks, load_demos,
+                             save_atomic_tasks, save_demos)
 
 PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -95,9 +97,30 @@ ROWS = {
     "segment_free-4": (lambda: grid_map().segment_free(A, B + [0.0]), InvalidMapParameter,
                        "(4,)"),
     "segment_free-nan": (lambda: grid_map().segment_free(NAN, B) is False, None, None),
+    "Scene-object-2": (lambda: Scene(objects={"item": [0.4, 0.0]}), InvalidInput, "'item'"),
+    "Scene-object-nan": (lambda: Scene(objects={"box": NAN}), InvalidInput, "'box'"),
+    "Scene-gripper-nan": (lambda: Scene(gripper_position=[float("nan"), 0.0, 0.3]), InvalidInput,
+                          "gripper position"),
+    "Scene-gripper-1x3": (lambda: Scene(gripper_position=[[0.3, 0.0, 0.3]]), InvalidInput,
+                          "gripper position"),
     "rrt_path-1x3": (lambda: rrt_path([A], B, grid_map()), PlanningFailure, "(1, 3)"),
     "rrt_path-4": (lambda: rrt_path(A, B + [0.0], grid_map()), PlanningFailure, "(4,)"),
     "rrt_path-nan": (lambda: rrt_path(A, NAN, grid_map()), PlanningFailure, "nan"),
+    # map scalars
+    "build_cost_map-voxel-bool": (lambda: build_cost_map([[0.5] * 3], BOX, voxel_size=True),
+                                  InvalidMapParameter, "voxel_size"),
+    "build_cost_map-radius-bool": (lambda: build_cost_map([[0.5] * 3], BOX, inflation_radius=False),
+                                   InvalidMapParameter, "inflation_radius"),
+    "build_cost_map-threshold-bool": (
+        lambda: build_cost_map([[0.5] * 3], BOX, collision_threshold=True),
+        InvalidMapParameter, "collision_threshold"),
+    "build_cost_map-float32": (lambda: build_cost_map(
+        [[0.5] * 3], BOX, np.float32(0.1), np.float32(0.05), np.float32(0.5)).is_free(A),
+        None, None),
+    "CostMap-voxel-bool": (lambda: CostMap([0, 0, 0], True, np.zeros((2, 2, 2)), 0.5, 0.05),
+                           InvalidMapParameter, "voxel_size"),
+    "CostMap-threshold-bool": (lambda: CostMap([0, 0, 0], 0.1, np.zeros((2, 2, 2)), True, 0.05),
+                               InvalidMapParameter, "collision_threshold"),
     # counts
     "TimeStep-t-float": (lambda: TimeStep.from_dict(step_record(2.9)), InvalidInput, "2.9"),
     "TimeStep-t-bool": (lambda: TimeStep.from_dict(step_record(True)), InvalidInput, "True"),
@@ -173,6 +196,20 @@ def test_a_demo_file_with_a_fractional_time_index_names_the_line_and_value(tmp_p
     with pytest.raises(MalformedDemo, match=f"{path} line 1: InvalidInput: time index must be "
                                             "a non-negative integer, got 2.9"):
         load_demos(path)
+
+
+def test_records_store_numpy_integer_indices_as_plain_ints(tmp_path):
+    step = TimeStep(np.int64(2), Pose([0.3, 0, 0.3]), GripperState.OPEN, 0.0)
+    assert type(step.t) is int and json.loads(json.dumps(step.to_dict()))["t"] == 2
+    demo = Demonstration("d", "grab", [TimeStep(np.int32(t), Pose(A), GripperState.OPEN, 0.0)
+                                       for t in range(3)])
+    save_demos([demo], tmp_path / "demos.jsonl")
+    assert [d.to_dict() for d in load_demos(tmp_path / "demos.jsonl")] == [demo.to_dict()]
+    task = AtomicTask(InteractionSegment("d", np.int64(0), np.uint8(3), SegmentKind.FULL), "grab",
+                      Pose(A), [np.int64(1), np.int16(3)], demo.steps)
+    assert [type(v) for v in (task.segment.start, task.segment.end, *task.keyframes)] == [int] * 4
+    save_atomic_tasks([task], tmp_path / "tasks.jsonl")
+    assert load_atomic_tasks(tmp_path / "tasks.jsonl")[0].to_dict() == task.to_dict()
 
 
 def test_a_refusal_that_was_a_value_error_stays_one():

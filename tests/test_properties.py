@@ -8,8 +8,9 @@ float search against ``reference_rrt``, the same search in numpy arrays.  The
 cost-map table, the shared fixed-box samples, the maps built on a cached fixed
 layer and the box test per step are gated byte for byte against references
 that recompute every distance, sample every box and test one ``Bounds`` at a
-time; the step's bounds prefilter is also gated against one broadcast of every
-sample over every box.  The examples
+time; the step's exact segment test, broad phase included, is also gated
+against a numpy slab test of every box in one broadcast, and must report
+every box that holds a sample of the segment at 0.5 mm spacing.  The examples
 are derandomized, so every run checks the same cases.
 """
 
@@ -23,14 +24,14 @@ from scipy import ndimage
 
 from deco.chaining import RRT_MAX_ITERS, RRT_STEP, _refine_position, chain_skills, rrt_path
 from deco.costmap import (Bounds, CostMap, _exact_window, build_cost_map, cost_from_distance,
-                          distance_grid, occupancy_from_points, segment_fractions)
+                          distance_grid, occupancy_from_points)
 from deco.errors import NoFreeChain, PlanningFailure
 from deco.executor import _fixed_layer, transition_cost_map
 from deco.geometry import Pose, quat_slerp, vector_norm
 from deco.sim.scene import (BODY_HALF, CABINET, CABINET_HI, CABINET_LO, CLOUD_DENSITY,
                             CUPBOARD_WALLS, DRAWER_TRAVEL, DRAWER_WALL, DRAWER_WALL_TOP,
                             DUSTPAN_FLOOR, DUSTPAN_HI, HANDLE_NAME, SLAM_FRACTION, WORKSPACE,
-                            Action, Scene, _segment_samples, point_cloud, step)
+                            Action, Scene, point_cloud, step)
 from deco.trajectory import GripperState
 
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
@@ -128,13 +129,13 @@ def test_segment_fractions_are_the_steps_the_float_walk_takes():
     """``segment_free`` walks ``i * (1 / n)`` for i < n, then exactly 1."""
     for n in range(1, 1500):
         step = 1.0 / n
-        assert segment_fractions(n).ravel().tolist() == [i * step for i in range(n)] + [1.0]
+        assert np.linspace(0, 1, n + 1).tolist() == [i * step for i in range(n)] + [1.0]
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
 @given(st.data())
 def test_segment_free_walk_is_the_lookup_of_its_samples(data):
-    """The float walk answers as one lookup of ``a + segment_fractions(n) * d``,
+    """The float walk answers as one lookup of ``a + np.linspace(0, 1, n + 1) * d``,
     also for segments that leave the map, start or end outside it, or lie on
     voxel faces."""
     cmap = data.draw(cost_maps())
@@ -147,7 +148,7 @@ def test_segment_free_walk_is_the_lookup_of_its_samples(data):
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     d = b - a
     n = max(1, math.ceil(vector_norm(d) / (cmap.voxel_size / 2)))
-    expected = not cmap._lookup(cmap.blocked, a + segment_fractions(n) * d).any()
+    expected = not cmap._lookup(cmap.blocked, a + np.linspace(0, 1, n + 1)[:, None] * d).any()
     assert cmap.segment_free(a, b) is expected
 
 
@@ -655,23 +656,53 @@ def reference_box_hit(samples: np.ndarray, box: Bounds) -> bool:
     return bool(np.any(np.all((samples >= box.lower) & (samples <= box.upper), axis=1)))
 
 
-def reference_step_counts(scene, target) -> tuple[int, int, float]:
-    """collision_count, drawer_slams and open_fraction after moving to target,
-    testing the segment's samples against one Bounds at a time."""
-    start = np.array(scene.gripper_position)
-    samples = _segment_samples(start, target)
-    holding_handle = scene.held_object == HANDLE_NAME
-    tray = [] if holding_handle else reference_tray_boxes(scene)
-    hit_drawer = any(reference_box_hit(samples, box) for box in tray)
-    hit = hit_drawer or any(reference_box_hit(samples, box) for box in reference_fixed_boxes(scene))
-    displacement = target - start
+def reference_slab_hits(start, target, boxes) -> np.ndarray:
+    """Per box, whether the closed segment from ``start`` to ``start + (target
+    - start)`` meets it, faces included: the slab test of every box in one
+    broadcast, with no extent test.  Each axis the segment moves along clips
+    t in [0, 1] to the box's slab; on an axis it does not move along, the
+    coordinate must lie in the slab."""
+    last = start + (target - start)
+    d = last - start
+    lower = np.array([box.lower for box in boxes]).reshape(-1, 3)
+    upper = np.array([box.upper for box in boxes]).reshape(-1, 3)
+    moving = d != 0
+    t0, t1 = (lower - start) / np.where(moving, d, 1.0), (upper - start) / np.where(moving, d, 1.0)
+    enter = np.where(moving, np.minimum(t0, t1), 0.0).max(axis=1, initial=0.0)
+    leave = np.where(moving, np.maximum(t0, t1), 1.0).min(axis=1, initial=1.0)
+    inside = (moving | ((lower <= start) & (start <= upper))).all(axis=1)
+    return inside & (enter <= leave)
+
+
+def dense_samples(start, target, spacing=0.0005) -> np.ndarray:
+    """Samples of the segment at most ``spacing`` apart, both ends included."""
+    d = target - start
+    n = max(1, math.ceil(float(np.linalg.norm(d)) / spacing))
+    return start + np.linspace(0.0, 1.0, n + 1)[:, None] * d
+
+
+def reference_counts(scene, target, hit_tray: bool, hit: bool) -> tuple[int, int, float]:
+    """collision_count, drawer_slams and open_fraction after moving to
+    target, given whether the move meets a tray box and any box."""
+    displacement = target - np.array(scene.gripper_position)
     fraction, slams = scene.open_fraction, scene.drawer_slams
     direction = displacement / max(float(np.linalg.norm(displacement)), 1e-12)
-    if hit_drawer and abs(direction[2]) < 0.9 and fraction > SLAM_FRACTION:
+    if hit_tray and abs(direction[2]) < 0.9 and fraction > SLAM_FRACTION:
         fraction, slams = SLAM_FRACTION, slams + 1
-    if holding_handle:
+    if scene.held_object == HANDLE_NAME:
         fraction = float(np.clip(fraction - displacement[0] / DRAWER_TRAVEL, 0.0, 1.0))
     return scene.collision_count + hit, slams, fraction
+
+
+def reference_step_counts(scene, target) -> tuple[int, int, float]:
+    """The counts after moving to target, testing the segment against one
+    Bounds at a time."""
+    start = np.array(scene.gripper_position)
+    tray = [] if scene.held_object == HANDLE_NAME else reference_tray_boxes(scene)
+    hit_tray = any(reference_slab_hits(start, target, [box])[0] for box in tray)
+    hit = hit_tray or any(reference_slab_hits(start, target, [box])[0]
+                          for box in reference_fixed_boxes(scene))
+    return reference_counts(scene, target, hit_tray, hit)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
@@ -700,25 +731,16 @@ def test_step_reference_counts_a_sample_on_a_face():
 
 
 def reference_broadcast_counts(scene, target) -> tuple[int, int, float]:
-    """collision_count, drawer_slams and open_fraction after moving to target,
-    testing every sample against every box, tray rows first, in one
-    broadcast with no broad phase."""
+    """The counts after moving to target, from the slab test of every box,
+    tray boxes first, in one broadcast.  Every box that holds a sample of
+    the segment at 0.5 mm spacing must be hit."""
     start = np.array(scene.gripper_position)
-    samples = _segment_samples(start, target)
-    holding_handle = scene.held_object == HANDLE_NAME
-    tray = [] if holding_handle else reference_tray_boxes(scene)
+    tray = [] if scene.held_object == HANDLE_NAME else reference_tray_boxes(scene)
     boxes = tray + reference_fixed_boxes(scene)
-    rows = np.array([(box.lower, box.upper) for box in boxes]).reshape(-1, 2, 3)
-    s3 = samples[:, None, :]
-    hit = ((s3 >= rows[:, 0]) & (s3 <= rows[:, 1])).all(axis=2).any(axis=0)
-    displacement = target - start
-    fraction, slams = scene.open_fraction, scene.drawer_slams
-    direction = displacement / max(float(np.linalg.norm(displacement)), 1e-12)
-    if hit[:len(tray)].any() and abs(direction[2]) < 0.9 and fraction > SLAM_FRACTION:
-        fraction, slams = SLAM_FRACTION, slams + 1
-    if holding_handle:
-        fraction = float(np.clip(fraction - displacement[0] / DRAWER_TRAVEL, 0.0, 1.0))
-    return scene.collision_count + bool(hit.any()), slams, fraction
+    hit = reference_slab_hits(start, target, boxes)
+    samples = dense_samples(start, target)
+    assert all(hit[k] for k, box in enumerate(boxes) if reference_box_hit(samples, box))
+    return reference_counts(scene, target, bool(hit[:len(tray)].any()), bool(hit.any()))
 
 
 @st.composite
@@ -767,3 +789,18 @@ def test_step_counts_a_segment_whose_extent_ends_on_a_face():
     scene = Scene(cupboard_present=True, gripper_position=start)
     assert reference_broadcast_counts(scene, target) == (1, 0, 0.0)
     assert step(scene, Action(Pose(target))).collision_count == 1
+
+
+def test_step_counts_a_wall_clipped_between_samples():
+    """A 0.456 m move of the obstacle fixture at seed 31687 (M=0, noise 0.01)
+    clips the tray's front wall and a side wall where no 5 mm sample of it
+    lies; the exact test counts the hit and the slam."""
+    start = np.array([0.32252371336614916, -0.2474148188772845, 0.10926062387058684])
+    target = np.array([0.5878069798702479, 0.11897769285511356, 0.16472710420329426])
+    scene = Scene(drawer_present=True, open_fraction=0.952008638057075, gripper_position=start)
+    boxes = reference_tray_boxes(scene)
+    assert reference_slab_hits(start, target, boxes).tolist() == [True, False, True, False]
+    assert not any(reference_box_hit(dense_samples(start, target, 0.005), box) for box in boxes)
+    out = step(scene, Action(Pose(target)))
+    assert (out.collision_count, out.drawer_slams, out.open_fraction) == (1, 1, SLAM_FRACTION)
+    assert reference_broadcast_counts(scene, target) == (1, 1, SLAM_FRACTION)
