@@ -5,11 +5,11 @@ and the next start pose, then slide down the cost field until they clear the
 collision threshold.  RRT-Connect with greedy shortcutting connects the
 sequence.
 
-A transition pays for what is blocked.  The M starting points are tested with
-one lookup, and only the blocked ones are refined.  The anchors are tested
-with one more lookup, and each leg between free anchors asks ``segment_free``
-once; only a leg with a blocked anchor or sample is searched.  A free leg is
-what ``rrt_path`` would return for it.
+A transition pays for what is blocked.  Each starting point is tested once,
+as the first step of its refinement, and only a blocked one moves.  The
+anchors are tested with one lookup, and each leg between free anchors asks
+``segment_free`` once; only a leg with a blocked anchor or sample is
+searched.  A free leg is what ``rrt_path`` would return for it.
 
 The search works on single points, so it works in plain floats and gives the
 bytes that numpy arrays would.  A length that decides a step or a sample count
@@ -53,8 +53,9 @@ def _cost_gradient(cmap: CostMap, point: np.ndarray) -> np.ndarray:
 
 
 def _refine_position(init: np.ndarray, cmap: CostMap) -> np.ndarray:
-    """Projected gradient descent on the cost field, anchored to the interpolant."""
-    pos = init.copy()
+    """Projected gradient descent on the cost field, anchored to the interpolant;
+    a free ``init`` comes back itself, and no step writes to it."""
+    pos = init
     step = 0.5 * cmap.voxel_size
     for _ in range(MAX_REFINE_ITERS):
         if cmap.is_free(pos):
@@ -93,11 +94,10 @@ def chaining_poses(start: Pose, end: Pose, cmap: CostMap, m: int) -> list[Pose]:
     inits = (1 - column) * start.position + column * end.position
     shared = start.orientation is end.orientation
     poses = []
-    for t, init, free in zip(ts, inits, cmap.is_free(inits).tolist()):
-        position = init if free else _refine_position(init, cmap)
+    for t, init in zip(ts, inits):
         orientation = (start.orientation if shared
                        else quat_slerp(start.orientation, end.orientation, t))
-        poses.append(Pose(position, orientation))
+        poses.append(Pose(_refine_position(init, cmap), orientation))
     return poses
 
 

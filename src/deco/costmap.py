@@ -8,10 +8,10 @@ the feature transform gives; the table is built once per grid shape, voxel
 size and inflation radius, and the result is byte for byte
 ``cost_from_distance(distance_grid(occ, voxel_size), inflation_radius)``.
 
-The planner mostly asks whether a voxel's cost is at or above the collision
-threshold.  That holds exactly when some occupied voxel lies at an offset whose
-table cost reaches the threshold: the nearest occupied voxel is at least as
-near, and cost does not rise as distance falls.  ``build_cost_map`` answers
+The planner mostly asks whether a voxel's cost is at or above
+``COLLISION_THRESHOLD``.  That holds exactly when some occupied voxel lies at
+an offset whose table cost reaches the threshold: the nearest occupied voxel
+is at least as near, and cost does not rise as distance falls.  ``build_cost_map`` answers
 free/blocked by dilating the occupancy with that set of offsets.
 
 Most of a cloud does not move from one map to the next.  A ``FixedLayer``
@@ -89,13 +89,16 @@ class Bounds:
         return x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1
 
 
+# a voxel whose cost reaches it is blocked
+COLLISION_THRESHOLD = 0.5
+
 # the offset of a one-point walk: its only sample, a + 1.0 * 0.0, indexes as a
 _NO_OFFSET = (0.0, 0.0, 0.0)
 
 
 class CostMap:
     """A voxel cost grid and the padded boolean ``blocked`` grid of
-    ``~(cost < collision_threshold)`` that answers ``is_free`` and ``segment_free``.
+    ``~(cost < COLLISION_THRESHOLD)`` that answers ``is_free`` and ``segment_free``.
 
     A one-voxel border of cost 1.0, blocked, answers every point outside the
     map: lookups clip their index into it instead of masking.  A map built from
@@ -106,44 +109,43 @@ class CostMap:
     the moving points: ``cost_at`` answers from the occupancy window around
     each point while it can, and the first read that it cannot answer, or of
     ``cost`` or ``export``, computes the cost grid from the occupancy.  The
-    grids are read-only, so they cannot drift apart.
+    grids are read-only, so they cannot drift apart.  Every map reads
+    ``COLLISION_THRESHOLD`` as ``collision_threshold``, and ``export`` writes
+    it in the header.
     """
 
-    def __init__(self, origin, voxel_size: float, cost, collision_threshold: float,
-                 inflation_radius: float):
+    collision_threshold = COLLISION_THRESHOLD
+
+    def __init__(self, origin, voxel_size: float, cost, inflation_radius: float):
         cost = np.asarray(cost, dtype=float)
         origin = as_points(origin, "origin", InvalidMapParameter, one=True, finite=True)
-        _check_scalars(voxel_size, inflation_radius, collision_threshold)
+        _check_scalars(voxel_size, inflation_radius)
         if cost.ndim != 3:
             raise InvalidMapParameter(f"cost grid must be 3-D, got shape {cost.shape}")
-        self._set_parameters(origin, voxel_size, cost.shape, collision_threshold,
-                             inflation_radius)
+        self._set_parameters(origin, voxel_size, cost.shape, inflation_radius)
         self._occupancy = self._window_occupancy = None
         self._set_cost(cost)
-        self.blocked = ~(self._padded < self.collision_threshold)
+        self.blocked = ~(self._padded < COLLISION_THRESHOLD)
         self.blocked.flags.writeable = False
 
     @classmethod
     def _from_occupancy(cls, origin, voxel_size: float, occupancy: np.ndarray,
-                        blocked: np.ndarray, collision_threshold: float,
-                        inflation_radius: float) -> "CostMap":
+                        blocked: np.ndarray, inflation_radius: float) -> "CostMap":
         """A map that answers free/blocked from ``blocked`` (padded) and cost
         values from ``occupancy``."""
         cmap = cls.__new__(cls)
-        cmap._set_parameters(origin, voxel_size, occupancy.shape, collision_threshold,
-                             inflation_radius)
+        cmap._set_parameters(origin, voxel_size, occupancy.shape, inflation_radius)
         cmap._occupancy = occupancy
         cmap._window_occupancy = None
         cmap._padded = None
         cmap.blocked = blocked
         return cmap
 
-    def _set_parameters(self, origin, voxel_size, dims, collision_threshold, inflation_radius):
+    def _set_parameters(self, origin, voxel_size, dims, inflation_radius):
         self.origin = np.asarray(origin, dtype=float)
         self.voxel_size = float(voxel_size)
         self.dims = dims
         self._max_index = np.asarray(dims, dtype=float)
-        self.collision_threshold = float(collision_threshold)
         self.inflation_radius = float(inflation_radius)
 
     def _set_cost(self, cost: np.ndarray):
@@ -324,40 +326,38 @@ def cost_from_distance(dist: np.ndarray, inflation_radius: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _offset_cost_table(dims: tuple, voxel_size: float,
-                       inflation_radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each voxel's index, and the cost of every per-axis |offset| to the nearest
-    occupied voxel, flattened in C order.
+def _offset_cost_table(dims: tuple, voxel_size: float, inflation_radius: float) -> np.ndarray:
+    """The cost of every per-axis |offset| to the nearest occupied voxel,
+    flattened in C order.
 
     Offsets along an axis stay below the grid's length there, so the table has
     the grid's shape.  The distance of an offset is computed as scipy's
     ``distance_transform_edt`` computes it, sqrt(((dx s)^2 + (dy s)^2) + (dz s)^2),
     so a looked-up cost is the bytes ``cost_from_distance`` gives the EDT.
-    Keyed only by map parameters; both arrays are read-only.
+    Keyed only by map parameters; the table is read-only.
     """
     sq = [np.square(np.arange(n, dtype=float) * voxel_size) for n in dims]
     dist = np.sqrt((sq[0][:, None, None] + sq[1][None, :, None]) + sq[2][None, None, :])
     table = cost_from_distance(dist, inflation_radius).ravel()
-    indices = np.indices(dims, dtype=np.int32)
     table.flags.writeable = False
-    indices.flags.writeable = False
-    return indices, table
+    return table
 
 
 @lru_cache(maxsize=4)
-def _blocking_offsets(dims: tuple, voxel_size: float, inflation_radius: float,
-                      collision_threshold: float) -> tuple[tuple[int, int, int], np.ndarray]:
+def _blocking_offsets(dims: tuple, voxel_size: float,
+                      inflation_radius: float) -> tuple[tuple[int, int, int], np.ndarray]:
     """The offsets at which an occupied voxel blocks a voxel, as flat shifts in
     a grid padded by ``pad`` voxels on each side.
 
-    An offset blocks when its table cost is at least the threshold.  Cost does
-    not rise with any ``|offset|``, so the largest blocking ``|offset|`` along
-    an axis lies on the axis itself; ``pad`` is that reach, and at least one
-    voxel for the map's border.  Keyed only by map parameters; the shifts are
-    read-only.
+    An offset blocks when its table cost is at least ``COLLISION_THRESHOLD``.
+    Cost does not rise with any ``|offset|``, so the largest blocking
+    ``|offset|`` along an axis lies on the axis itself; ``pad`` is that reach,
+    and at least one voxel for the map's border.  Keyed only by map
+    parameters, the key ``_offset_cost_table`` and ``_exact_window`` use; the
+    shifts are read-only.
     """
-    table = _offset_cost_table(dims, voxel_size, inflation_radius)[1].reshape(dims)
-    blocking = table >= collision_threshold
+    table = _offset_cost_table(dims, voxel_size, inflation_radius).reshape(dims)
+    blocking = table >= COLLISION_THRESHOLD
     reach = [int(blocking[:, 0, 0].sum()) - 1, int(blocking[0, :, 0].sum()) - 1,
              int(blocking[0, 0, :].sum()) - 1]
     signed = [np.arange(-r, r + 1) for r in reach]
@@ -389,7 +389,7 @@ def _exact_window(dims: tuple, voxel_size: float, inflation_radius: float):
     first, and its table cost is 1.0.  Keyed only by map parameters; the arrays
     are read-only.
     """
-    table = _offset_cost_table(dims, voxel_size, inflation_radius)[1].reshape(dims)
+    table = _offset_cost_table(dims, voxel_size, inflation_radius).reshape(dims)
     offsets = np.indices((5, 5, 5)).reshape(3, -1).T - 2
     offsets = offsets[(np.abs(offsets) < np.asarray(dims)).all(axis=1)]
     n = np.square(offsets).sum(axis=1)
@@ -463,16 +463,15 @@ def _nearest_voxel_cost(occupancy: np.ndarray, voxel_size: float,
     dims = occupancy.shape
     if not occupancy.any():
         return np.zeros(dims)
-    indices, table = _offset_cost_table(dims, voxel_size, inflation_radius)
     offset = ndimage.distance_transform_edt(~occupancy, sampling=voxel_size,
                                             return_distances=False, return_indices=True)
-    offset -= indices
+    offset -= np.indices(dims, dtype=offset.dtype)
     np.abs(offset, out=offset)
     flat = (offset[0] * dims[1] + offset[1]) * dims[2] + offset[2]
-    return table.take(flat)
+    return _offset_cost_table(dims, voxel_size, inflation_radius).take(flat)
 
 
-def _check_scalars(voxel_size, inflation_radius, collision_threshold):
+def _check_scalars(voxel_size, inflation_radius):
     """Raise ``InvalidMapParameter`` naming a parameter that is not a number in its range."""
     if not (is_number(voxel_size) and voxel_size > 0):
         raise InvalidMapParameter(
@@ -480,17 +479,12 @@ def _check_scalars(voxel_size, inflation_radius, collision_threshold):
     if not is_number(inflation_radius):
         raise InvalidMapParameter(
             f"inflation_radius must be a finite non-negative number, got {inflation_radius!r}")
-    if not (is_number(collision_threshold) and 0 < collision_threshold <= 1):
-        raise InvalidMapParameter(
-            f"collision_threshold must be a number in (0, 1], got {collision_threshold!r}")
 
 
-def _map_parameters(bounds: Bounds, voxel_size, inflation_radius,
-                    collision_threshold) -> tuple:
+def _map_parameters(bounds: Bounds, voxel_size, inflation_radius) -> tuple:
     """The parameters a map is built with, checked, as one comparable tuple."""
-    _check_scalars(voxel_size, inflation_radius, collision_threshold)
-    return (bounds.corners, float(voxel_size), float(inflation_radius),
-            float(collision_threshold))
+    _check_scalars(voxel_size, inflation_radius)
+    return bounds.corners, float(voxel_size), float(inflation_radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,10 +530,10 @@ def _layered_grids(points: np.ndarray, bounds: Bounds, parameters: tuple,
 
 
 def fixed_layer(points, bounds: Bounds, voxel_size: float = 0.02,
-                inflation_radius: float = 0.05, collision_threshold: float = 0.5) -> FixedLayer:
+                inflation_radius: float = 0.05) -> FixedLayer:
     """The fixed part of the maps built with these parameters from clouds that
     start with ``points``; ``build_cost_map`` adds the rest of each cloud."""
-    parameters = _map_parameters(bounds, voxel_size, inflation_radius, collision_threshold)
+    parameters = _map_parameters(bounds, voxel_size, inflation_radius)
     points = as_points(points, "points", InvalidMapParameter, one=False)
     if points.flags.writeable:
         points = points.copy()
@@ -550,10 +544,9 @@ def fixed_layer(points, bounds: Bounds, voxel_size: float = 0.02,
 
 
 def build_cost_map(points, bounds: Bounds, voxel_size: float = 0.02,
-                   inflation_radius: float = 0.05, collision_threshold: float = 0.5,
-                   fixed: FixedLayer | None = None) -> CostMap:
+                   inflation_radius: float = 0.05, fixed: FixedLayer | None = None) -> CostMap:
     """Cost map of a point cloud: voxelise it and dilate the occupancy by the
-    offsets whose table cost reaches ``collision_threshold`` into the map's
+    offsets whose table cost reaches ``COLLISION_THRESHOLD`` into the map's
     ``blocked`` grid.  Cost values come from the occupancy window near
     obstacles; the cost grid itself is computed only when a read needs it.
 
@@ -563,8 +556,8 @@ def build_cost_map(points, bounds: Bounds, voxel_size: float = 0.02,
     into copies of its grids: dilation distributes over union, so the map is
     the map of the whole cloud.  Without ``fixed`` the fixed part is empty.
     """
-    parameters = _map_parameters(bounds, voxel_size, inflation_radius, collision_threshold)
+    parameters = _map_parameters(bounds, voxel_size, inflation_radius)
     occ, blocked = _layered_grids(as_points(points, "points", InvalidMapParameter, one=False),
                                   bounds, parameters, fixed)
     return CostMap._from_occupancy(bounds.lower.copy(), voxel_size, occ, blocked,
-                                   collision_threshold, inflation_radius)
+                                   inflation_radius)

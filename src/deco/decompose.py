@@ -30,7 +30,10 @@ class DecompositionConfig:
     annotations: dict[str, list[str]] | None = field(default=None)
 
     def __post_init__(self):
-        self.mode = DecompositionMode(self.mode)
+        try:
+            self.mode = DecompositionMode(self.mode)
+        except ValueError:
+            raise ConfigError(f"mode must be 'full' or 'half', got {self.mode!r}") from None
         eps = self.velocity_epsilon
         if not (is_number(eps) and eps > 0):
             raise ConfigError(f"velocity_epsilon must be a finite positive number, got {eps!r}")

@@ -88,8 +88,10 @@ def pose_distance(a: Pose, b: Pose) -> tuple[float, float]:
 
 
 def is_goal_reached(current: Pose, goal: Pose, tol_pos: float, tol_ang: float) -> bool:
-    if tol_pos <= 0 or tol_ang <= 0:
-        raise ValueError("tolerances must be positive")
+    if not tol_pos > 0:
+        raise InvalidInput(f"tol_pos must be positive, got {tol_pos!r}")
+    if not tol_ang > 0:
+        raise InvalidInput(f"tol_ang must be positive, got {tol_ang!r}")
     d_pos, d_ang = pose_distance(current, goal)
     return d_pos <= tol_pos and d_ang <= tol_ang
 

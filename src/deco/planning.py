@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import UnknownTask, UnsatisfiablePlan
+from .config import is_number
+from .errors import InvalidInput, UnknownTask, UnsatisfiablePlan
 from .registry import SKILL_NEEDS, DrawerNeed, TaskRegistry, load_registry
 from .trajectory import InstructionLibrary
 
@@ -38,13 +39,17 @@ class SceneSummary:
 
     def __post_init__(self):
         self.inventory = tuple(self.inventory)
-        if self.drawer_open_fraction is not None:
-            if not 0.0 <= self.drawer_open_fraction <= 1.0:
-                raise ValueError("drawer_open_fraction must lie in [0, 1]")
+        fraction = self.drawer_open_fraction
+        if fraction is not None and not (is_number(fraction) and fraction <= 1):
+            raise InvalidInput(f"drawer_open_fraction must lie in [0, 1], got {fraction!r}")
         for name in self.locations:
             if name not in self.inventory:
-                raise ValueError(f"location given for unknown object {name!r}")
-        self.locations = {k: ItemLocation(v) for k, v in self.locations.items()}
+                raise InvalidInput(f"locations: location given for unknown object {name!r}, "
+                                   f"not in the inventory {self.inventory!r}")
+        try:
+            self.locations = {k: ItemLocation(v) for k, v in self.locations.items()}
+        except ValueError as exc:
+            raise InvalidInput(f"locations: {exc}") from None
 
     @property
     def drawer_present(self) -> bool:

@@ -13,7 +13,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import UnknownTask
+from .errors import InvalidInput, UnknownTask
 
 DRAWER_OPEN_THRESHOLD = 0.8
 DRAWER_CLOSED_THRESHOLD = 0.2
@@ -24,11 +24,13 @@ class DrawerNeed(str, Enum):
 
     OPEN = "open"               # open fraction >= DRAWER_OPEN_THRESHOLD
     NOT_OPEN = "not open"       # open fraction < DRAWER_OPEN_THRESHOLD
-    NOT_CLOSED = "not closed"   # open fraction > DRAWER_CLOSED_THRESHOLD
+    NOT_CLOSED = "not closed"   # open fraction >= DRAWER_CLOSED_THRESHOLD
 
     def holds(self, fraction: float) -> bool:
+        """The drawer at ``fraction`` is in this state; it is closed exactly
+        when ``NOT_CLOSED`` does not hold."""
         if self is DrawerNeed.NOT_CLOSED:
-            return fraction > DRAWER_CLOSED_THRESHOLD
+            return fraction >= DRAWER_CLOSED_THRESHOLD
         return (fraction >= DRAWER_OPEN_THRESHOLD) == (self is DrawerNeed.OPEN)
 
 
@@ -82,7 +84,7 @@ class TaskSpec:
         object.__setattr__(self, "plan", tuple(self.plan))
         object.__setattr__(self, "aliases", tuple(self.aliases))
         if not self.plan:
-            raise ValueError(f"task {self.id!r} has an empty plan")
+            raise InvalidInput(f"task {self.id!r} has an empty plan: plan={self.plan!r}")
 
     @property
     def cycle_count(self) -> int:

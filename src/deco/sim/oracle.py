@@ -13,6 +13,7 @@ from functools import partial
 
 import numpy as np
 
+from ..config import check_rule
 from ..costmap import Bounds
 from ..errors import PreconditionUnmet, UnknownInstruction
 from ..geometry import Pose, vector_norm
@@ -219,7 +220,9 @@ def noised_script(instruction: str, actions: list[Action], noise_sigma: float,
                   seed: int) -> list[Action]:
     """The skill's script ``actions`` with each target moved by a normal draw of
     ``noise_sigma`` from ``named_rng(seed, instruction)``;
-    ``actions`` itself without noise."""
+    ``actions`` itself without noise.  A ``noise_sigma`` that breaks the
+    config rule, negative, NaN or infinite, is a ``ConfigError``."""
+    check_rule("noise_sigma", noise_sigma)
     if noise_sigma > 0:
         rng = named_rng(seed, instruction)
         actions = [noised_action(a.target, a.gripper_command,

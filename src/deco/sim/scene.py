@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..config import is_number
 from ..costmap import Bounds
 from ..errors import InvalidInput, OutOfBounds
 from ..geometry import IDENTITY_QUAT, Pose, as_points, vector_norm
@@ -109,7 +110,8 @@ class Scene:
     Scenes share position arrays, so every position, the gripper's included,
     is read-only and a move stores a new array.  The constructor stores
     read-only float copies of the positions it is given, each one finite
-    point by the point rule.
+    point by the point rule, and refuses an ``open_fraction`` outside [0, 1]
+    or NaN; ``step`` and ``copy`` do not check again.
     """
 
     drawer_present: bool = False
@@ -124,6 +126,8 @@ class Scene:
     drawer_slams: int = 0
 
     def __post_init__(self):
+        if not (is_number(self.open_fraction) and self.open_fraction <= 1):
+            raise InvalidInput(f"open_fraction must lie in [0, 1], got {self.open_fraction!r}")
         self.objects = {name: _read_only(as_points(p, f"object {name!r} position", InvalidInput,
                                                    one=True, finite=True))
                         for name, p in self.objects.items()}

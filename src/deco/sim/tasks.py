@@ -8,9 +8,10 @@ says what the object is, a nominal position and a jitter half-width.
 nominal position in x and y, in row order, by up to its half-width from
 ``named_rng(seed, task.id)``.
 
-The drawer thresholds live in ``deco.registry``: the drawer counts as open at
-fraction >= 0.8 and closed below 0.2.  A sweep succeeds once at least 80% of
-the rubbish sits in the dustpan (``RUBBISH_FRACTION_THRESHOLD``, fixed here).
+The predicates read the drawer through ``deco.registry.DrawerNeed``: it is
+open at fraction >= 0.8 and closed below 0.2, where ``NOT_CLOSED`` fails.  A
+sweep succeeds once at least 80% of the rubbish sits in the dustpan
+(``RUBBISH_FRACTION_THRESHOLD``, fixed here).
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 
 from ..config import check_count
 from ..errors import UnknownTask
-from ..registry import (DRAWER_CLOSED_THRESHOLD, DRAWER_OPEN_THRESHOLD, TaskSpec,
-                        load_registry)
+from ..registry import DrawerNeed, TaskSpec, load_registry
 from .scene import CUPBOARD_INTERIOR, Scene
 
 RUBBISH_FRACTION_THRESHOLD = 0.8
@@ -135,6 +135,14 @@ def _empty(scene: Scene) -> bool:
     return scene.held_object is None
 
 
+def _drawer_open(scene: Scene) -> bool:
+    return DrawerNeed.OPEN.holds(scene.open_fraction)
+
+
+def _drawer_closed(scene: Scene) -> bool:
+    return not DrawerNeed.NOT_CLOSED.holds(scene.open_fraction)
+
+
 def _in_drawer(scene: Scene, name: str) -> bool:
     return scene.drawer_interior().contains(scene.objects[name])
 
@@ -144,8 +152,8 @@ def _in_cupboard(scene: Scene, name: str) -> bool:
 
 
 PREDICATES = {
-    "drawer_open": lambda s: s.open_fraction >= DRAWER_OPEN_THRESHOLD and _empty(s),
-    "drawer_closed": lambda s: s.open_fraction < DRAWER_CLOSED_THRESHOLD and _empty(s),
+    "drawer_open": lambda s: _drawer_open(s) and _empty(s),
+    "drawer_closed": lambda s: _drawer_closed(s) and _empty(s),
     "item_in_drawer": lambda s: _in_drawer(s, "item") and _empty(s),
     "item_out_of_drawer": lambda s: not _in_drawer(s, "item") and _empty(s),
     "box_out_of_drawer": lambda s: not _in_drawer(s, "box") and _empty(s),
@@ -157,13 +165,13 @@ PREDICATES = {
     "all_rubbish_in_dustpan":
         lambda s: s.rubbish_in_dustpan_fraction() >= 0.999 and _empty(s),
     "item_in_drawer_open":
-        lambda s: _in_drawer(s, "item") and s.open_fraction >= DRAWER_OPEN_THRESHOLD and _empty(s),
+        lambda s: _in_drawer(s, "item") and _drawer_open(s) and _empty(s),
     "item_in_drawer_closed":
-        lambda s: _in_drawer(s, "item") and s.open_fraction < DRAWER_CLOSED_THRESHOLD and _empty(s),
+        lambda s: _in_drawer(s, "item") and _drawer_closed(s) and _empty(s),
     "item_out_drawer_open":
-        lambda s: not _in_drawer(s, "item") and s.open_fraction >= DRAWER_OPEN_THRESHOLD and _empty(s),
+        lambda s: not _in_drawer(s, "item") and _drawer_open(s) and _empty(s),
     "item_out_drawer_closed":
-        lambda s: not _in_drawer(s, "item") and s.open_fraction < DRAWER_CLOSED_THRESHOLD and _empty(s),
+        lambda s: not _in_drawer(s, "item") and _drawer_closed(s) and _empty(s),
     "both_items_in_drawer":
         lambda s: _in_drawer(s, "item") and _in_drawer(s, "item2") and _empty(s),
     "both_items_out_of_drawer":

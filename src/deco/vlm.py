@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import HallucinatedStep, ParseError, TransportError
+from .config import is_number
+from .errors import ConfigError, HallucinatedStep, ParseError, TransportError
 from .planning import SceneSummary
 from .trajectory import InstructionLibrary
 
@@ -30,6 +31,11 @@ class EndpointConfig:
     model: str = "gpt-4o"
     timeout: float = 30.0
     audit_log: str | None = None
+
+    def __post_init__(self):
+        if not (is_number(self.timeout) and self.timeout > 0):
+            raise ConfigError(
+                f"timeout must be a positive finite number of seconds, got {self.timeout!r}")
 
     @classmethod
     def from_env(cls, audit_log: str | None = None) -> "EndpointConfig":

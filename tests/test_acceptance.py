@@ -15,25 +15,13 @@ from deco.costmap import Bounds, CostMap, build_cost_map, cost_from_distance, di
 from deco.decompose import (DecompositionConfig, DecompositionMode,
                             discover_keyframes, segment_interactions)
 from deco.errors import HallucinatedStep, ParseError, PlanningFailure
-from deco.executor import (ExecutorConfig, build_library, run_suite,
-                           run_task_episode)
+from deco.executor import ExecutorConfig, run_suite, run_task_episode
 from deco.geometry import Pose
 from deco.planning import SceneSummary, plan_mock, repair_preconditions
-from deco.registry import load_registry
 from deco.sim.oracle import record_demo
 from deco.sim.tasks import drawer_front_obstacle_task
 from deco.trajectory import Demonstration, GripperState, TimeStep
 from deco.vlm import parse_plan_response
-
-
-@pytest.fixture(scope="module")
-def registry():
-    return load_registry()
-
-
-@pytest.fixture(scope="module")
-def library(registry):
-    return build_library(registry)[2]
 
 
 def report(number, ok, text):
@@ -290,7 +278,7 @@ def test_criterion_10_rrt_soundness():
         y1 = int(rng.integers(0, 17))
         cost[:, y0:y0 + 3, z0:z0 + 3] = 0.0
         cost[x1:x1 + 3, min(y0, y1):max(y0, y1) + 3, z0:z0 + 3] = 0.0
-        cmap = CostMap([0.0, 0.0, 0.0], voxel, cost, 0.5, 0.05)
+        cmap = CostMap([0.0, 0.0, 0.0], voxel, cost, 0.05)
         a = voxel_center(cmap, (1, y0 + 1, z0 + 1))
         b = voxel_center(cmap, (x1 + 1, y1 + 1, z0 + 1))
         try:

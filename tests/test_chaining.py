@@ -80,7 +80,7 @@ def test_chaining_pose_orientation_slerp():
 
 def test_no_free_chain_in_saturated_map():
     cost = np.ones((10, 10, 10))
-    cmap = CostMap([0, 0, 0], 0.04, cost, 0.5, 0.05)
+    cmap = CostMap([0, 0, 0], 0.04, cost, 0.05)
     with pytest.raises(NoFreeChain):
         chaining_poses(Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.2, 0.2]), cmap, 1)
 
@@ -114,7 +114,7 @@ class NoLookupMap(CostMap):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("end", ["a", "b"])
 def test_rrt_rejects_a_non_finite_endpoint_before_any_lookup(bad, end):
-    cmap = NoLookupMap([0.0, 0.0, 0.0], 0.1, np.zeros((4, 4, 4)), 0.5, 0.05)
+    cmap = NoLookupMap([0.0, 0.0, 0.0], 0.1, np.zeros((4, 4, 4)), 0.05)
     a, b = [0.05, 0.2, 0.2], [0.35, 0.2, 0.2]
     (a if end == "a" else b)[1] = bad
     with pytest.raises(PlanningFailure, match=f"endpoint {end} must be finite, got "):
@@ -137,7 +137,7 @@ def test_a_negative_seed_fails_alike_on_a_free_and_a_searched_leg():
 
 
 def test_chaining_poses_negative_m_is_a_config_error_that_names_it():
-    cmap = NoLookupMap([0.0, 0.0, 0.0], 0.1, np.zeros((4, 4, 4)), 0.5, 0.05)
+    cmap = NoLookupMap([0.0, 0.0, 0.0], 0.1, np.zeros((4, 4, 4)), 0.05)
     with pytest.raises(ConfigError, match="must be a non-negative integer, got -1"):
         chaining_poses(Pose([0.1, 0.1, 0.1]), Pose([0.3, 0.3, 0.3]), cmap, -1)
 
@@ -292,7 +292,7 @@ def pocket_map(length: float) -> CountingMap:
     cost = np.zeros((nx, 3, 3))
     cost[nx - 2:] = 1.0
     cost[nx - 1, 1, 1] = 0.0
-    return CountingMap([0.0, 0.0, 0.0], 10.0, cost, 0.5, 0.05)
+    return CountingMap([0.0, 0.0, 0.0], 10.0, cost, 0.05)
 
 
 def a_side_passes(cmap: CountingMap, wall_x: float) -> int:
@@ -323,17 +323,18 @@ def test_rrt_gives_up_at_the_node_cap_after_long_blocked_connects():
 
 
 @pytest.mark.parametrize("m", [1, 6])
-def test_a_free_transition_makes_two_lookups_and_no_search(m, monkeypatch):
-    """One lookup for the chaining poses' starting points, one for the anchors;
-    each leg asks ``segment_free`` once, and none reaches ``rrt_path``."""
+def test_a_free_transition_makes_one_lookup_and_no_search(m, monkeypatch):
+    """One batched lookup, for the anchors: each chaining pose's starting point
+    is tested by the float walk of ``is_free``.  Each leg asks ``segment_free``
+    once, and none reaches ``rrt_path``."""
     def no_search(*args):
         raise AssertionError(f"rrt_path{args[:2]}")
 
     monkeypatch.setattr(deco.chaining, "rrt_path", no_search)
-    cmap = CountingMap([0.0, 0.0, 0.0], 0.02, np.zeros((20, 20, 20)), 0.5, 0.05)
+    cmap = CountingMap([0.0, 0.0, 0.0], 0.02, np.zeros((20, 20, 20)), 0.05)
     start, end = Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.1, 0.25])
     chain = chain_skills(start, end, cmap, m)
-    assert cmap.blocked_lookups == 2
+    assert cmap.blocked_lookups == 1
     anchors = [start.position] + [p.position for p in chain.poses] + [end.position]
     legs = [(p, q) for p, q in zip(anchors, anchors[1:]) if not np.allclose(p, q)]
     assert [(p.tobytes(), q.tobytes()) for p, q in cmap.segments] == [

@@ -2,12 +2,6 @@ import pytest
 
 from deco.config import ExperimentConfig, print_defaults
 from deco.errors import ConfigError
-from deco.registry import load_registry
-
-
-@pytest.fixture(scope="module")
-def registry():
-    return load_registry()
 
 
 def test_defaults(registry):

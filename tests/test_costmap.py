@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from deco.costmap import (Bounds, CostMap, _exact_window, _offset_cost_table, build_cost_map,
-                          cost_from_distance, distance_grid, fixed_layer, occupancy_from_points)
+from deco.costmap import (COLLISION_THRESHOLD, Bounds, CostMap, _exact_window, _offset_cost_table,
+                          build_cost_map, cost_from_distance, distance_grid, fixed_layer,
+                          occupancy_from_points)
 from deco.errors import DecoError, DegenerateBounds, InvalidMapParameter
 from deco.sim.scene import WORKSPACE
 
@@ -76,8 +77,8 @@ def test_cost_at_outside_map_is_occupied():
 
 
 def test_is_free_threshold():
-    cmap = build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02, inflation_radius=0.05,
-                          collision_threshold=0.5)
+    cmap = build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02, inflation_radius=0.05)
+    assert cmap.collision_threshold == COLLISION_THRESHOLD == 0.5
     assert not cmap.is_free([0.1, 0.1, 0.1])
     assert cmap.is_free([0.01, 0.01, 0.01])
 
@@ -108,7 +109,7 @@ NON_FINITE_QUERIES = {
 @pytest.mark.parametrize("axis", [0, 1, 2])
 @pytest.mark.parametrize("make", [
     lambda: build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02),
-    lambda: CostMap([0, 0, 0], 0.02, np.zeros((10, 10, 10)), 0.5, 0.05)],
+    lambda: CostMap([0, 0, 0], 0.02, np.zeros((10, 10, 10)), 0.05)],
     ids=["built", "grid"])
 def test_a_non_finite_coordinate_is_outside_the_map(make, axis, bad, query):
     """NaN, like +-inf, answers as a point outside the map: blocked, cost 1.0,
@@ -125,7 +126,7 @@ def test_a_non_finite_coordinate_is_outside_the_map(make, axis, bad, query):
                          ids=["2", "4", "1x2", "1x1x3", "scalar"])
 @pytest.mark.parametrize("make", [
     lambda: build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02),
-    lambda: CostMap([0, 0, 0], 0.02, np.zeros((10, 10, 10)), 0.5, 0.05)],
+    lambda: CostMap([0, 0, 0], 0.02, np.zeros((10, 10, 10)), 0.05)],
     ids=["built", "grid"])
 def test_a_point_that_is_not_three_coordinates_is_an_invalid_map_parameter(make, point, query):
     with pytest.raises(InvalidMapParameter, match=re.escape(str(np.shape(point)))):
@@ -166,7 +167,7 @@ def test_export_load_round_trip(tmp_path):
 
 def test_export_grid_is_x_fastest(tmp_path):
     cost = np.arange(8, dtype=float).reshape(2, 2, 2)  # [x, y, z]
-    cmap = CostMap([0, 0, 0], 0.1, cost, 0.5, 0.05)
+    cmap = CostMap([0, 0, 0], 0.1, cost, 0.05)
     cmap.export(tmp_path / "h.json", tmp_path / "g.f32")
     flat = np.frombuffer((tmp_path / "g.f32").read_bytes(), dtype="<f4")
     # x varies fastest: element 1 must be cost[1, 0, 0]
@@ -226,10 +227,9 @@ def test_distance_matches_brute_force_small_grids():
             assert np.allclose(dist, ref, atol=1e-9)
 
 
-def grid_map(points, bounds, voxel_size=0.02, inflation_radius=0.05, collision_threshold=0.5):
+def grid_map(points, bounds, voxel_size=0.02, inflation_radius=0.05):
     """A map of a free explicit grid at ``bounds.lower``; ``points`` are not used."""
-    return CostMap(bounds.lower, voxel_size, np.zeros((4, 4, 4)), collision_threshold,
-                   inflation_radius)
+    return CostMap(bounds.lower, voxel_size, np.zeros((4, 4, 4)), inflation_radius)
 
 
 # every way to make a map: from a cloud, its fixed layer, and from an explicit grid
@@ -240,33 +240,27 @@ def test_build_cost_map_validates_params():
     # the same check guards the fixed layer a map is built on and an explicit grid
     bad = [("voxel_size", 0.0), ("voxel_size", -0.02), ("voxel_size", float("nan")),
            ("voxel_size", float("inf")), ("inflation_radius", -0.1),
-           ("inflation_radius", float("nan")), ("inflation_radius", float("inf")),
-           ("collision_threshold", float("nan"))]
+           ("inflation_radius", float("nan")), ("inflation_radius", float("inf"))]
     for build in BUILDERS:
         for name, value in bad:
-            params = {"voxel_size": 0.02, "inflation_radius": 0.05,
-                      "collision_threshold": 0.5, name: value}
+            params = {"voxel_size": 0.02, "inflation_radius": 0.05, name: value}
             with pytest.raises(InvalidMapParameter, match=name) as raised:
                 build([[0.1, 0.1, 0.1]], BOUNDS, **params)
             assert isinstance(raised.value, DecoError) and isinstance(raised.value, ValueError)
 
 
-@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
-def test_build_cost_map_rejects_a_threshold_outside_the_cost_range(threshold):
-    # cost lies in [0, 1]; a threshold <= 0 would block every offset in the table
-    for build in BUILDERS:
-        with pytest.raises(ValueError, match="collision_threshold"):
-            build([[0.1, 0.1, 0.1]], BOUNDS, 0.02, collision_threshold=threshold)
-
-
 def test_an_explicit_grid_map_cannot_answer_a_point_outside_it_as_free():
-    with pytest.raises(InvalidMapParameter, match="collision_threshold"):
-        CostMap([0, 0, 0], 0.1, np.zeros((2, 2, 2)), 1.5, 0.05)
+    cmap = CostMap([0, 0, 0], 0.1, np.zeros((2, 2, 2)), 0.05)
+    assert cmap.collision_threshold == COLLISION_THRESHOLD
+    assert cmap.is_free([0.05, 0.05, 0.05])
+    assert not cmap.is_free([5, 5, 5])
+    assert not cmap.is_free(np.array([[5.0, 5.0, 5.0]]))[0]
+    assert not cmap.segment_free([0.05, 0.05, 0.05], [5, 5, 5])
 
 
 def test_an_explicit_grid_must_be_3d():
     with pytest.raises(InvalidMapParameter, match=r"\(2, 2\)"):
-        CostMap([0, 0, 0], 0.1, np.zeros((2, 2)), 0.5, 0.05)
+        CostMap([0, 0, 0], 0.1, np.zeros((2, 2)), 0.05)
 
 
 @pytest.mark.parametrize("origin, named", [([0, 0], r"shape \(2,\)"),
@@ -278,13 +272,7 @@ def test_an_explicit_grid_must_be_3d():
 def test_an_explicit_grid_origin_must_be_three_finite_coordinates(origin, named):
     # accepted, a short origin would fail only at the first lookup and a NaN one block every point
     with pytest.raises(InvalidMapParameter, match=f"origin.*{named}"):
-        CostMap(origin, 0.1, np.zeros((2, 2, 2)), 0.5, 0.05)
-
-
-def test_build_cost_map_accepts_a_threshold_of_one():
-    cmap = build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02, collision_threshold=1.0)
-    assert not cmap.is_free([0.1, 0.1, 0.1])
-    assert cmap.is_free([0.125, 0.1, 0.1])
+        CostMap(origin, 0.1, np.zeros((2, 2, 2)), 0.05)
 
 
 @pytest.fixture()
@@ -333,12 +321,18 @@ def test_feature_transform_runs_once_on_the_first_cost_read(feature_transforms, 
     assert cmap.cost_at(NEAR).tobytes() == near.tobytes()
 
 
+def test_offset_cost_table_is_one_read_only_array():
+    table = _offset_cost_table((4, 5, 6), 0.02, 0.05)
+    assert table.shape == (120,) and not table.flags.writeable
+    assert table[0] == 1.0
+
+
 def test_exact_window_limit_at_the_executor_parameters():
     """Equally near offsets share one table cost up to n = 8 at 0.02 m voxels
     and 0.05 m inflation; (3, 0, 0) and (2, 2, 1), at n = 9, differ."""
     dims = occupancy_from_points(np.zeros((0, 3)), WORKSPACE, 0.02).shape
     assert _exact_window(dims, 0.02, 0.05)[0] == 8
-    table = _offset_cost_table(dims, 0.02, 0.05)[1].reshape(dims)
+    table = _offset_cost_table(dims, 0.02, 0.05).reshape(dims)
     assert table[3, 0, 0] != table[2, 2, 1]
 
 
@@ -350,7 +344,7 @@ def test_window_defers_to_the_grid_where_equally_near_offsets_differ(feature_tra
     voxel, inflation = 0.033, 0.05
     bounds = Bounds((0.0, 0.0, 0.0), (10 * voxel,) * 3)
     assert _exact_window((10, 10, 10), voxel, inflation)[0] == 5
-    table = _offset_cost_table((10, 10, 10), voxel, inflation)[1].reshape(10, 10, 10)
+    table = _offset_cost_table((10, 10, 10), voxel, inflation).reshape(10, 10, 10)
     assert table[1, 1, 2] != table[2, 1, 1]
     centre = np.array([5.5, 5.5, 5.5]) * voxel
     for near in ([1, 1, 2], [1, -1, -2], [-2, 1, 1]):
@@ -384,10 +378,9 @@ def test_cloud_must_start_with_the_fixed_points(cloud):
 
 @pytest.mark.parametrize("other", [
     {"bounds": Bounds((0.0, 0.0, 0.0), (0.2, 0.2, 0.22))}, {"voxel_size": 0.025},
-    {"inflation_radius": 0.04}, {"collision_threshold": 0.6}])
+    {"inflation_radius": 0.04}])
 def test_fixed_layer_must_have_the_map_parameters(other):
-    params = {"bounds": BOUNDS, "voxel_size": 0.02, "inflation_radius": 0.05,
-              "collision_threshold": 0.5}
+    params = {"bounds": BOUNDS, "voxel_size": 0.02, "inflation_radius": 0.05}
     fixed = fixed_layer(FIXED, **{**params, **other})
     with pytest.raises(DecoError, match="fixed layer built with map parameters"):
         build_cost_map(FIXED, fixed=fixed, **params)
@@ -407,7 +400,7 @@ def test_fixed_layer_is_read_only_and_keeps_no_caller_array():
     lambda: build_cost_map([[0.1, 0.1, 0.1]], BOUNDS, 0.02),
     lambda: build_cost_map(np.vstack([FIXED, [[0.1, 0.1, 0.1]]]), BOUNDS, 0.02,
                            fixed=fixed_layer(FIXED, BOUNDS, 0.02)),
-    lambda: CostMap([0, 0, 0], 0.1, np.zeros((2, 2, 2)), 0.5, 0.05)],
+    lambda: CostMap([0, 0, 0], 0.1, np.zeros((2, 2, 2)), 0.05)],
     ids=["built", "built-on-a-fixed-layer", "grid"])
 def test_cost_and_blocked_grids_are_read_only(make):
     cmap = make()

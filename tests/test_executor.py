@@ -19,16 +19,6 @@ from deco.sim.scene import WORKSPACE
 from deco.sim.tasks import drawer_front_obstacle_task, reset
 
 
-@pytest.fixture(scope="module")
-def registry():
-    return load_registry()
-
-
-@pytest.fixture(scope="module")
-def library(registry):
-    return build_library(registry)[2]
-
-
 def test_monitor_verdicts():
     scene = reset(load_registry().get("open_drawer"), 0)
     goal_here = scene.gripper_pose()
@@ -141,8 +131,7 @@ def test_obstacle_fixture_rrt_failure_is_reported(library, registry, monkeypatch
         cost = cmap.cost.copy()
         cost[i - 1:i + 2, j - 1:j + 2, k - 1:k + 2] = 1.0
         cost[i, j, k] = 0.0
-        sealed = CostMap(cmap.origin, cmap.voxel_size, cost,
-                         cmap.collision_threshold, cmap.inflation_radius)
+        sealed = CostMap(cmap.origin, cmap.voxel_size, cost, cmap.inflation_radius)
         return real_chain_skills(goal_prev, start_next, sealed, m, seed)
 
     monkeypatch.setattr(deco.executor, "chain_skills", sealed_goal)
@@ -306,7 +295,7 @@ def test_geometry_caches_are_keyed_by_constants_not_episodes(library, registry, 
 
     dims = tuple(int(np.ceil(e / 0.02)) for e in WORKSPACE.upper - WORKSPACE.lower)
     assert keys["table"] == keys["window"] == {(dims, 0.02, 0.05)}
-    assert keys["offsets"] == {(dims, 0.02, 0.05, 0.5)}
+    assert keys["offsets"] == {(dims, 0.02, 0.05)}
     assert 1 < len(keys["samples"]) <= 16
     # every layout and opening seen by a transition map is one the simulator samples
     assert keys["layers"] <= keys["samples"]

@@ -12,23 +12,11 @@ import hashlib
 import json
 from dataclasses import asdict
 
-import pytest
-
-from deco.executor import ExecutorConfig, build_library, run_episode, run_task_episode
+from deco.executor import ExecutorConfig, run_episode, run_task_episode
 from deco.registry import load_registry
 from deco.sim.tasks import drawer_front_obstacle_task, reset
 
 GOLDEN_DIGEST = "de65b12f5035f49a"
-
-
-@pytest.fixture(scope="module")
-def registry():
-    return load_registry()
-
-
-@pytest.fixture(scope="module")
-def library(registry):
-    return build_library(registry)[2]
 
 
 def _fingerprint(result):

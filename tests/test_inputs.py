@@ -26,13 +26,16 @@ from deco.decompose import DecompositionConfig
 from deco.errors import (ConfigError, DecoError, DegenerateBounds, InvalidInput,
                          InvalidMapParameter, MalformedDemo, PlanningFailure)
 from deco.executor import ExecutorConfig
-from deco.geometry import Pose, as_points, quat_slerp
-from deco.registry import load_registry
+from deco.geometry import Pose, as_points, is_goal_reached, quat_slerp
+from deco.planning import SceneSummary
+from deco.registry import TaskSpec, load_registry
+from deco.sim.oracle import noised_script, oracle_policy
 from deco.sim.scene import Scene
 from deco.sim.tasks import named_rng, reset
 from deco.trajectory import (AtomicTask, Demonstration, GripperState, InteractionSegment,
                              SegmentKind, TimeStep, load_atomic_tasks, load_demos,
                              save_atomic_tasks, save_demos)
+from deco.vlm import EndpointConfig
 
 PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -43,8 +46,16 @@ NAN = [float("nan"), 0.5, 0.5]
 A, B = [0.05, 0.2, 0.2], [0.35, 0.2, 0.2]
 
 
+def drawer_policy(noise_sigma):
+    return oracle_policy("open drawer", Scene(drawer_present=True), noise_sigma, 0)
+
+
+def endpoint(timeout) -> EndpointConfig:
+    return EndpointConfig(url="http://localhost:9/v1/chat/completions", timeout=timeout)
+
+
 def grid_map() -> CostMap:
-    return CostMap([0.0, 0.0, 0.0], 0.1, np.zeros((4, 4, 4)), 0.5, 0.05)
+    return CostMap([0.0, 0.0, 0.0], 0.1, np.zeros((4, 4, 4)), 0.05)
 
 
 def step_record(t) -> dict:
@@ -89,9 +100,9 @@ ROWS = {
     "contains-nan": (lambda: BOX.contains(NAN) is False, None, None),
     "Bounds-2": (lambda: Bounds((0, 0), (1, 1, 1)), DegenerateBounds, "(2,)"),
     "Bounds-nan": (lambda: Bounds(NAN, (1, 1, 1)), DegenerateBounds, "nan"),
-    "origin-1x3": (lambda: CostMap([[0, 0, 0]], 0.1, np.zeros((2, 2, 2)), 0.5, 0.05),
+    "origin-1x3": (lambda: CostMap([[0, 0, 0]], 0.1, np.zeros((2, 2, 2)), 0.05),
                    InvalidMapParameter, "(1, 3)"),
-    "origin-nan": (lambda: CostMap(NAN, 0.1, np.zeros((2, 2, 2)), 0.5, 0.05),
+    "origin-nan": (lambda: CostMap(NAN, 0.1, np.zeros((2, 2, 2)), 0.05),
                    InvalidMapParameter, "nan"),
     "segment_free-1x3": (lambda: grid_map().segment_free([A], B), InvalidMapParameter, "(1, 3)"),
     "segment_free-4": (lambda: grid_map().segment_free(A, B + [0.0]), InvalidMapParameter,
@@ -111,16 +122,11 @@ ROWS = {
                                   InvalidMapParameter, "voxel_size"),
     "build_cost_map-radius-bool": (lambda: build_cost_map([[0.5] * 3], BOX, inflation_radius=False),
                                    InvalidMapParameter, "inflation_radius"),
-    "build_cost_map-threshold-bool": (
-        lambda: build_cost_map([[0.5] * 3], BOX, collision_threshold=True),
-        InvalidMapParameter, "collision_threshold"),
     "build_cost_map-float32": (lambda: build_cost_map(
-        [[0.5] * 3], BOX, np.float32(0.1), np.float32(0.05), np.float32(0.5)).is_free(A),
+        [[0.5] * 3], BOX, np.float32(0.1), np.float32(0.05)).is_free(A),
         None, None),
-    "CostMap-voxel-bool": (lambda: CostMap([0, 0, 0], True, np.zeros((2, 2, 2)), 0.5, 0.05),
+    "CostMap-voxel-bool": (lambda: CostMap([0, 0, 0], True, np.zeros((2, 2, 2)), 0.05),
                            InvalidMapParameter, "voxel_size"),
-    "CostMap-threshold-bool": (lambda: CostMap([0, 0, 0], 0.1, np.zeros((2, 2, 2)), True, 0.05),
-                               InvalidMapParameter, "collision_threshold"),
     # counts
     "TimeStep-t-float": (lambda: TimeStep.from_dict(step_record(2.9)), InvalidInput, "2.9"),
     "TimeStep-t-bool": (lambda: TimeStep.from_dict(step_record(True)), InvalidInput, "True"),
@@ -175,6 +181,50 @@ ROWS = {
     "decompose-gap-zero": (lambda: DecompositionConfig(min_keyframe_gap=0), ConfigError, "0"),
     "decompose-gap-numpy": (lambda: DecompositionConfig(min_keyframe_gap=np.int64(2))
                             is not None, None, None),
+    "decompose-mode-quarter": (lambda: DecompositionConfig(mode="quarter"), ConfigError,
+                               "'quarter'"),
+    # policy noise: the config rule, once per script
+    "oracle_policy-sigma-negative": (lambda: drawer_policy(-0.1), ConfigError, "noise_sigma"),
+    "oracle_policy-sigma-nan": (lambda: drawer_policy(float("nan")), ConfigError, "nan"),
+    "oracle_policy-sigma-inf": (lambda: drawer_policy(float("inf")), ConfigError, "inf"),
+    "oracle_policy-sigma-float32": (lambda: len(drawer_policy(np.float32(0.01))) > 0, None, None),
+    "noised_script-sigma-nan": (lambda: noised_script("open drawer", [], float("nan"), 0),
+                                ConfigError, "noise_sigma"),
+    "ExecutorConfig-sigma-negative": (lambda: ExecutorConfig(noise_sigma=-0.1), ConfigError,
+                                      "-0.1"),
+    "ExecutorConfig-sigma-inf": (lambda: ExecutorConfig(noise_sigma=float("inf")), ConfigError,
+                                 "inf"),
+    # planner endpoint timeout: a positive finite number of seconds
+    "EndpointConfig-timeout-negative": (lambda: endpoint(-1), ConfigError, "timeout"),
+    "EndpointConfig-timeout-zero": (lambda: endpoint(0), ConfigError, "timeout"),
+    "EndpointConfig-timeout-bool": (lambda: endpoint(True), ConfigError, "True"),
+    "EndpointConfig-timeout-nan": (lambda: endpoint(float("nan")), ConfigError, "nan"),
+    "EndpointConfig-timeout-inf": (lambda: endpoint(float("inf")), ConfigError, "inf"),
+    "EndpointConfig-timeout-int": (lambda: endpoint(5).timeout == 5, None, None),
+    # scene facts, task specs and tolerances
+    "SceneSummary-fraction-above": (lambda: SceneSummary(drawer_open_fraction=1.5), InvalidInput,
+                                    "1.5"),
+    "SceneSummary-fraction-nan": (lambda: SceneSummary(drawer_open_fraction=float("nan")),
+                                  InvalidInput, "nan"),
+    "SceneSummary-location-object": (
+        lambda: SceneSummary(inventory=("item",), locations={"box": "on_table"}), InvalidInput,
+        "'box'"),
+    "SceneSummary-location-name": (
+        lambda: SceneSummary(inventory=("item",), locations={"item": "on_moon"}), InvalidInput,
+        "'on_moon'"),
+    "TaskSpec-plan-empty": (lambda: TaskSpec(id="idle", instruction="idle", predicate="drawer_open",
+                                             initializer="drawer_closed", plan=()),
+                            InvalidInput, "'idle'"),
+    "is_goal_reached-tol_pos-zero": (lambda: is_goal_reached(Pose(A), Pose(A), 0.0, 0.1),
+                                     InvalidInput, "tol_pos"),
+    "is_goal_reached-tol_ang-nan": (lambda: is_goal_reached(Pose(A), Pose(A), 0.01, float("nan")),
+                                    InvalidInput, "tol_ang"),
+    "Scene-fraction-above": (lambda: Scene(drawer_present=True, open_fraction=5.0), InvalidInput,
+                             "5.0"),
+    "Scene-fraction-nan": (lambda: Scene(drawer_present=True, open_fraction=float("nan")),
+                           InvalidInput, "nan"),
+    "Scene-fraction-numpy": (lambda: Scene(drawer_present=True, open_fraction=np.float32(0.5))
+                             .open_fraction == 0.5, None, None),
 }
 
 

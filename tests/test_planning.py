@@ -1,20 +1,8 @@
 import pytest
 
 from deco.errors import UnknownTask, UnsatisfiablePlan
-from deco.executor import build_library
 from deco.planning import (ItemLocation, SceneSummary, plan_mock,
                            repair_preconditions)
-from deco.registry import load_registry
-
-
-@pytest.fixture(scope="module")
-def library():
-    return build_library(load_registry())[2]
-
-
-@pytest.fixture(scope="module")
-def registry():
-    return load_registry()
 
 
 def drawer_scene(fraction=0.0, inventory=("item",)):

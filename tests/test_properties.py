@@ -57,9 +57,6 @@ def reference_segment_free(cost, origin, voxel, threshold, a, b) -> bool:
     return True
 
 
-THRESHOLDS = st.sampled_from([0.3, 0.5, 0.9])
-
-
 @st.composite
 def grid_cost_maps(draw):
     dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
@@ -68,14 +65,14 @@ def grid_cost_maps(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # high powers leave few voxels above the threshold, so segments can pass
     cost = rng.random(dims) ** draw(st.sampled_from([1, 4, 16]))
-    return CostMap(origin, voxel, cost, draw(THRESHOLDS), 0.05)
+    return CostMap(origin, voxel, cost, 0.05)
 
 
 @st.composite
 def built_cost_maps(draw):
     """Maps from ``build_cost_map``, which answer free/blocked from the dilated grid."""
     points, bounds, voxel, inflation = draw(clouds())
-    return build_cost_map(points, bounds, voxel, inflation, draw(THRESHOLDS))
+    return build_cost_map(points, bounds, voxel, inflation)
 
 
 def cost_maps():
@@ -163,7 +160,7 @@ def wall_scenes(draw):
     wall = draw(st.integers(3, 4))
     cost[wall] = 1.0
     cost[wall, draw(st.integers(0, 7)), draw(st.integers(0, 7))] = 0.0
-    cmap = CostMap([0.0, 0.0, 0.0], WALL_VOXEL, cost, 0.5, 0.05)
+    cmap = CostMap([0.0, 0.0, 0.0], WALL_VOXEL, cost, 0.05)
 
     def free_point(x_lo, x_hi):
         voxel = [draw(st.integers(x_lo, x_hi)), draw(st.integers(0, 7)), draw(st.integers(0, 7))]
@@ -228,7 +225,7 @@ def wall_anchor_pairs(draw):
     cost = np.zeros(WALL_DIMS)
     cost[4] = 1.0
     cost[4, draw(st.integers(0, 7)), draw(st.integers(0, 7))] = 0.0
-    cmap = CostMap([0.0, 0.0, 0.0], WALL_VOXEL, cost, 0.5, 0.05)
+    cmap = CostMap([0.0, 0.0, 0.0], WALL_VOXEL, cost, 0.05)
 
     def point():
         voxel = [draw(st.integers(-1, 8)), draw(st.integers(0, 7)), draw(st.integers(0, 7))]
@@ -464,14 +461,14 @@ def test_build_cost_map_is_byte_identical_to_the_float_reference(cloud):
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)
-@given(clouds(), THRESHOLDS)
-def test_blocked_grid_is_the_cost_grid_at_the_threshold(cloud, threshold):
+@given(clouds())
+def test_blocked_grid_is_the_cost_grid_at_the_threshold(cloud):
     points, bounds, voxel, inflation = cloud
-    cmap = build_cost_map(points, bounds, voxel, inflation, threshold)
+    cmap = build_cost_map(points, bounds, voxel, inflation)
     # read before the cost grid is computed: it comes from the dilation alone
     blocked = cmap.blocked.copy()
     assert blocked.shape == tuple(n + 2 for n in cmap.dims)
-    assert np.array_equal(blocked[1:-1, 1:-1, 1:-1], cmap.cost >= threshold)
+    assert np.array_equal(blocked[1:-1, 1:-1, 1:-1], cmap.cost >= cmap.collision_threshold)
     inner = np.zeros(blocked.shape, dtype=bool)
     inner[1:-1, 1:-1, 1:-1] = True
     assert blocked[~inner].all()
@@ -495,8 +492,8 @@ def window_probes(draw, cmap, occupied):
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)
-@given(clouds(), THRESHOLDS, st.data())
-def test_cost_at_before_the_cost_grid_is_built_gives_its_bytes(cloud, threshold, data):
+@given(clouds(), st.data())
+def test_cost_at_before_the_cost_grid_is_built_gives_its_bytes(cloud, data):
     """A built map answers ``cost_at`` from its occupancy window without the
     feature transform exactly when the point is outside the map or its nearest
     occupied voxel is at a squared voxel offset up to the exact-window limit;
@@ -504,7 +501,7 @@ def test_cost_at_before_the_cost_grid_is_built_gives_its_bytes(cloud, threshold,
     points, bounds, voxel, inflation = cloud
 
     def build():
-        return build_cost_map(points, bounds, voxel, inflation, threshold)
+        return build_cost_map(points, bounds, voxel, inflation)
 
     forced = build()
     forced.cost

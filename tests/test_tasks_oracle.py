@@ -12,19 +12,15 @@ from deco.errors import (ConfigError, PreconditionUnmet, UnknownInstruction, Unk
                          UnsatisfiablePlan)
 from deco.executor import scene_summary
 from deco.planning import _check_requirements
-from deco.registry import SKILL_NEEDS, DrawerNeed, TaskSpec, load_registry
+from deco.registry import (DRAWER_CLOSED_THRESHOLD, SKILL_NEEDS, DrawerNeed, TaskSpec,
+                           load_registry)
 from deco.sim.oracle import ATOMIC_SKILLS, check_needs, noised_script, oracle_policy, record_demo
 from deco.sim.scene import CUPBOARD_INTERIOR, GripperCommand, Scene, step
-from deco.sim.tasks import drawer_front_obstacle_task, named_rng, reset, success
+from deco.sim.tasks import PREDICATES, drawer_front_obstacle_task, named_rng, reset, success
 from deco.trajectory import GripperState
 
 # every initial scene of the 22 registry tasks and the obstacle fixture, seeds 0-4
 INITIAL_SCENES_DIGEST = "b1897a673a3b4213"
-
-
-@pytest.fixture(scope="module")
-def registry():
-    return load_registry()
 
 
 def run_plan(task, seed=0):
@@ -180,6 +176,23 @@ def test_open_drawer_precondition():
                       0.0, 0)
     with pytest.raises(PreconditionUnmet):
         oracle_policy("open drawer", Scene(drawer_present=False), 0.0, 0)
+
+
+def test_the_drawer_is_closed_exactly_below_0_2():
+    """At 0.2 the drawer is not closed, so ``close drawer`` runs and its
+    episode can succeed; just below 0.2 it is closed and the skill is refused."""
+    below = np.nextafter(DRAWER_CLOSED_THRESHOLD, 0.0)
+    for fraction, closed in ((DRAWER_CLOSED_THRESHOLD, False), (below, True)):
+        scene = Scene(drawer_present=True, open_fraction=fraction)
+        assert PREDICATES["drawer_closed"](scene) is closed
+        assert DrawerNeed.NOT_CLOSED.holds(fraction) is not closed
+        if closed:
+            with pytest.raises(PreconditionUnmet):
+                oracle_policy("close drawer", scene, 0.0, 0)
+            continue
+        for action in oracle_policy("close drawer", scene, 0.0, 0):
+            scene = step(scene, action)
+        assert PREDICATES["drawer_closed"](scene)
 
 
 def test_drawer_skills_need_open_drawer():

@@ -11,16 +11,9 @@ from hypothesis import strategies as st
 
 import deco
 from deco.errors import DecoError, HallucinatedStep, ParseError, TransportError
-from deco.executor import build_library
 from deco.planning import SceneSummary
-from deco.registry import load_registry
 from deco.vlm import (EndpointConfig, build_prompt, extract_json_array,
                       parse_plan_response, plan_vlm)
-
-
-@pytest.fixture(scope="module")
-def library():
-    return build_library(load_registry())[2]
 
 
 def chat_body(content):
