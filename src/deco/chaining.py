@@ -1,9 +1,11 @@
 """Transition planning between consecutive skills.
 
-Chaining poses start on the straight interpolant between the previous goal
-and the next start pose, then slide down the cost field until they clear the
-collision threshold.  RRT-Connect with greedy shortcutting connects the
-sequence.
+A transition whose straight segment is free is that one segment.  Any other
+goes through the chaining poses: they start on the straight interpolant
+between the previous goal and the next start pose, then slide down the cost
+field until they clear the collision threshold.  RRT-Connect connects the
+sequence, and the joined path is shortcut as a whole (Geraerts & Overmars,
+IJRR 2007), so a pose that a free segment can skip is no waypoint.
 
 A transition pays for what is blocked.  Each starting point is tested once,
 as the first step of its refinement, and only a blocked one moves.  The
@@ -41,6 +43,9 @@ _PROBE_DIRECTIONS.flags.writeable = False
 
 @dataclass
 class ChainingResult:
+    """The chaining poses a transition was planned through, ``[]`` when its
+    straight segment is free, and the waypoints from the previous goal to
+    the next start."""
     poses: list[Pose]
     path: list[np.ndarray]
 
@@ -226,15 +231,28 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
 
 def chain_skills(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int,
                  seed: int = 0) -> ChainingResult:
-    """Chaining poses plus RRT legs from the previous goal to the next start.
+    """The path from the previous goal to the next start.
 
-    The anchors are answered with one lookup.  A leg with free anchors is
-    ``[p]`` when they coincide and ``[p, q]`` when ``segment_free`` passes, as
-    ``rrt_path`` returns it; any other leg goes to ``rrt_path``.
+    With both ends free it is ``[a]`` when they coincide and ``[a, b]`` when
+    ``segment_free`` passes, and no chaining pose is computed; ``b`` has its
+    own lookup, and ``a`` is the segment's first sample.  Otherwise it runs
+    through the chaining poses: the anchors are answered with one lookup, a
+    leg with free anchors is ``[p]`` when they coincide and ``[p, q]`` when
+    ``segment_free`` passes, as ``rrt_path`` returns it, any other leg goes to
+    ``rrt_path``, and the joined path is shortcut.
     """
     check_count(seed, "seed")
+    # before the straight test, so that a free transition refuses a bad M too
+    check_count(m, "number of chaining poses")
+    a, b = goal_prev.position, start_next.position
+    if cmap.is_free(b):
+        if _coincident(a, b):
+            if cmap.is_free(a):
+                return ChainingResult(poses=[], path=[a])
+        elif cmap.segment_free(a, b):
+            return ChainingResult(poses=[], path=[a, b])
     poses = chaining_poses(goal_prev, start_next, cmap, m)
-    anchors = [goal_prev.position] + [p.position for p in poses] + [start_next.position]
+    anchors = [a] + [p.position for p in poses] + [b]
     free = cmap.is_free(np.array(anchors)).tolist()
     path: list[np.ndarray] = []
     for leg, (p, q) in enumerate(zip(anchors, anchors[1:])):
@@ -247,4 +265,4 @@ def chain_skills(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int,
         if path:
             sub = sub[1:]
         path.extend(sub)
-    return ChainingResult(poses=poses, path=path)
+    return ChainingResult(poses=poses, path=_shortcut(path, cmap))

@@ -271,18 +271,20 @@ def ablate(ctx, axis, values, config_path):
         configs.append(_load_config(ctx, config_path))
         setattr(configs[-1], field_name, value)
     _validate(configs)
+    counts = ("collisions", "transition_waypoints", "chaining_failures")
     comparison = []
     for value, config in zip(casted, configs):
         rows, mean_rate = _run_eval(ctx, config, f"results_{axis}_{value}.csv")
-        comparison.append((value, mean_rate, sum(r.collisions for r in rows)))
+        comparison.append((value, mean_rate,
+                           [sum(getattr(r, name) for r in rows) for name in counts]))
     out = _out_dir(ctx)
     with open(out / "comparison.csv", "w") as fh:
-        fh.write(f"{axis},mean_rate,collisions\n")
-        for value, rate, collisions in comparison:
-            fh.write(f"{value},{rate:.6f},{collisions}\n")
-    click.echo(f"{axis:>18} | mean rate | collisions")
-    for value, rate, collisions in comparison:
-        click.echo(f"{str(value):>18} | {rate:9.3f} | {collisions}")
+        fh.write(",".join([axis, "mean_rate", *counts]) + "\n")
+        for value, rate, sums in comparison:
+            fh.write(",".join([str(value), f"{rate:.6f}", *map(str, sums)]) + "\n")
+    click.echo(" | ".join([f"{axis:>18}", "mean rate", *counts]))
+    for value, rate, sums in comparison:
+        click.echo(" | ".join([f"{str(value):>18}", f"{rate:9.3f}", *map(str, sums)]))
 
 
 @main.command("export-costmap")

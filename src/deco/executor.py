@@ -242,27 +242,33 @@ class SuiteRow:
     rate: float
     rate_std: float
     collisions: int
+    # sums over the cell's episodes: what the transitions did
+    transition_waypoints: int
+    chaining_failures: int
 
 
 def run_suite(tasks: list[TaskSpec], seeds: list[int], config: ExecutorConfig,
               library: InstructionLibrary, registry: TaskRegistry | None = None,
               episodes: int = 1) -> list[SuiteRow]:
     """One row per task and seed, each of ``episodes`` episodes; a task's rows
-    share ``rate_std``, the spread of their rates."""
+    share ``rate_std``, the spread of their rates.  The counts are sums over a
+    row's episodes."""
     errors = rule_errors({"seeds": seeds, "episodes": episodes}) + repeated_seed_errors(seeds)
     if errors:
         raise ConfigError("; ".join(errors))
     registry = registry or load_registry()
     rows = []
     for task in tasks:
-        cells = []   # (seed, successes, collisions)
+        cells = []   # (seed, successes, collisions, transition waypoints, chaining failures)
         for seed in seeds:
             cell = [run_task_episode(task, seed + 7919 * e, config, library, registry)
                     for e in range(episodes)]
-            cells.append((seed, sum(r.success for r in cell), sum(r.collisions for r in cell)))
-        rate_std = float(np.std([successes / episodes for _, successes, _ in cells]))
+            cells.append((seed, sum(r.success for r in cell), sum(r.collisions for r in cell),
+                          sum(r.transition_waypoints for r in cell),
+                          sum(r.chaining_failures for r in cell)))
+        rate_std = float(np.std([cell[1] / episodes for cell in cells]))
         rows += [SuiteRow(task.id, seed, episodes, successes, successes / episodes, rate_std,
-                          collisions) for seed, successes, collisions in cells]
+                          *counts) for seed, successes, *counts in cells]
     return rows
 
 

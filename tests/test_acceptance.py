@@ -8,12 +8,10 @@ import re
 import time
 
 import numpy as np
-import pytest
 
 from deco.chaining import rrt_path
-from deco.costmap import Bounds, CostMap, build_cost_map, cost_from_distance, distance_grid
-from deco.decompose import (DecompositionConfig, DecompositionMode,
-                            discover_keyframes, segment_interactions)
+from deco.costmap import CostMap, cost_from_distance, distance_grid
+from deco.decompose import DecompositionConfig, discover_keyframes, segment_interactions
 from deco.errors import HallucinatedStep, ParseError, PlanningFailure
 from deco.executor import ExecutorConfig, run_suite, run_task_episode
 from deco.geometry import Pose

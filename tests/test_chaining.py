@@ -6,6 +6,7 @@ import pytest
 from scipy import ndimage
 
 import deco.chaining
+import deco.executor
 from deco.chaining import RRT_MAX_ITERS, chain_skills, chaining_poses, rrt_path
 from deco.costmap import Bounds, CostMap, build_cost_map
 from deco.errors import ConfigError, NoFreeChain, PlanningFailure
@@ -19,7 +20,7 @@ from deco.sim.tasks import drawer_front_obstacle_task, reset
 # sha256 prefixes of the raw float64 bytes of searched paths; a planner
 # change that moves any coordinate by one ulp changes them
 WALL_PATHS_DIGEST = "7f5ece2620202ff2"
-FIXTURE_CHAIN_DIGEST = "d70a259cdc138b6c"
+FIXTURE_CHAIN_DIGEST = "72b50bd74fc0c3b3"
 # sha256 prefix of the gradient-refined chaining-pose positions of the first
 # transition of every compositional task at seed 0, M=6
 FIRST_POSES_DIGEST = "277a0da18a4f5759"
@@ -168,7 +169,8 @@ def test_numpy_integers_plan_as_python_integers():
     start, end, cmap = Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.2, 0.2]), wall_map()
     expected = chain_skills(start, end, cmap, 2, 3)
     chain = chain_skills(start, end, cmap, np.int64(2), np.int32(3))
-    assert len(expected.path) > 4
+    # the wall blocks the straight segment, so the poses route a detour
+    assert len(expected.path) > 2
     assert [w.tobytes() for w in chain.path] == [w.tobytes() for w in expected.path]
     assert [p.position.tobytes() for p in chain.poses] == [
         p.position.tobytes() for p in expected.poses]
@@ -260,8 +262,9 @@ def test_fixture_chain_path_is_pinned_bit_for_bit():
     start = oracle_policy("put item in drawer", scene)[0].target
     cmap = build_cost_map(point_cloud(scene), WORKSPACE)
     chain = chain_skills(scene.gripper_pose(), start, cmap, 6, 0)
-    # 8 anchors; more waypoints than that means at least one searched leg
-    assert len(chain.path) > 8
+    # the obstacle blocks the straight segment: the shortcut path still detours
+    assert len(chain.path) > 2
+    assert all(cmap.segment_free(p, q) for p, q in zip(chain.path, chain.path[1:]))
     assert _path_digest([chain.path]) == FIXTURE_CHAIN_DIGEST
 
 
@@ -322,24 +325,62 @@ def test_rrt_gives_up_at_the_node_cap_after_long_blocked_connects():
     assert a_side_passes(cmap, 120.0) == RRT_MAX_ITERS + 1
 
 
+def no_call(name):
+    def fail(*args):
+        raise AssertionError(f"{name}{args[:2]}")
+    return fail
+
+
 @pytest.mark.parametrize("m", [1, 6])
 def test_a_free_transition_makes_one_lookup_and_no_search(m, monkeypatch):
-    """One batched lookup, for the anchors: each chaining pose's starting point
-    is tested by the float walk of ``is_free``.  Each leg asks ``segment_free``
-    once, and none reaches ``rrt_path``."""
-    def no_search(*args):
-        raise AssertionError(f"rrt_path{args[:2]}")
-
-    monkeypatch.setattr(deco.chaining, "rrt_path", no_search)
+    """A free straight transition is ``[a, b]``: ``b``'s one-point lookup, one
+    ``segment_free`` from ``a`` to ``b``, no chaining pose and no search."""
+    monkeypatch.setattr(deco.chaining, "chaining_poses", no_call("chaining_poses"))
+    monkeypatch.setattr(deco.chaining, "rrt_path", no_call("rrt_path"))
     cmap = CountingMap([0.0, 0.0, 0.0], 0.02, np.zeros((20, 20, 20)), 0.05)
     start, end = Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.1, 0.25])
     chain = chain_skills(start, end, cmap, m)
-    assert cmap.blocked_lookups == 1
-    anchors = [start.position] + [p.position for p in chain.poses] + [end.position]
-    legs = [(p, q) for p, q in zip(anchors, anchors[1:]) if not np.allclose(p, q)]
+    assert cmap.blocked_lookups == 0
     assert [(p.tobytes(), q.tobytes()) for p, q in cmap.segments] == [
-        (p.tobytes(), q.tobytes()) for p, q in legs]
-    assert [w.tobytes() for w in chain.path] == [a.tobytes() for a in anchors]
+        (start.position.tobytes(), end.position.tobytes())]
+    assert chain.poses == []
+    assert [w.tobytes() for w in chain.path] == [start.position.tobytes(),
+                                                 end.position.tobytes()]
+
+
+@pytest.mark.parametrize("m", [0, 6])
+def test_a_free_transition_between_coincident_ends_is_one_waypoint(m, monkeypatch):
+    monkeypatch.setattr(deco.chaining, "chaining_poses", no_call("chaining_poses"))
+    monkeypatch.setattr(deco.chaining, "rrt_path", no_call("rrt_path"))
+    cmap = CountingMap([0.0, 0.0, 0.0], 0.02, np.zeros((20, 20, 20)), 0.05)
+    start, end = Pose([0.05, 0.2, 0.2]), Pose([0.05, 0.2, 0.2 + 1e-9])
+    chain = chain_skills(start, end, cmap, m)
+    assert cmap.segments == []
+    assert chain.poses == []
+    assert [w.tobytes() for w in chain.path] == [start.position.tobytes()]
+
+
+def test_a_blocked_transition_is_the_shortcut_of_its_legs(monkeypatch):
+    """Through a wall the poses and legs are planned as before, and the joined
+    path is shortcut once: no waypoint can see a later one but the next."""
+    legs = []
+    real = deco.chaining.rrt_path
+
+    def recording(*args):
+        legs.append(real(*args))
+        return legs[-1]
+
+    monkeypatch.setattr(deco.chaining, "rrt_path", recording)
+    cmap = wall_map()
+    start, end = Pose([0.05, 0.2, 0.2]), Pose([0.35, 0.2, 0.2])
+    chain = chain_skills(start, end, cmap, 4, 2)
+    assert len(chain.poses) == 4 and legs
+    assert chain.path[0] is start.position and chain.path[-1].tobytes() == end.position.tobytes()
+    # fewer waypoints than anchors: the shortcut skips chaining poses
+    assert len(chain.path) < len(chain.poses) + 2
+    for i, p in enumerate(chain.path):
+        assert all(cmap.segment_free(p, q) is (j == i + 1)
+                   for j, q in enumerate(chain.path) if j > i)
 
 
 def test_a_leg_longer_than_the_map_fails_as_rrt_path_fails_it():
@@ -360,22 +401,24 @@ def compositional_run():
 
 
 def test_first_transition_chaining_poses_are_pinned_bit_for_bit(compositional_run, monkeypatch):
+    """Each task's first transition, its endpoints and map recorded from the
+    episode, refined through ``chaining_poses`` directly."""
     registry, library = compositional_run
     calls = []
-    real = deco.chaining.chaining_poses
+    real = deco.executor.chain_skills
 
-    def recording(*args, **kwargs):
-        poses = real(*args, **kwargs)
-        calls.append([p.position for p in poses])
-        return poses
+    def recording(goal_prev, start_next, cmap, m, seed):
+        calls.append((goal_prev, start_next, cmap))
+        return real(goal_prev, start_next, cmap, m, seed)
 
-    monkeypatch.setattr(deco.chaining, "chaining_poses", recording)
+    monkeypatch.setattr(deco.executor, "chain_skills", recording)
     first = []
     for task in registry.compositional_tasks():
         calls.clear()
         run_task_episode(task, 0, ExecutorConfig(chaining_m=6), library, registry)
-        assert calls and len(calls[0]) == 6
-        first.append(calls[0])
+        assert calls
+        poses = chaining_poses(*calls[0], 6)
+        first.append([p.position for p in poses])
     assert _path_digest(first) == FIRST_POSES_DIGEST
 
 
@@ -395,3 +438,35 @@ def test_compositional_transitions_run_no_feature_transform(compositional_run, m
     for task in registry.compositional_tasks():
         run_task_episode(task, 0, ExecutorConfig(chaining_m=6), library, registry)
     assert len(calls) == 0
+
+
+def largest_turn(path) -> float:
+    """The largest angle in degrees between consecutive segments of a path."""
+    steps = np.diff(np.asarray(path), axis=0)
+    steps = steps[np.linalg.norm(steps, axis=1) > 0]
+    if len(steps) < 2:
+        return 0.0
+    u, v = steps[:-1], steps[1:]
+    cos = np.einsum("ij,ij->i", u, v) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+    return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).max())
+
+
+def test_compositional_transitions_are_smooth(compositional_run, monkeypatch):
+    """The 12 compositional tasks at seeds 100-119, M=6: every episode succeeds
+    and fewer than 10% of the transitions turn by more than 60 degrees."""
+    registry, library = compositional_run
+    turns = []
+    real = deco.executor.chain_skills
+
+    def recording(*args):
+        chain = real(*args)
+        turns.append(largest_turn(chain.path))
+        return chain
+
+    monkeypatch.setattr(deco.executor, "chain_skills", recording)
+    results = [run_task_episode(task, seed, ExecutorConfig(chaining_m=6), library, registry)
+               for task in registry.compositional_tasks() for seed in range(100, 120)]
+    assert sum(r.success for r in results) == 240
+    assert len(turns) > 240
+    sharp = sum(turn > 60.0 for turn in turns)
+    assert sharp < 0.1 * len(turns), f"{sharp} of {len(turns)} transitions turn by more than 60°"

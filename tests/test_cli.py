@@ -195,8 +195,27 @@ def test_ablate_chaining_sweep(runner, tmp_path):
     assert (tmp_path / "results_chaining-m_0.csv").exists()
     assert (tmp_path / "results_chaining-m_6.csv").exists()
     comparison = (tmp_path / "comparison.csv").read_text().splitlines()
-    assert comparison[0] == "chaining-m,mean_rate,collisions"
+    assert comparison[0] == ("chaining-m,mean_rate,collisions,transition_waypoints,"
+                             "chaining_failures")
     assert len(comparison) == 3
+
+
+def test_ablate_shows_what_chaining_does(runner, tmp_path):
+    """The chaining arms differ in their files by the transitions they ran,
+    where success and collisions alone read the same."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("tasks: [put_in_and_close, sweep_and_drop, open_drawer]\n"
+                   "noise_sigma: 0.01\nepisodes: 2\nseeds: [0, 1, 2]\n")
+    result = invoke(runner, ["--out-dir", str(tmp_path), "ablate",
+                             "--axis", "chaining-m", "--values", "0,6",
+                             "--config", str(cfg)])
+    assert result.exit_code == 0
+    arms = [(tmp_path / f"results_chaining-m_{m}.csv").read_text() for m in (0, 6)]
+    assert arms[0] != arms[1]
+    rows = [line.split(",") for line in
+            (tmp_path / "comparison.csv").read_text().splitlines()[1:]]
+    assert [row[1:3] for row in rows] == [["0.888889", "13"]] * 2
+    assert rows[0][3:] == ["0", "0"] and int(rows[1][3]) > 0
 
 
 def test_ablate_honours_seed_list(runner, tmp_path):
@@ -473,7 +492,7 @@ def test_every_config_field_changes_what_eval_runs(monkeypatch, tmp_path):
 # sha256 prefixes over the name and bytes of each file the command writes, in
 # name order: results.csv and summary.txt for eval; comparison.csv and one
 # result CSV per arm for ablate
-CLI_OUTPUT_DIGESTS = {"eval": "3f94c61305c2999c", "ablate": "c3dbc920907c35de"}
+CLI_OUTPUT_DIGESTS = {"eval": "5d8238f4bc9d4064", "ablate": "b4cc84acac73e38a"}
 
 
 @pytest.mark.parametrize("command", ["eval", "ablate"])

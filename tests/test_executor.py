@@ -163,8 +163,9 @@ def test_run_suite_rows_and_csv(tmp_path, library, registry):
     out = tmp_path / "results.csv"
     write_suite_csv(rows, out)
     lines = out.read_text().splitlines()
-    assert lines[0] == "task_id,seed,episodes,successes,rate,rate_std,collisions"
-    assert lines[1] == "open_drawer,0,2,2,1.000000,0.000000,0"
+    assert lines[0] == ("task_id,seed,episodes,successes,rate,rate_std,collisions,"
+                        "transition_waypoints,chaining_failures")
+    assert lines[1] == "open_drawer,0,2,2,1.000000,0.000000,0,0,0"
 
 
 @pytest.mark.parametrize("kwargs, message", [

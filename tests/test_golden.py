@@ -16,7 +16,7 @@ from deco.executor import ExecutorConfig, run_episode, run_task_episode
 from deco.registry import load_registry
 from deco.sim.tasks import drawer_front_obstacle_task, reset
 
-GOLDEN_DIGEST = "de65b12f5035f49a"
+GOLDEN_DIGEST = "14b77a8001947a33"
 
 
 def _fingerprint(result):
@@ -34,7 +34,7 @@ def test_golden_fingerprint(registry, library):
 
 
 # the full EpisodeResult of every noisy and noiseless episode below
-NOISY_EPISODES_DIGEST = "8b6c9fbe183f5368"
+NOISY_EPISODES_DIGEST = "2feceaacebbbf674"
 NOISE_SIGMAS = (0.0, 0.01, 0.02)
 
 

@@ -58,6 +58,14 @@ def grid_map() -> CostMap:
     return CostMap([0.0, 0.0, 0.0], 0.1, np.zeros((4, 4, 4)), 0.05)
 
 
+def blocked_map() -> CostMap:
+    """``grid_map`` with the voxel between A and B blocked, so a transition
+    from A to B goes through its chaining poses."""
+    cost = np.zeros((4, 4, 4))
+    cost[2, 2, 2] = 1.0
+    return CostMap([0.0, 0.0, 0.0], 0.1, cost, 0.05)
+
+
 def step_record(t) -> dict:
     return {"t": t, "pos": [0.3, 0.0, 0.3], "quat": [1, 0, 0, 0], "gripper": "open",
             "joint_speed": 0.0}
@@ -163,8 +171,9 @@ ROWS = {
     "named_rng-seed-negative": (lambda: named_rng(-1, "open drawer"), ConfigError, "-1"),
     "chain_skills-m-bool": (lambda: chain_skills(Pose(A), Pose(B), grid_map(), True),
                             ConfigError, "True"),
-    "chain_skills-numpy": (lambda: len(chain_skills(Pose(A), Pose(B), grid_map(), np.int64(2),
-                                                    np.int32(3)).poses) == 2, None, None),
+    "chain_skills-numpy": (lambda: len(chain_skills(Pose(A), Pose(B), blocked_map(),
+                                                    np.int64(2), np.int32(3)).poses) == 2,
+                           None, None),
     "rrt_path-seed-float": (lambda: rrt_path(A, B, grid_map(), 1.5), ConfigError, "1.5"),
     "decompose-epsilon-nan": (lambda: DecompositionConfig(velocity_epsilon=float("nan")),
                               ConfigError, "nan"),

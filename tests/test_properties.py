@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from deco.chaining import RRT_MAX_ITERS, RRT_STEP, _refine_position, chain_skills, rrt_path
+from deco.chaining import (RRT_MAX_ITERS, RRT_STEP, _refine_position, _shortcut, chain_skills,
+                           rrt_path)
 from deco.costmap import (Bounds, CostMap, _exact_window, build_cost_map, cost_from_distance,
                           distance_grid, occupancy_from_points)
 from deco.errors import NoFreeChain, PlanningFailure
@@ -207,6 +208,22 @@ def reference_chain(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int, se
     return poses, path
 
 
+def straight_free(cmap: CostMap, a: np.ndarray, b: np.ndarray) -> bool:
+    """Both ends are free, and they coincide or the segment between them is free."""
+    return bool(cmap.is_free(a) and cmap.is_free(b)
+                and (np.allclose(a, b) or cmap.segment_free(a, b)))
+
+
+def reference_transition(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int, seed: int):
+    """The straight segment, ``[a]`` or ``[a, b]`` with no pose, when it is free;
+    otherwise the leg-by-leg reference with its joined path shortcut."""
+    a, b = goal_prev.position, start_next.position
+    if straight_free(cmap, a, b):
+        return [], [a] if np.allclose(a, b) else [a, b]
+    poses, path = reference_chain(goal_prev, start_next, cmap, m, seed)
+    return poses, _shortcut(path, cmap)
+
+
 def planned(plan) -> tuple:
     """The bytes of a plan's poses and path, or its failure's type and message."""
     try:
@@ -242,16 +259,41 @@ def wall_anchor_pairs(draw):
 @settings(PROPERTY_SETTINGS, max_examples=150)
 @given(wall_anchor_pairs(), st.integers(0, 4), st.integers(0, 1000))
 def test_chain_skills_is_the_leg_by_leg_reference(scene, m, seed):
-    """One lookup for the anchors and legs plans the transition that a
-    ``rrt_path`` call per leg plans, byte for byte, or fails with its message."""
+    """A free straight segment is the transition.  Otherwise one lookup for the
+    anchors and legs plans the path that a ``rrt_path`` call per leg plans,
+    shortcut as a whole, byte for byte, or fails with its message."""
     cmap, goal_prev, start_next = scene
 
     def batched():
         chain = chain_skills(goal_prev, start_next, cmap, m, seed)
         return chain.poses, chain.path
 
-    expected = planned(lambda: reference_chain(goal_prev, start_next, cmap, m, seed))
+    expected = planned(lambda: reference_transition(goal_prev, start_next, cmap, m, seed))
     assert planned(batched) == expected
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(wall_anchor_pairs(), st.integers(0, 4), st.integers(0, 1000))
+def test_a_transition_joins_its_ends_by_free_segments_and_no_more_waypoints(scene, m, seed):
+    """The path starts at ``a``, ends at ``b`` (within ``np.allclose`` when the
+    last leg is coincident), every segment is free, and it has no more
+    waypoints than the leg-by-leg path.  Only a transition whose straight
+    segment is free plans where its legs fail."""
+    cmap, goal_prev, start_next = scene
+    a, b = goal_prev.position, start_next.position
+    legs = planned(lambda: reference_chain(goal_prev, start_next, cmap, m, seed))
+    try:
+        path = chain_skills(goal_prev, start_next, cmap, m, seed).path
+    except (NoFreeChain, PlanningFailure) as exc:
+        assert legs == (type(exc).__name__, str(exc))
+        return
+    assert path[0].tobytes() == a.tobytes()
+    assert np.allclose(path[-1], b)
+    assert all(cmap.segment_free(p, q) for p, q in zip(path, path[1:]))
+    if isinstance(legs[0], str):
+        assert straight_free(cmap, a, b)
+    else:
+        assert len(path) <= len(legs[1])
 
 
 def reference_rrt(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
