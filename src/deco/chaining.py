@@ -1,17 +1,18 @@
 """Transition planning between consecutive skills.
 
-A transition whose straight segment is free is that one segment.  Any other
-goes through the chaining poses: they start on the straight interpolant
-between the previous goal and the next start pose, then slide down the cost
-field until they clear the collision threshold.  RRT-Connect connects the
-sequence, and the joined path is shortcut as a whole (Geraerts & Overmars,
-IJRR 2007), so a pose that a free segment can skip is no waypoint.
+A transition's ends are checked once: a blocked end fails it.  A transition
+whose straight segment is free is that one segment.  Any other goes through
+the chaining poses: they start on the straight interpolant between the
+previous goal and the next start pose, then slide down the cost field until
+they clear the collision threshold.  RRT-Connect joins each pair of
+consecutive anchors, and the joined path is shortcut once, as a whole
+(Geraerts & Overmars, IJRR 2007), so a pose that a free segment can skip is
+no waypoint.
 
 A transition pays for what is blocked.  Each starting point is tested once,
-as the first step of its refinement, and only a blocked one moves.  The
-anchors are tested with one lookup, and each leg between free anchors asks
-``segment_free`` once; only a leg with a blocked anchor or sample is
-searched.  A free leg is what ``rrt_path`` would return for it.
+as the first step of its refinement, and only a blocked one moves.  Every leg
+goes to ``rrt_path``, which returns a free leg as its one segment and
+searches only a blocked one.
 
 The search works on single points, so it works in plain floats and gives the
 bytes that numpy arrays would.  A length that decides a step or a sample count
@@ -138,14 +139,22 @@ def _coincident(a: np.ndarray, b: np.ndarray) -> bool:
             and abs(az - bz) <= 1e-8 + 1e-5 * abs(bz))
 
 
+def _check_ends(a: np.ndarray, b: np.ndarray, cmap: CostMap):
+    """Raise ``PlanningFailure`` naming both ends and their costs unless both are free."""
+    if not cmap.is_free(a) or not cmap.is_free(b):
+        raise PlanningFailure(f"endpoint in collision: a={a} (cost {cmap.cost_at(a):.3f}), "
+                              f"b={b} (cost {cmap.cost_at(b):.3f})")
+
+
 def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     """Plan a collision-free polyline from a to b with RRT-Connect.
 
-    One tree grows from each endpoint and they take turns (Kuffner & LaValle,
-    ICRA 2000): the growing tree extends one ``RRT_STEP`` toward a sample,
-    then the other tree steps greedily toward the new node until it reaches
-    it or is blocked.  The joined path is shortcut.  Deterministic given the
-    seed.
+    Free ends that coincide give ``[a]``, and a free segment gives ``[a, b]``.
+    Otherwise one tree grows from each endpoint and they take turns (Kuffner &
+    LaValle, ICRA 2000): the growing tree extends one ``RRT_STEP`` toward a
+    sample, then the other tree steps greedily toward the new node until it
+    reaches it or is blocked.  The path is the connected branch, node by node,
+    not shortcut.  Deterministic given the seed.
 
     The trees hold their nodes as lists of three floats: a sample is drawn as
     ``lo + r * size`` per coordinate, and the nearest node is the first at the
@@ -155,9 +164,7 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     check_count(seed, "seed")
     a = as_points(a, "endpoint a", PlanningFailure, one=True, finite=True)
     b = as_points(b, "endpoint b", PlanningFailure, one=True, finite=True)
-    if not cmap.is_free(a) or not cmap.is_free(b):
-        raise PlanningFailure(f"endpoint in collision: a={a} (cost {cmap.cost_at(a):.3f}), "
-                              f"b={b} (cost {cmap.cost_at(b):.3f})")
+    _check_ends(a, b, cmap)
     if _coincident(a, b):
         return [a]
     if cmap.segment_free(a, b):
@@ -223,8 +230,7 @@ def rrt_path(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
                 # _steer hands back new_pt itself once it is within one step,
                 # so the trees meet there: a's branch, then b's
                 a_end, b_end = (new, idx) if grow == 0 else (idx, new)
-                path = branch(0, a_end)[::-1] + branch(1, b_end)
-                return _shortcut(path, cmap)
+                return branch(0, a_end)[::-1] + branch(1, b_end)
             idx = add(other, step_pt, idx)
     raise PlanningFailure(f"RRT failed to connect after {RRT_MAX_ITERS} iterations")
 
@@ -233,36 +239,25 @@ def chain_skills(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int,
                  seed: int = 0) -> ChainingResult:
     """The path from the previous goal to the next start.
 
-    With both ends free it is ``[a]`` when they coincide and ``[a, b]`` when
-    ``segment_free`` passes, and no chaining pose is computed; ``b`` has its
-    own lookup, and ``a`` is the segment's first sample.  Otherwise it runs
-    through the chaining poses: the anchors are answered with one lookup, a
-    leg with free anchors is ``[p]`` when they coincide and ``[p, q]`` when
-    ``segment_free`` passes, as ``rrt_path`` returns it, any other leg goes to
-    ``rrt_path``, and the joined path is shortcut.
+    Both ends are checked first, as ``rrt_path`` checks them, and a blocked
+    one fails the transition before any chaining pose.  The path is ``[a]``
+    when the ends coincide and ``[a, b]`` when ``segment_free`` passes, with
+    no chaining pose.  Otherwise it runs through the chaining poses, each leg
+    is ``rrt_path``'s, and the joined path is shortcut once.
     """
     check_count(seed, "seed")
     # before the straight test, so that a free transition refuses a bad M too
     check_count(m, "number of chaining poses")
     a, b = goal_prev.position, start_next.position
-    if cmap.is_free(b):
-        if _coincident(a, b):
-            if cmap.is_free(a):
-                return ChainingResult(poses=[], path=[a])
-        elif cmap.segment_free(a, b):
-            return ChainingResult(poses=[], path=[a, b])
+    _check_ends(a, b, cmap)
+    if _coincident(a, b):
+        return ChainingResult(poses=[], path=[a])
+    if cmap.segment_free(a, b):
+        return ChainingResult(poses=[], path=[a, b])
     poses = chaining_poses(goal_prev, start_next, cmap, m)
     anchors = [a] + [p.position for p in poses] + [b]
-    free = cmap.is_free(np.array(anchors)).tolist()
     path: list[np.ndarray] = []
     for leg, (p, q) in enumerate(zip(anchors, anchors[1:])):
-        if free[leg] and free[leg + 1] and _coincident(p, q):
-            sub = [p]
-        elif free[leg] and free[leg + 1] and cmap.segment_free(p, q):
-            sub = [p, q]
-        else:
-            sub = rrt_path(p, q, cmap, seed + leg)
-        if path:
-            sub = sub[1:]
-        path.extend(sub)
+        sub = rrt_path(p, q, cmap, seed + leg)
+        path.extend(sub[1:] if path else sub)
     return ChainingResult(poses=poses, path=_shortcut(path, cmap))

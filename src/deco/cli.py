@@ -42,7 +42,7 @@ def _parse_seed_list(ctx, param, text: str | None) -> list[int] | None:
               help="Comma-separated random seeds.  [default: 0,1,2]")
 @click.option("--out-dir", default=".", show_default=True, type=click.Path(),
               help="Directory for output files.")
-@click.option("--audit-log", default=None, type=click.Path(),
+@click.option("--audit-log", default=None, type=click.Path(dir_okay=False),
               help="JSONL audit log for external planner requests.")
 @click.pass_context
 def main(ctx, seed_list, out_dir, audit_log):
@@ -66,8 +66,9 @@ def _out_dir(ctx) -> Path:
 
 
 @main.command()
-@click.argument("demos_path", type=click.Path(exists=True))
-@click.option("--annotations", "annotations_path", type=click.Path(exists=True),
+@click.argument("demos_path", type=click.Path(exists=True, dir_okay=False))
+@click.option("--annotations", "annotations_path",
+              type=click.Path(exists=True, dir_okay=False),
               required=True, help="JSON mapping demo id to instruction list.")
 @click.option("--mode", type=click.Choice(["full", "half"]), default="full",
               show_default=True)
@@ -128,7 +129,7 @@ def record_demos(ctx, task_ids):
 @click.argument("instruction")
 @click.option("--planner", type=click.Choice(["mock", "vlm"]), default="mock",
               show_default=True)
-@click.option("--library", "library_path", type=click.Path(exists=True),
+@click.option("--library", "library_path", type=click.Path(exists=True, dir_okay=False),
               help="Library JSON; defaults to the canonical source-demo library.")
 @click.option("--task", "task_id", default=None,
               help="Task id whose initial scene to plan against "
@@ -218,7 +219,7 @@ def _summary_lines(config: ExperimentConfig, rows, mean_rate: float) -> list[str
 
 
 @main.command("eval")
-@click.option("--config", "config_path", type=click.Path(exists=True))
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--print-defaults", is_flag=True,
               help="Print the default config YAML and exit.")
 @click.option("--chaining-m", type=int, default=None)
@@ -249,7 +250,7 @@ _AXES = {"chaining-m": ("chaining_m", int),
 @click.option("--axis", type=click.Choice(sorted(_AXES)), required=True)
 @click.option("--values", required=True,
               help="Comma-separated axis values, e.g. '0,2,4,6,8'.")
-@click.option("--config", "config_path", type=click.Path(exists=True))
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
 @click.pass_context
 def ablate(ctx, axis, values, config_path):
     """Sweep one config axis with shared seeds and emit a comparison table."""

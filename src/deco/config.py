@@ -87,10 +87,8 @@ class ExperimentConfig:
             errors += [f"unknown task id: {name!r}" for name in self.tasks
                        if isinstance(name, str) and name not in SELECTORS
                        and name not in registry.tasks]
-        if _is_list_of(self.seeds, is_count):
-            # run_suite writes one row per (task, seed) and rejects a repeated seed
-            errors += repeated_seed_errors(self.seeds)
-        return errors
+        # run_suite writes one row per (task, seed) and rejects a repeated seed
+        return errors + repeated_seed_errors(self.seeds)
 
     def resolve_tasks(self, registry: TaskRegistry) -> list[TaskSpec]:
         out: list[TaskSpec] = []
@@ -124,7 +122,11 @@ def check_rule(name: str, value):
         raise ConfigError(rule_errors({name: value})[0])
 
 
-def repeated_seed_errors(seeds: list[int]) -> list[str]:
+def repeated_seed_errors(seeds) -> list[str]:
+    """One message per repeated seed; seeds that break the seeds rule get
+    only ``rule_errors``' message."""
+    if not _is_list_of(seeds, is_count):
+        return []
     return [f"seeds must not repeat, got seed {seed} more than once"
             for seed in sorted({s for s in seeds if seeds.count(s) > 1})]
 

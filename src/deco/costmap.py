@@ -20,14 +20,13 @@ built once by ``fixed_layer``; ``build_cost_map`` voxelises and dilates only
 the points after it and ORs them into copies of its grids.  Dilation
 distributes over union, so the map is byte for byte the map of the whole cloud.
 
-Free/blocked questions come in batches, in single segments and in single
-points.  ``is_free`` answers an (N, 3) array of points with one lookup; the
-planner asks it once for a transition's anchors.  ``segment_free``, asked leg
-by leg by the planner and segment by segment by the search, walks its samples
-in plain floats and stops at the first blocked one; ``is_free`` of one point
-is that walk of one sample.  Either way a point outside the map, or with a NaN
-coordinate, is blocked.  Points are read by ``geometry.as_points``, so one
-that is not three coordinates is an ``InvalidMapParameter`` naming its shape.
+Free/blocked questions come in single segments and single points.
+``segment_free``, asked leg by leg by the planner and segment by segment by the
+search, walks its samples in plain floats and stops at the first blocked one;
+``is_free`` of a point is that walk of one sample.  Either way a point outside
+the map, or with a NaN coordinate, is blocked.  Points are read by
+``geometry.as_points``, so one that is not three coordinates is an
+``InvalidMapParameter`` naming its shape.
 
 Cost values are read near obstacles, by the chaining-pose gradient.  Until the
 cost grid is built, ``cost_at`` answers a point from the 5x5x5 window of the
@@ -214,15 +213,12 @@ class CostMap:
             cost = self._lookup(self._padded_cost(), p)
         return float(cost) if cost.ndim == 0 else cost
 
-    def is_free(self, points):
-        """Each point's voxel is not blocked: its cost is below the threshold,
-        read from ``blocked`` without computing the cost grid.  One point gives
-        a bool from the float walk of ``segment_free``; an (N, 3) array gives N
-        bools from one lookup."""
-        p = as_points(points, "points", InvalidMapParameter)
-        if p.ndim == 1:
-            return self._walk_free(p.tolist(), _NO_OFFSET, 0)
-        return ~self._lookup(self.blocked, p)
+    def is_free(self, point) -> bool:
+        """The point's voxel is not blocked: its cost is below the threshold,
+        read from ``blocked`` by the float walk of ``segment_free`` of one
+        sample, without computing the cost grid."""
+        p = as_points(point, "point", InvalidMapParameter, one=True)
+        return self._walk_free(p.tolist(), _NO_OFFSET, 0)
 
     def segment_free(self, a, b) -> bool:
         """Sample the segment at voxel_size/2 and test every sample against ``blocked``.

@@ -104,12 +104,17 @@ def build_atomic_dataset(demos, cfg: DecompositionConfig):
     """Decompose demos into annotated atomic tasks plus the instruction library.
 
     Annotations map demo id to an ordered instruction list, one per segment.
-    Output ordering is deterministic: by (demo_id, segment start).
+    Output ordering is deterministic: by (demo_id, segment start).  A demo id
+    that repeats is a ``MalformedDemo``: its segments would count twice.
     """
     annotations = cfg.annotations or {}
     tasks = []
     library = InstructionLibrary()
-    for demo in sorted(demos, key=lambda d: d.id):
+    demos = sorted(demos, key=lambda d: d.id)
+    for prev, demo in zip(demos, demos[1:]):
+        if prev.id == demo.id:
+            raise MalformedDemo(f"demo {demo.id!r} appears more than once")
+    for demo in demos:
         segments = segment_interactions(demo, cfg)
         labels = annotations.get(demo.id)
         if labels is None or len(labels) != len(segments):

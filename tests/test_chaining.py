@@ -19,7 +19,7 @@ from deco.sim.tasks import drawer_front_obstacle_task, reset
 
 # sha256 prefixes of the raw float64 bytes of searched paths; a planner
 # change that moves any coordinate by one ulp changes them
-WALL_PATHS_DIGEST = "7f5ece2620202ff2"
+WALL_PATHS_DIGEST = "6b19e6078f372c11"
 FIXTURE_CHAIN_DIGEST = "72b50bd74fc0c3b3"
 # sha256 prefix of the gradient-refined chaining-pose positions of the first
 # transition of every compositional task at seed 0, M=6
@@ -333,8 +333,9 @@ def no_call(name):
 
 @pytest.mark.parametrize("m", [1, 6])
 def test_a_free_transition_makes_one_lookup_and_no_search(m, monkeypatch):
-    """A free straight transition is ``[a, b]``: ``b``'s one-point lookup, one
-    ``segment_free`` from ``a`` to ``b``, no chaining pose and no search."""
+    """A free straight transition is ``[a, b]``: the ends' one-point walks, one
+    ``segment_free`` from ``a`` to ``b``, no grid lookup, no chaining pose and
+    no search."""
     monkeypatch.setattr(deco.chaining, "chaining_poses", no_call("chaining_poses"))
     monkeypatch.setattr(deco.chaining, "rrt_path", no_call("rrt_path"))
     cmap = CountingMap([0.0, 0.0, 0.0], 0.02, np.zeros((20, 20, 20)), 0.05)
@@ -383,15 +384,38 @@ def test_a_blocked_transition_is_the_shortcut_of_its_legs(monkeypatch):
                    for j, q in enumerate(chain.path) if j > i)
 
 
-def test_a_leg_longer_than_the_map_fails_as_rrt_path_fails_it():
-    """An anchor outside the map is blocked, so its leg goes to ``rrt_path``,
-    which refuses that endpoint."""
+def test_an_end_outside_the_map_fails_as_rrt_path_fails_it():
+    """An end outside the map is blocked, and the transition refuses it as
+    ``rrt_path`` refuses that endpoint."""
     a, far = Pose([0.05, 0.2, 0.2]), Pose([-50.0, 0.2, 0.2])
     with pytest.raises(PlanningFailure, match="endpoint in collision") as reference:
         rrt_path(a.position, far.position, empty_map())
     with pytest.raises(PlanningFailure) as batched:
         chain_skills(a, far, empty_map(), 0)
     assert str(batched.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("m", [0, 6])
+@pytest.mark.parametrize("blocked", ["a", "b"])
+def test_a_blocked_end_fails_the_transition_before_any_chaining_pose(blocked, m, monkeypatch):
+    """With the gripper (``a``) or the next start (``b``) in the wall, the
+    transition fails naming both of its ends, as ``rrt_path`` of those ends
+    fails, and no chaining pose or leg is planned."""
+    cmap = wall_map()
+    inside, free = [0.2, 0.1, 0.1], [0.35, 0.2, 0.2]
+    a, b = (inside, free) if blocked == "a" else (free, inside)
+    with pytest.raises(PlanningFailure) as reference:
+        rrt_path(a, b, cmap)
+    monkeypatch.setattr(deco.chaining, "chaining_poses", no_call("chaining_poses"))
+    monkeypatch.setattr(deco.chaining, "rrt_path", no_call("rrt_path"))
+    start, end = Pose(a), Pose(b)
+    with pytest.raises(PlanningFailure) as raised:
+        chain_skills(start, end, cmap, m)
+    message = str(raised.value)
+    assert message == str(reference.value)
+    assert message.startswith(f"endpoint in collision: a={start.position} (cost ")
+    assert f"), b={end.position} (cost " in message
+    assert "(cost 1.000)" in message
 
 
 @pytest.fixture(scope="module")
@@ -470,3 +494,41 @@ def test_compositional_transitions_are_smooth(compositional_run, monkeypatch):
     assert len(turns) > 240
     sharp = sum(turn > 60.0 for turn in turns)
     assert sharp < 0.1 * len(turns), f"{sharp} of {len(turns)} transitions turn by more than 60°"
+
+
+def test_a_compositional_pass_repeats_only_the_shortcuts_first_segment(compositional_run,
+                                                                        monkeypatch):
+    """One pass of the compositional workload (12 tasks, suite seeds 0-2, three
+    episodes each, M=6): a straight transition tests no segment twice, and a
+    chained one repeats at most one, the whole-path shortcut's first test from
+    ``a`` to ``b``, which the straight test has answered."""
+    registry, library = compositional_run
+    tested = None
+    real_segment_free, real_chain = CostMap.segment_free, deco.executor.chain_skills
+
+    def segment_free(cmap, a, b):
+        if tested is not None:
+            tested.append((np.asarray(a, dtype=float).tobytes(),
+                           np.asarray(b, dtype=float).tobytes()))
+        return real_segment_free(cmap, a, b)
+
+    repeats = {"straight": [], "chained": []}
+
+    def recording(*args):
+        nonlocal tested
+        tested = []
+        chain = real_chain(*args)
+        pairs, tested = tested, None
+        repeats["chained" if chain.poses else "straight"].append(len(pairs) - len(set(pairs)))
+        return chain
+
+    monkeypatch.setattr(CostMap, "segment_free", segment_free)
+    monkeypatch.setattr(deco.executor, "chain_skills", recording)
+    config = ExecutorConfig(chaining_m=6)
+    for task in registry.compositional_tasks():
+        for seed in (0, 1, 2):
+            for episode in range(3):
+                run_task_episode(task, seed + 7919 * episode, config, library, registry)
+    assert repeats["straight"] and repeats["chained"]
+    assert set(repeats["straight"]) == {0}
+    assert max(repeats["chained"]) <= 1

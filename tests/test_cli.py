@@ -275,6 +275,27 @@ def test_an_out_dir_blocked_by_a_file_is_a_usage_error(tmp_path, out_dir):
     assert result.exc_info[0] is SystemExit
 
 
+@pytest.mark.parametrize("option, command", [
+    ("'--config'", ["eval", "--config", "DIR"]),
+    ("'--config'", ["ablate", "--axis", "noise", "--values", "0", "--config", "DIR"]),
+    ("'DEMOS_PATH'", ["decompose", "DIR", "--annotations", "FILE"]),
+    ("'--annotations'", ["decompose", "FILE", "--annotations", "DIR"]),
+    ("'--library'", ["plan", "open drawer", "--library", "DIR"]),
+    ("'--audit-log'", ["--audit-log", "DIR", "plan", "open drawer"]),
+], ids=["eval-config", "ablate-config", "decompose-demos", "decompose-annotations",
+        "plan-library", "audit-log"])
+def test_a_directory_given_for_a_file_is_a_usage_error(tmp_path, option, command):
+    (tmp_path / "file.json").write_text("{}")
+    paths = {"DIR": str(tmp_path), "FILE": str(tmp_path / "file.json")}
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["--out-dir", str(out)]
+                                + [paths.get(arg, arg) for arg in command])
+    assert result.exit_code == 2
+    assert f"Invalid value for {option}" in result.output
+    assert "is a directory" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed_list", [",,", "", " , "])
 @pytest.mark.parametrize("command", [["export-costmap", "--task", "put_in_wo_close"],
                                      ["plan", "put the item in the drawer"],

@@ -97,8 +97,6 @@ NON_FINITE_QUERIES = {
     "cost_at": (lambda cmap, p: cmap.cost_at(p), 1.0),
     "segment_free-from": (lambda cmap, p: cmap.segment_free(p, FREE_POINT), False),
     "segment_free-to": (lambda cmap, p: cmap.segment_free(FREE_POINT, p), False),
-    "batched-is_free": (lambda cmap, p: cmap.is_free(np.array([FREE_POINT, p])).tolist(),
-                        [True, False]),
     "batched-cost_at": (lambda cmap, p: cmap.cost_at(np.array([FREE_POINT, p]))[1], 1.0),
 }
 
@@ -254,7 +252,6 @@ def test_an_explicit_grid_map_cannot_answer_a_point_outside_it_as_free():
     assert cmap.collision_threshold == COLLISION_THRESHOLD
     assert cmap.is_free([0.05, 0.05, 0.05])
     assert not cmap.is_free([5, 5, 5])
-    assert not cmap.is_free(np.array([[5.0, 5.0, 5.0]]))[0]
     assert not cmap.segment_free([0.05, 0.05, 0.05], [5, 5, 5])
 
 

@@ -162,6 +162,13 @@ def test_build_dataset_annotation_mismatch():
         build_atomic_dataset([demo], DecompositionConfig())
 
 
+def test_build_dataset_rejects_a_repeated_demo_id():
+    demo = make_demo("occo")
+    cfg = DecompositionConfig(annotations={"d0": ["open drawer"], "a": ["open drawer"]})
+    with pytest.raises(MalformedDemo, match="demo 'd0' appears more than once"):
+        build_atomic_dataset([demo, make_demo("occo", demo_id="a"), demo], cfg)
+
+
 def test_mode_enum_coercion():
     cfg = DecompositionConfig(mode="half")
     assert cfg.mode is DecompositionMode.HALF

@@ -34,7 +34,7 @@ def test_golden_fingerprint(registry, library):
 
 
 # the full EpisodeResult of every noisy and noiseless episode below
-NOISY_EPISODES_DIGEST = "2feceaacebbbf674"
+NOISY_EPISODES_DIGEST = "19ff22cb8d3b30aa"
 NOISE_SIGMAS = (0.0, 0.01, 0.02)
 
 

@@ -25,7 +25,7 @@ from deco.costmap import Bounds, CostMap, build_cost_map, fixed_layer, occupancy
 from deco.decompose import DecompositionConfig
 from deco.errors import (ConfigError, DecoError, DegenerateBounds, InvalidInput,
                          InvalidMapParameter, MalformedDemo, PlanningFailure)
-from deco.executor import ExecutorConfig
+from deco.executor import ExecutorConfig, run_suite
 from deco.geometry import Pose, as_points, is_goal_reached, quat_slerp
 from deco.planning import SceneSummary
 from deco.registry import TaskSpec, load_registry
@@ -91,6 +91,7 @@ ROWS = {
     "occupancy-2x2x3": (lambda: occupancy_from_points(NESTED, BOX, 0.1), InvalidMapParameter,
                         "(2, 2, 3)"),
     "is_free-2x2x3": (lambda: grid_map().is_free(NESTED), InvalidMapParameter, "(2, 2, 3)"),
+    "is_free-1x3": (lambda: grid_map().is_free([A]), InvalidMapParameter, "(1, 3)"),
     "cost_at-2x2x3": (lambda: grid_map().cost_at(NESTED), InvalidMapParameter, "(2, 2, 3)"),
     "build_cost_map-empty": (lambda: build_cost_map([], BOX, 0.1).is_free([0.5] * 3), None, None),
     # one point
@@ -161,6 +162,18 @@ ROWS = {
     "ExperimentConfig-numpy": (lambda: ExperimentConfig(
         chaining_m=np.int64(6), noise_sigma=np.float32(0.01), episodes=np.int32(2),
         seeds=[np.int64(0), 1]).validate(load_registry()) == [], None, None),
+    # the seeds rule decides before the repeat check, in run_suite as in validate
+    "run_suite-seeds-int": (lambda: run_suite([], 5, ExecutorConfig(), None), ConfigError,
+                            "seeds must be a non-empty list of non-negative integers, got 5"),
+    "run_suite-seeds-none": (lambda: run_suite([], None, ExecutorConfig(), None), ConfigError,
+                             "got None"),
+    "run_suite-seeds-nested": (lambda: run_suite([], [[1], [1]], ExecutorConfig(), None),
+                               ConfigError, "got [[1], [1]]"),
+    "ExperimentConfig-seeds-nested": (lambda: ExperimentConfig(seeds=[[1], [1]]).validate(
+        load_registry()) == ["seeds must be a non-empty list of non-negative integers, "
+                             "got [[1], [1]]"], None, None),
+    "run_suite-seeds-repeated": (lambda: run_suite([], [1, 1], ExecutorConfig(), None),
+                                 ConfigError, "got seed 1 more than once"),
     "reset-seed-float": (lambda: reset(load_registry().get("open_drawer"), 1.5), ConfigError,
                          "1.5"),
     "reset-seed-bool": (lambda: reset(load_registry().get("open_drawer"), True), ConfigError,

@@ -22,8 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from deco.chaining import (RRT_MAX_ITERS, RRT_STEP, _refine_position, _shortcut, chain_skills,
-                           rrt_path)
+from deco.chaining import RRT_MAX_ITERS, RRT_STEP, _refine_position, chain_skills, rrt_path
 from deco.costmap import (Bounds, CostMap, _exact_window, build_cost_map, cost_from_distance,
                           distance_grid, occupancy_from_points)
 from deco.errors import NoFreeChain, PlanningFailure
@@ -214,14 +213,38 @@ def straight_free(cmap: CostMap, a: np.ndarray, b: np.ndarray) -> bool:
                 and (np.allclose(a, b) or cmap.segment_free(a, b)))
 
 
+def reference_shortcut(path: list[np.ndarray], cmap: CostMap) -> list[np.ndarray]:
+    """Greedy shortcut: from each node to the furthest visible one."""
+    out, i = [path[0]], 0
+    while i < len(path) - 1:
+        j = len(path) - 1
+        while j > i + 1 and not cmap.segment_free(path[i], path[j]):
+            j -= 1
+        out.append(path[j])
+        i = j
+    return out
+
+
+def blocked_end(cmap: CostMap, a: np.ndarray, b: np.ndarray) -> PlanningFailure | None:
+    """The failure that a transition with a blocked end raises, or None."""
+    if cmap.is_free(a) and cmap.is_free(b):
+        return None
+    return PlanningFailure(f"endpoint in collision: a={a} (cost {cmap.cost_at(a):.3f}), "
+                           f"b={b} (cost {cmap.cost_at(b):.3f})")
+
+
 def reference_transition(goal_prev: Pose, start_next: Pose, cmap: CostMap, m: int, seed: int):
-    """The straight segment, ``[a]`` or ``[a, b]`` with no pose, when it is free;
-    otherwise the leg-by-leg reference with its joined path shortcut."""
+    """A blocked end fails before any pose.  Otherwise the straight segment,
+    ``[a]`` or ``[a, b]`` with no pose, when it is free, or the leg-by-leg
+    reference with its joined path shortcut."""
     a, b = goal_prev.position, start_next.position
+    failure = blocked_end(cmap, a, b)
+    if failure is not None:
+        raise failure
     if straight_free(cmap, a, b):
         return [], [a] if np.allclose(a, b) else [a, b]
     poses, path = reference_chain(goal_prev, start_next, cmap, m, seed)
-    return poses, _shortcut(path, cmap)
+    return poses, reference_shortcut(path, cmap)
 
 
 def planned(plan) -> tuple:
@@ -259,9 +282,9 @@ def wall_anchor_pairs(draw):
 @settings(PROPERTY_SETTINGS, max_examples=150)
 @given(wall_anchor_pairs(), st.integers(0, 4), st.integers(0, 1000))
 def test_chain_skills_is_the_leg_by_leg_reference(scene, m, seed):
-    """A free straight segment is the transition.  Otherwise one lookup for the
-    anchors and legs plans the path that a ``rrt_path`` call per leg plans,
-    shortcut as a whole, byte for byte, or fails with its message."""
+    """A blocked end fails the transition, and a free straight segment is the
+    transition.  Otherwise the path is the one that a ``rrt_path`` call per
+    leg plans, shortcut as a whole, byte for byte, or the failure of its legs."""
     cmap, goal_prev, start_next = scene
 
     def batched():
@@ -277,16 +300,20 @@ def test_chain_skills_is_the_leg_by_leg_reference(scene, m, seed):
 def test_a_transition_joins_its_ends_by_free_segments_and_no_more_waypoints(scene, m, seed):
     """The path starts at ``a``, ends at ``b`` (within ``np.allclose`` when the
     last leg is coincident), every segment is free, and it has no more
-    waypoints than the leg-by-leg path.  Only a transition whose straight
-    segment is free plans where its legs fail."""
+    waypoints than the leg-by-leg path.  A transition with a blocked end fails
+    with both ends named, any other fails as its legs fail, and only one whose
+    straight segment is free plans where its legs fail."""
     cmap, goal_prev, start_next = scene
     a, b = goal_prev.position, start_next.position
     legs = planned(lambda: reference_chain(goal_prev, start_next, cmap, m, seed))
+    failure = blocked_end(cmap, a, b)
     try:
         path = chain_skills(goal_prev, start_next, cmap, m, seed).path
     except (NoFreeChain, PlanningFailure) as exc:
-        assert legs == (type(exc).__name__, str(exc))
+        expected = legs if failure is None else (type(failure).__name__, str(failure))
+        assert expected == (type(exc).__name__, str(exc))
         return
+    assert failure is None
     assert path[0].tobytes() == a.tobytes()
     assert np.allclose(path[-1], b)
     assert all(cmap.segment_free(p, q) for p, q in zip(path, path[1:]))
@@ -299,12 +326,13 @@ def test_a_transition_joins_its_ends_by_free_segments_and_no_more_waypoints(scen
 def reference_rrt(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
     """RRT-Connect in numpy arrays: each tree is a preallocated (cap, 3) array,
     the nearest node is the argmin of ``np.linalg.norm(axis=1)``, and every
-    sample and step is array arithmetic."""
+    sample and step is array arithmetic.  It returns the connected branch as
+    it is, not shortcut."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not cmap.is_free(a) or not cmap.is_free(b):
-        raise PlanningFailure(f"endpoint in collision: a={a} (cost {cmap.cost_at(a):.3f}), "
-                              f"b={b} (cost {cmap.cost_at(b):.3f})")
+    failure = blocked_end(cmap, a, b)
+    if failure is not None:
+        raise failure
     if np.allclose(a, b):
         return [a]
     if cmap.segment_free(a, b):
@@ -360,16 +388,7 @@ def reference_rrt(a, b, cmap: CostMap, seed: int = 0) -> list[np.ndarray]:
                 break
             if step_pt is new_pt:
                 a_end, b_end = (new, idx) if grow == 0 else (idx, new)
-                path = branch(0, a_end)[::-1] + branch(1, b_end)
-                # greedy shortcut: from each node to the furthest visible one
-                out, i = [path[0]], 0
-                while i < len(path) - 1:
-                    j = len(path) - 1
-                    while j > i + 1 and not cmap.segment_free(path[i], path[j]):
-                        j -= 1
-                    out.append(path[j])
-                    i = j
-                return out
+                return branch(0, a_end)[::-1] + branch(1, b_end)
             idx = add(other, step_pt, idx)
     raise PlanningFailure(f"RRT failed to connect after {RRT_MAX_ITERS} iterations")
 
