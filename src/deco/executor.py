@@ -1,10 +1,10 @@
 """Closed-loop episode execution with skill chaining and goal monitoring.
 
-Each skill is dry-run first to predict its start and goal poses, transitions
-between skills are planned on a cost map rebuilt from the live scene, and a
-monitor declares the skill complete once the gripper reaches the predicted
-goal within tolerance (or times out on its action budget).  A transition that
-cannot be planned fails the skill it leads into, and the episode stops.
+Each skill is scripted on the live scene, and again after the transition
+into it, planned on a cost map rebuilt from that scene; the script is noised
+once, and a monitor declares the skill complete once the gripper reaches its
+goal within tolerance (or times out on its action budget).  A transition
+that cannot be planned fails the skill it leads into, and the episode stops.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chaining import chain_skills
-from .config import repeated_seed_errors, rule_errors
+from .config import check_count, repeated_seed_errors, rule_errors
 from .costmap import CostMap, FixedLayer, build_cost_map, fixed_layer
 from .decompose import DecompositionConfig, build_atomic_dataset
 from .errors import (ConfigError, DecoError, NoFreeChain, PlanningFailure,
@@ -164,38 +164,36 @@ def run_episode(task: TaskSpec, scene: Scene, plan: tuple[str, ...], config: Exe
     """Run the plan, a sequence of library skills, from ``scene``, the task's
     initial scene for ``seed``.
 
-    Each skill is dry-run without noise to predict its goal and, before the
-    transition into it, its start pose; its actions are then drawn with
-    ``config.noise_sigma``.  After a transition the skill is scripted again
-    on the scene the transition left; without one, the dry run's script is
-    the skill's script, and only the noise is drawn.
+    Each skill is scripted without noise; from the second skill on, with
+    chaining on, a transition drives the gripper to the script's first
+    target and the skill is scripted again on the scene it left.  That
+    script's last target is the monitor's goal, and it is noised once with
+    ``config.noise_sigma``.  A bad ``seed`` is a ``ConfigError``.
     """
+    check_count(seed, "seed")
     result = EpisodeResult(task_id=task.id, seed=seed, success=False)
     # monitor retries draw from this generator only when actions are noised
     rng = named_rng(seed, task.id) if config.noise_sigma > 0 else None
     completed_all = True
     for i, instruction in enumerate(plan):
         try:
-            dry = oracle_policy(instruction, scene)
+            script = oracle_policy(instruction, scene)
+            if i > 0 and config.chaining_m > 0:
+                scene = _execute_transition(scene, script[0].target, config,
+                                            seed * 131 + i, result)
+                script = oracle_policy(instruction, scene)
         except (PreconditionUnmet, UnknownInstruction) as exc:
             result.skills.append(SkillOutcome(instruction, False, 0, str(exc)))
             completed_all = False
             break
-        goal = dry[-1].target
-        if i > 0 and config.chaining_m > 0:
-            try:
-                scene = _execute_transition(scene, dry[0].target, config,
-                                            seed * 131 + i, result)
-            except (NoFreeChain, PlanningFailure) as exc:
-                # without a transition the skill would start from the wrong pose
-                result.chaining_failure_reasons.append(str(exc))
-                result.skills.append(SkillOutcome(instruction, False, 0, f"chaining: {exc}"))
-                completed_all = False
-                break
-            actions = oracle_policy(instruction, scene, config.noise_sigma, seed * 101 + i)
-        else:
-            # no transition ran, so the scene is the one the dry run scripted
-            actions = noised_script(instruction, dry, config.noise_sigma, seed * 101 + i)
+        except (NoFreeChain, PlanningFailure) as exc:
+            # without a transition the skill would start from the wrong pose
+            result.chaining_failure_reasons.append(str(exc))
+            result.skills.append(SkillOutcome(instruction, False, 0, f"chaining: {exc}"))
+            completed_all = False
+            break
+        goal = script[-1].target
+        actions = noised_script(instruction, script, config.noise_sigma, seed * 101 + i)
         used = 0
         for action in actions:
             scene = step(scene, action)

@@ -3,8 +3,8 @@
 Each skill emits the canonical keyframe sequence (approach, grasp, transit,
 place, release, retreat) computed from the current scene, with exactly one
 close and one open command, ending at the skill's goal pose.  ``oracle_policy``
-checks the skill's row of ``deco.registry.SKILL_NEEDS`` and an empty gripper
-first; a script checks only its own choice of object.
+checks the skill's ``deco.registry.SKILL_NEEDS`` row and an empty gripper and
+returns the script unnoised; a script checks only its own choice of object.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from ..config import check_rule
+from ..config import check_count, check_rule
 from ..costmap import Bounds
 from ..errors import PreconditionUnmet, UnknownInstruction
 from ..geometry import Pose, vector_norm
@@ -219,9 +219,10 @@ def noised_action(target: Pose, command: GripperCommand, offset) -> Action:
 def noised_script(instruction: str, actions: list[Action], noise_sigma: float,
                   seed: int) -> list[Action]:
     """The skill's script ``actions`` with each target moved by a normal draw of
-    ``noise_sigma`` from ``named_rng(seed, instruction)``;
-    ``actions`` itself without noise.  A ``noise_sigma`` that breaks the
-    config rule, negative, NaN or infinite, is a ``ConfigError``."""
+    ``noise_sigma`` from ``named_rng(seed, instruction)``; ``actions`` itself
+    without noise.  A bad ``seed`` or ``noise_sigma`` (negative, NaN or
+    infinite) is a ``ConfigError``, with or without noise."""
+    check_count(seed, "seed")
     check_rule("noise_sigma", noise_sigma)
     if noise_sigma > 0:
         rng = named_rng(seed, instruction)
@@ -231,14 +232,13 @@ def noised_script(instruction: str, actions: list[Action], noise_sigma: float,
     return actions
 
 
-def oracle_policy(instruction: str, scene: Scene, noise_sigma: float = 0.0,
-                  seed: int = 0) -> list[Action]:
-    """Keyframe action sequence for one skill, optionally position-noised."""
+def oracle_policy(instruction: str, scene: Scene) -> list[Action]:
+    """Keyframe action sequence for one skill on ``scene``, without noise."""
     script = _SKILLS.get(instruction)
     if script is None:
         raise UnknownInstruction(f"no scripted skill for instruction {instruction!r}")
     check_needs(instruction, scene)
-    return noised_script(instruction, script(scene), noise_sigma, seed)
+    return script(scene)
 
 
 def record_demo(task: TaskSpec, seed: int) -> Demonstration:
@@ -247,7 +247,7 @@ def record_demo(task: TaskSpec, seed: int) -> Demonstration:
     steps = [TimeStep(0, Pose(HOME), GripperState.OPEN, 0.0)]
     t = 1
     for instruction in task.plan:
-        for action in oracle_policy(instruction, scene, 0.0, seed):
+        for action in oracle_policy(instruction, scene):
             previous = np.array(scene.gripper_position)
             scene = step(scene, action)
             displacement = vector_norm(action.target.position - previous)

@@ -16,7 +16,7 @@ from deco.registry import load_registry
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def traced_episode(monkeypatch, chaining_m: int) -> set[str]:
+def traced_episode(monkeypatch, chaining_m: int, noise_sigma: float = 0.0) -> set[str]:
     """Run one traced episode of put_in_and_close, check that it succeeds and
     passes the benchmark's checks, and return the names of its spans."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -31,8 +31,8 @@ def traced_episode(monkeypatch, chaining_m: int) -> set[str]:
     task = registry.get("put_in_and_close")
     try:
         with tracer.span("executor.episode", {"task": task.id, "seed": 0}):
-            result = run_task_episode(task, 0, ExecutorConfig(chaining_m=chaining_m),
-                                      library, registry)
+            config = ExecutorConfig(chaining_m=chaining_m, noise_sigma=noise_sigma)
+            result = run_task_episode(task, 0, config, library, registry)
     finally:
         tracer.restore()
     assert result.success
@@ -44,6 +44,14 @@ def traced_episode(monkeypatch, chaining_m: int) -> set[str]:
 def test_traced_episode_passes_the_benchmark_checks(monkeypatch):
     names = traced_episode(monkeypatch, 6)
     assert {"chaining.rrt_path", "costmap.build_cost_map"} <= names
+
+
+def test_traced_noisy_episode_passes_the_benchmark_checks(monkeypatch):
+    """The benchmark checks each transition's path against the first target of
+    the next skill's script; under noise that target is still the noiseless
+    one the transition was planned to."""
+    names = traced_episode(monkeypatch, 6, 0.01)
+    assert {"chaining.rrt_path", "sim.oracle.policy"} <= names
 
 
 def test_traced_episode_without_chaining_passes_the_benchmark_checks(monkeypatch):

@@ -14,7 +14,7 @@ from deco.errors import ConfigError, NoFreeChain
 from deco.geometry import Pose
 from deco.planning import ItemLocation
 from deco.registry import load_registry
-from deco.sim.oracle import oracle_policy
+from deco.sim.oracle import noised_script, oracle_policy
 from deco.sim.scene import WORKSPACE
 from deco.sim.tasks import drawer_front_obstacle_task, reset
 
@@ -249,25 +249,46 @@ def test_run_task_episode_resets_once(library, registry, monkeypatch):
 
 @pytest.mark.parametrize("chaining_m", [0, 6])
 def test_a_skill_is_scripted_again_only_after_a_transition(registry, monkeypatch, chaining_m):
-    """Without a transition the dry run's script is executed, noised; after
-    one, the skill is scripted again, with noise, on the scene it left."""
-    calls = []
+    """Each skill is scripted once, and again on the scene a transition left;
+    whichever script runs is noised once, with the skill's own seed."""
+    scripted, noised = [], []
 
-    def recording_policy(instruction, scene, noise_sigma=0.0, seed=0):
-        calls.append((instruction, noise_sigma, seed))
-        return oracle_policy(instruction, scene, noise_sigma, seed)
+    def recording_policy(instruction, scene):
+        scripted.append(instruction)
+        return oracle_policy(instruction, scene)
+
+    def recording_noise(instruction, script, noise_sigma, seed):
+        noised.append((instruction, noise_sigma, seed))
+        return noised_script(instruction, script, noise_sigma, seed)
 
     monkeypatch.setattr(deco.executor, "oracle_policy", recording_policy)
+    monkeypatch.setattr(deco.executor, "noised_script", recording_noise)
     task = registry.get("put_in_and_close")
     result = run_episode(task, reset(task, 2), task.plan,
                          ExecutorConfig(chaining_m=chaining_m, noise_sigma=0.005), 2)
     assert [s.instruction for s in result.skills] == list(task.plan)
-    dry = [(instruction, 0.0, 0) for instruction in task.plan]
+    assert noised == [(instruction, 0.005, 2 * 101 + i) for i, instruction in enumerate(task.plan)]
+    first, second, third = task.plan
     if chaining_m == 0:
-        assert calls == dry
+        assert scripted == [first, second, third]
     else:
-        again = [(instruction, 0.005, 2 * 101 + i) for i, instruction in enumerate(task.plan)]
-        assert calls == [dry[0], dry[1], again[1], dry[2], again[2]]
+        assert scripted == [first, second, second, third, third]
+
+
+def test_a_need_the_transition_undoes_fails_the_skill(registry, monkeypatch):
+    """The skill is scripted again on the scene its transition left, so a need
+    that scene lacks fails the skill as any unmet precondition does."""
+    def closing_transition(scene, start_pose, config, seed, result):
+        closed = scene.copy()
+        closed.open_fraction = 0.0
+        return closed
+
+    monkeypatch.setattr(deco.executor, "_execute_transition", closing_transition)
+    task = registry.get("put_in_and_close")
+    result = run_episode(task, reset(task, 0), task.plan, ExecutorConfig(chaining_m=6), 0)
+    assert not result.success
+    assert [(s.completed, s.reason) for s in result.skills] == [
+        (True, ""), (False, "'put item in drawer' needs the drawer open")]
 
 
 def test_geometry_caches_are_keyed_by_constants_not_episodes(library, registry, monkeypatch):

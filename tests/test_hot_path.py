@@ -22,7 +22,7 @@ from deco.costmap import Bounds
 from deco.errors import PreconditionUnmet
 from deco.geometry import Pose
 from deco.registry import load_registry
-from deco.sim.oracle import oracle_policy
+from deco.sim.oracle import noised_script, oracle_policy
 from deco.sim.scene import WORKSPACE, Scene, step
 from deco.sim.tasks import drawer_front_obstacle_task, reset
 
@@ -50,7 +50,8 @@ def run_oracle(task, seed: int, noise_sigma: float) -> list:
     try:
         for i, instruction in enumerate(task.plan):
             stopped = instruction
-            for action in oracle_policy(instruction, scene, noise_sigma, seed * 101 + i):
+            script = oracle_policy(instruction, scene)
+            for action in noised_script(instruction, script, noise_sigma, seed * 101 + i):
                 scene = step(scene, action)
         stopped = None
     except PreconditionUnmet:

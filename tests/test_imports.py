@@ -1,7 +1,8 @@
-"""Every name a test module imports is used in it.
+"""Every name a test or package module imports is used in it.
 
-An import that nothing reads hides what a test depends on.  The scan covers
-``tests/`` only: ``deco/__init__.py`` re-exports names on purpose.
+An import that nothing reads hides what a module depends on.  The scan covers
+``tests/`` and every module under ``src/deco/`` but its ``__init__.py`` files,
+which re-export names on purpose.
 """
 
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "deco"
 
 
 def _dotted(node: ast.expr) -> str | None:
@@ -42,6 +44,13 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_a_test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.rglob("*.py")
+                                         if p.name != "__init__.py"),
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_a_package_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 

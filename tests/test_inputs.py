@@ -25,7 +25,7 @@ from deco.costmap import Bounds, CostMap, build_cost_map, fixed_layer, occupancy
 from deco.decompose import DecompositionConfig
 from deco.errors import (ConfigError, DecoError, DegenerateBounds, InvalidInput,
                          InvalidMapParameter, MalformedDemo, PlanningFailure)
-from deco.executor import ExecutorConfig, run_suite
+from deco.executor import ExecutorConfig, run_episode, run_suite
 from deco.geometry import Pose, as_points, is_goal_reached, quat_slerp
 from deco.planning import SceneSummary
 from deco.registry import TaskSpec, load_registry
@@ -46,8 +46,16 @@ NAN = [float("nan"), 0.5, 0.5]
 A, B = [0.05, 0.2, 0.2], [0.35, 0.2, 0.2]
 
 
-def drawer_policy(noise_sigma):
-    return oracle_policy("open drawer", Scene(drawer_present=True), noise_sigma, 0)
+def drawer_script(noise_sigma, seed=0):
+    script = oracle_policy("open drawer", Scene(drawer_present=True))
+    return noised_script("open drawer", script, noise_sigma, seed)
+
+
+def put_in_and_close(seed, chaining_m):
+    """One noiseless put_in_and_close episode from the task's scene for seed 0."""
+    task = load_registry().get("put_in_and_close")
+    return run_episode(task, reset(task, 0), task.plan, ExecutorConfig(chaining_m=chaining_m),
+                       seed)
 
 
 def endpoint(timeout) -> EndpointConfig:
@@ -206,12 +214,21 @@ ROWS = {
     "decompose-mode-quarter": (lambda: DecompositionConfig(mode="quarter"), ConfigError,
                                "'quarter'"),
     # policy noise: the config rule, once per script
-    "oracle_policy-sigma-negative": (lambda: drawer_policy(-0.1), ConfigError, "noise_sigma"),
-    "oracle_policy-sigma-nan": (lambda: drawer_policy(float("nan")), ConfigError, "nan"),
-    "oracle_policy-sigma-inf": (lambda: drawer_policy(float("inf")), ConfigError, "inf"),
-    "oracle_policy-sigma-float32": (lambda: len(drawer_policy(np.float32(0.01))) > 0, None, None),
+    "noised_script-sigma-negative": (lambda: drawer_script(-0.1), ConfigError, "noise_sigma"),
     "noised_script-sigma-nan": (lambda: noised_script("open drawer", [], float("nan"), 0),
                                 ConfigError, "noise_sigma"),
+    "noised_script-sigma-inf": (lambda: drawer_script(float("inf")), ConfigError, "inf"),
+    "noised_script-sigma-float32": (lambda: len(drawer_script(np.float32(0.01))) > 0, None, None),
+    # episode and noise seeds: the count rule, checked first, with or without noise
+    "noised_script-seed-negative": (lambda: drawer_script(0.0, -1), ConfigError, "got -1"),
+    "noised_script-seed-bool": (lambda: drawer_script(0.0, True), ConfigError, "True"),
+    "run_episode-seed-negative": (lambda: put_in_and_close(-1, 0), ConfigError, "got -1"),
+    "run_episode-seed-float": (lambda: put_in_and_close(1.5, 0), ConfigError, "got 1.5"),
+    "run_episode-seed-bool": (lambda: put_in_and_close(True, 0), ConfigError, "got True"),
+    # at M=6 the seed, not the transition's derived seed -195.5, is named
+    "run_episode-seed-float-chaining": (lambda: put_in_and_close(-1.5, 6), ConfigError,
+                                        "got -1.5"),
+    "run_episode-seed-numpy": (lambda: put_in_and_close(np.int64(3), 6).success, None, None),
     "ExecutorConfig-sigma-negative": (lambda: ExecutorConfig(noise_sigma=-0.1), ConfigError,
                                       "-0.1"),
     "ExecutorConfig-sigma-inf": (lambda: ExecutorConfig(noise_sigma=float("inf")), ConfigError,

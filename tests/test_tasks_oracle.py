@@ -26,7 +26,7 @@ INITIAL_SCENES_DIGEST = "b1897a673a3b4213"
 def run_plan(task, seed=0):
     scene = reset(task, seed)
     for instr in task.plan:
-        for action in oracle_policy(instr, scene, 0.0, seed):
+        for action in oracle_policy(instr, scene):
             scene = step(scene, action)
     return scene
 
@@ -122,14 +122,14 @@ def test_unknown_task_raises(registry):
 
 def test_unknown_instruction_raises():
     with pytest.raises(UnknownInstruction):
-        oracle_policy("dance", Scene(), 0.0, 0)
+        oracle_policy("dance", Scene())
 
 
 def test_every_skill_has_one_close_one_open(registry):
     for task in registry:
         scene = reset(task, 0)
         for instr in task.plan:
-            actions = oracle_policy(instr, scene, 0.0, 0)
+            actions = oracle_policy(instr, scene)
             closes = sum(a.gripper_command is GripperCommand.CLOSE for a in actions)
             opens = sum(a.gripper_command is GripperCommand.OPEN for a in actions)
             assert (closes, opens) == (1, 1), (task.id, instr)
@@ -170,12 +170,11 @@ def test_success_names_an_object_the_scene_lacks(registry):
 def test_open_drawer_precondition():
     scene = Scene(drawer_present=True, open_fraction=1.0)
     with pytest.raises(PreconditionUnmet):
-        oracle_policy("open drawer", scene, 0.0, 0)
+        oracle_policy("open drawer", scene)
     with pytest.raises(PreconditionUnmet):
-        oracle_policy("close drawer", Scene(drawer_present=True, open_fraction=0.0),
-                      0.0, 0)
+        oracle_policy("close drawer", Scene(drawer_present=True, open_fraction=0.0))
     with pytest.raises(PreconditionUnmet):
-        oracle_policy("open drawer", Scene(drawer_present=False), 0.0, 0)
+        oracle_policy("open drawer", Scene(drawer_present=False))
 
 
 def test_the_drawer_is_closed_exactly_below_0_2():
@@ -188,9 +187,9 @@ def test_the_drawer_is_closed_exactly_below_0_2():
         assert DrawerNeed.NOT_CLOSED.holds(fraction) is not closed
         if closed:
             with pytest.raises(PreconditionUnmet):
-                oracle_policy("close drawer", scene, 0.0, 0)
+                oracle_policy("close drawer", scene)
             continue
-        for action in oracle_policy("close drawer", scene, 0.0, 0):
+        for action in oracle_policy("close drawer", scene):
             scene = step(scene, action)
         assert PREDICATES["drawer_closed"](scene)
 
@@ -199,23 +198,23 @@ def test_drawer_skills_need_open_drawer():
     scene = Scene(drawer_present=True, open_fraction=0.0,
                   objects={"item": np.array([0.42, 0.05, 0.02])})
     with pytest.raises(PreconditionUnmet):
-        oracle_policy("put item in drawer", scene, 0.0, 0)
+        oracle_policy("put item in drawer", scene)
     with pytest.raises(PreconditionUnmet):
-        oracle_policy("take item out of drawer", scene, 0.0, 0)
+        oracle_policy("take item out of drawer", scene)
 
 
 def test_full_gripper_blocks_new_skill():
     scene = Scene(drawer_present=True, open_fraction=0.0,
                   objects={"item": np.array([0.42, 0.05, 0.02])}, held_object="item")
     with pytest.raises(PreconditionUnmet):
-        oracle_policy("open drawer", scene, 0.0, 0)
+        oracle_policy("open drawer", scene)
 
 
 def test_noise_perturbs_targets_deterministically():
     scene = Scene(drawer_present=True, open_fraction=0.0)
-    base = oracle_policy("open drawer", scene, 0.0, 0)
-    noisy1 = oracle_policy("open drawer", scene, 0.005, 7)
-    noisy2 = oracle_policy("open drawer", scene, 0.005, 7)
+    base = oracle_policy("open drawer", scene)
+    noisy1 = noised_script("open drawer", base, 0.005, 7)
+    noisy2 = noised_script("open drawer", oracle_policy("open drawer", scene), 0.005, 7)
     assert not np.allclose(base[0].target.position, noisy1[0].target.position)
     assert np.allclose(noisy1[0].target.position, noisy2[0].target.position)
 
@@ -275,7 +274,7 @@ def test_obstacle_fixture_straight_transition_slams():
     scene = reset(task, 0)
     with pytest.raises(PreconditionUnmet):
         for instr in task.plan:
-            for action in oracle_policy(instr, scene, 0.0, 0):
+            for action in oracle_policy(instr, scene):
                 scene = step(scene, action)
     assert scene.drawer_slams >= 1
     assert not success(task, scene)
